@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 check or certificate failure, 2 usage error.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -111,7 +112,7 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _write_manifest(args, config, paths, dataset_path, started):
+def _write_manifest(args, config, paths, dataset_path, started, **extra):
     entry = {
         "subcommand": args.subcommand,
         "config": config,
@@ -119,6 +120,7 @@ def _write_manifest(args, config, paths, dataset_path, started):
         "wall_time_s": round(time.time() - started, 3),
         "paths": paths,
         "dataset_sha256": _sha256(dataset_path) if dataset_path else None,
+        **extra,
     }
     with open(args.manifest, "a") as fh:
         fh.write(json.dumps(entry, sort_keys=True) + "\n")
@@ -234,20 +236,37 @@ def cmd_train(args):
     started = time.time()
     records = read_output(args.data)
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
+    t0 = time.perf_counter()
     model, test_idx, history = train(records, cfg)
+    t1 = time.perf_counter()
     save_checkpoint(model, args.model_out)
+    t2 = time.perf_counter()
     paths = {"data": os.path.abspath(args.data), "model": os.path.abspath(args.model_out)}
     if args.history_out:
         write_history(history, args.history_out)
         paths["history"] = os.path.abspath(args.history_out)
+    t3 = time.perf_counter()
     mse = evaluate(model, records, test_idx)
     mean_pred = mean_prediction(model, records, test_idx)
-    print(f"trained on {len(records) - len(test_idx)} records, held out {len(test_idx)}")
+    t4 = time.perf_counter()
+    n_train = len(records) - len(test_idx)
+    stages = {
+        "train_s": round(t1 - t0, 6),
+        "checkpoint_s": round(t2 - t1, 6),
+        "evaluate_s": round(t4 - t3, 6),
+    }
+    counters = {
+        "epochs": cfg.epochs,
+        "adam_steps": cfg.epochs * math.ceil(n_train / cfg.batch_size),
+        "train_records": n_train,
+    }
+    print(f"trained on {n_train} records, held out {len(test_idx)}")
     print(f"final train mse: {history[-1][1]:.6f}")
     print(f"test mse: {mse:.6f}")
     print(f"mean prediction: {mean_pred:.6f}")
     print(f"checkpoint written to {args.model_out}")
-    _write_manifest(args, cfg.to_dict(), paths, args.data, started)
+    _write_manifest(args, cfg.to_dict(), paths, args.data, started,
+                    stages=stages, counters=counters)
     return 0
 
 

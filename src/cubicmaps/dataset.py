@@ -252,8 +252,13 @@ def write_output(records, path):
 
 
 def read_output(path):
-    """Exact inverse of write_output; parse errors report 1-based line numbers."""
+    """Exact inverse of write_output; parse errors report 1-based line numbers.
+
+    Every record must hold three vectors of one width, the width of the
+    first record, with non-negative integer entries.
+    """
     records = []
+    width = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -272,6 +277,17 @@ def read_output(path):
                 or not all(isinstance(w, tuple) for w in key)
             ):
                 raise ValueError(f"{path}:{lineno}: expected a triple of tuples")
+            n = len(key[0])
+            if n == 0 or len(key[1]) != n or len(key[2]) != n:
+                raise ValueError(f"{path}:{lineno}: the three vectors must be non-empty "
+                                 f"and of one length, got {[len(w) for w in key]}")
+            if width is None:
+                width = n
+            elif n != width:
+                raise ValueError(f"{path}:{lineno}: width {n} differs from the first "
+                                 f"record's width {width}")
+            if not all(type(c) is int and c >= 0 for w in key for c in w):
+                raise ValueError(f"{path}:{lineno}: entries must be non-negative integers")
             try:
                 label = int(value_text)
             except ValueError as exc:

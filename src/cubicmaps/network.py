@@ -15,16 +15,28 @@ filters, biases start at zero.  All randomness comes from one
 numpy.random.Generator(PCG64(seed)) consumed in a fixed order: the
 train/test split permutation, then the parameter draws (conv, first dense,
 second dense), then one shuffle per epoch.  Two runs with the same seed
-and thread count produce bitwise-identical checkpoints.
+and thread count produce bitwise-identical checkpoints.  Adam updates m, v
+and the parameters in place, one cache-sized block at a time, and every
+element goes through the same operations in the same order:
+m = beta1*m + (1-beta1)*g, v = beta2*v + ((1-beta2)*g)*g,
+a -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps).  That order is part of the
+byte-stability contract: reordering or fusing any of them changes the
+checkpoint bytes.
 """
 
 import json
 import math
+import os
 
 import numpy as np
 
 _VAR_GUARD = 1e-12
 CHECKPOINT_MAGIC = b"CBMNET01"
+_MAX_HEADER_BYTES = 1 << 20
+# Elements per in-place Adam block: the a, g, m, v slices and two scratch
+# buffers (6 x 256 KiB) stay in L2 cache while all the operations run on them.
+_ADAM_BLOCK = 32768
+_ARRAY_NAMES = ("conv_w", "conv_b", "w1", "b1", "w2", "b2")
 
 
 class TrainConfig:
@@ -75,16 +87,22 @@ class ScaledSample:
         self.stds = stds
 
 
+def _standardize(m, axis):
+    """Population standardization along axis, with the zero-variance guard."""
+    means = m.mean(axis=axis, keepdims=True)
+    var = m.var(axis=axis, keepdims=True)
+    stds = np.sqrt(var)
+    divisor = np.where(var < _VAR_GUARD, 1.0, stds)
+    return (m - means) / divisor, means, stds
+
+
 def scale_features(raw):
     """Standardize a 3 x w integer matrix per column (population statistics)."""
     m = np.asarray(raw, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != 3:
         raise ValueError(f"expected a 3 x w matrix, got shape {m.shape}")
-    means = m.mean(axis=0)
-    var = m.var(axis=0)
-    stds = np.sqrt(var)
-    divisor = np.where(var < _VAR_GUARD, 1.0, stds)
-    return ScaledSample((m - means) / divisor, means, stds)
+    matrix, means, stds = _standardize(m, 0)
+    return ScaledSample(matrix, means[0], stds[0])
 
 
 def record_matrix(record):
@@ -96,7 +114,8 @@ def features_and_labels(records):
     """Scaled feature tensor (N, 3, w, 1) and float label vector (N, 1)."""
     if not records:
         raise ValueError("no records")
-    x = np.stack([scale_features(record_matrix(r)).matrix for r in records])
+    raw = np.array([(r.v, r.u, r.t) for r in records], dtype=np.float64)
+    x, _, _ = _standardize(raw, 1)
     y = np.array([[float(r.label)] for r in records])
     return x[..., np.newaxis], y
 
@@ -123,19 +142,22 @@ class TargetScaler:
         return np.asarray(y, dtype=np.float64) * self.std + self.mean
 
 
+def _param_shapes(w, filters, hidden):
+    """Shapes of conv_w, conv_b, w1, b1, w2, b2 for width-w inputs."""
+    flat = 2 * (w - 1) * filters
+    return ((2, 2, 1, filters), (filters,), (flat, hidden), (hidden,), (hidden, 1), (1,))
+
+
 class NetworkParams:
     """All weights of the conv + dense + dense network for width-w inputs."""
 
     __slots__ = ("w", "filters", "hidden", "conv_w", "conv_b", "w1", "b1", "w2", "b2")
 
     def __init__(self, w, filters, hidden, conv_w, conv_b, w1, b1, w2, b2):
-        flat = 2 * (w - 1) * filters
-        if conv_w.shape != (2, 2, 1, filters) or conv_b.shape != (filters,):
-            raise ValueError("conv parameter shape mismatch")
-        if w1.shape != (flat, hidden) or b1.shape != (hidden,):
-            raise ValueError("first dense parameter shape mismatch")
-        if w2.shape != (hidden, 1) or b2.shape != (1,):
-            raise ValueError("second dense parameter shape mismatch")
+        arrays = (conv_w, conv_b, w1, b1, w2, b2)
+        for name, arr, shape in zip(_ARRAY_NAMES, arrays, _param_shapes(w, filters, hidden)):
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
         self.w = w
         self.filters = filters
         self.hidden = hidden
@@ -226,26 +248,68 @@ def loss_and_grad(params, x, y):
     return loss, (dconv_w, dconv_b, dw1, db1, dw2, db2)
 
 
-class Adam:
-    """Adam state over the parameter arrays, epsilon outside the root."""
+def _flat_view(a):
+    """A 1-D view of a C-contiguous array; writes through it reach a."""
+    if not a.flags.c_contiguous:
+        raise ValueError("Adam updates C-contiguous parameter arrays in place")
+    return a.reshape(-1)
 
-    __slots__ = ("cfg", "m", "v", "t")
+
+class Adam:
+    """Adam state over the parameter arrays, epsilon outside the root.
+
+    step() updates m, v and the parameters in place, _ADAM_BLOCK elements
+    at a time, with the per-element operation order of the module docstring.
+    """
+
+    __slots__ = ("cfg", "m", "v", "t", "_s1", "_s2")
 
     def __init__(self, params, cfg):
         self.cfg = cfg
         self.m = [np.zeros_like(a) for a in params.arrays()]
         self.v = [np.zeros_like(a) for a in params.arrays()]
         self.t = 0
+        size = min(_ADAM_BLOCK, max(a.size for a in params.arrays()))
+        self._s1 = np.empty(size)
+        self._s2 = np.empty(size)
 
     def step(self, params, grads):
         cfg = self.cfg
         self.t += 1
-        bc1 = 1.0 - cfg.beta1**self.t
-        bc2 = 1.0 - cfg.beta2**self.t
-        for i, (a, g) in enumerate(zip(params.arrays(), grads)):
-            self.m[i] = cfg.beta1 * self.m[i] + (1.0 - cfg.beta1) * g
-            self.v[i] = cfg.beta2 * self.v[i] + (1.0 - cfg.beta2) * g * g
-            a -= cfg.learning_rate * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + cfg.epsilon)
+        b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, cfg.epsilon
+        c1 = 1.0 - b1
+        c2 = 1.0 - b2
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
+        for a, g, m, v in zip(params.arrays(), grads, self.m, self.v):
+            a = _flat_view(a)
+            g = np.asarray(g, dtype=np.float64).reshape(-1)
+            if g.size != a.size:
+                raise ValueError(f"gradient of {g.size} elements for a parameter of {a.size}")
+            m = m.reshape(-1)
+            v = v.reshape(-1)
+            for lo in range(0, a.size, _ADAM_BLOCK):
+                hi = min(lo + _ADAM_BLOCK, a.size)
+                ab, gb, mb, vb = a[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+                s1 = self._s1[:hi - lo]
+                s2 = self._s2[:hi - lo]
+                # m = beta1*m + (1-beta1)*g
+                np.multiply(mb, b1, out=mb)
+                np.multiply(gb, c1, out=s1)
+                np.add(mb, s1, out=mb)
+                # v = beta2*v + ((1-beta2)*g)*g
+                np.multiply(vb, b2, out=vb)
+                np.multiply(gb, c2, out=s1)
+                np.multiply(s1, gb, out=s1)
+                np.add(vb, s1, out=vb)
+                # a -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+                np.divide(mb, bc1, out=s1)
+                np.multiply(s1, lr, out=s1)
+                np.divide(vb, bc2, out=s2)
+                np.sqrt(s2, out=s2)
+                np.add(s2, eps, out=s2)
+                np.divide(s1, s2, out=s1)
+                np.subtract(ab, s1, out=ab)
 
 
 def split_indices(n, cfg, rng):
@@ -355,7 +419,6 @@ def save_checkpoint(model, path):
     The byte stream is a pure function of the model contents, so reruns
     with identical parameters produce identical files.
     """
-    names = ("conv_w", "conv_b", "w1", "b1", "w2", "b2")
     header = {
         "version": 1,
         "w": model.params.w,
@@ -364,7 +427,8 @@ def save_checkpoint(model, path):
         "target_mean": model.scaler.mean,
         "target_std": model.scaler.std,
         "config": model.cfg.to_dict(),
-        "arrays": [[name, list(arr.shape)] for name, arr in zip(names, model.params.arrays())],
+        "arrays": [[name, list(arr.shape)]
+                   for name, arr in zip(_ARRAY_NAMES, model.params.arrays())],
     }
     blob = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
@@ -376,25 +440,55 @@ def save_checkpoint(model, path):
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint."""
+    """Inverse of save_checkpoint.
+
+    The header length, the array names and shapes, and the payload size
+    are all checked against fixed caps, the header's widths and the file
+    size before anything of that size is read or allocated.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a model checkpoint")
-        size = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(size).decode())
+        size_bytes = fh.read(8)
+        if len(size_bytes) != 8:
+            raise ValueError(f"{path}: truncated checkpoint")
+        size = int.from_bytes(size_bytes, "little")
+        if size > _MAX_HEADER_BYTES:
+            raise ValueError(f"{path}: header length {size} exceeds {_MAX_HEADER_BYTES} bytes")
+        blob = fh.read(size)
+        if len(blob) != size:
+            raise ValueError(f"{path}: truncated checkpoint")
+        header = json.loads(blob.decode())
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: checkpoint header is not a JSON object")
         if header.get("version") != 1:
             raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
+        dims = [header.get(key) for key in ("w", "filters", "hidden")]
+        if not all(type(d) is int for d in dims) or dims[0] < 2 or dims[1] < 1 or dims[2] < 1:
+            raise ValueError(f"{path}: w must be an integer >= 2, "
+                             "filters and hidden integers >= 1")
+        expected = [[name, list(shape)] for name, shape in zip(_ARRAY_NAMES, _param_shapes(*dims))]
+        if header.get("arrays") != expected:
+            raise ValueError(f"{path}: arrays {header.get('arrays')!r} do not match "
+                             f"w, filters and hidden, which imply {expected!r}")
+        payload = 8 * sum(math.prod(shape) for _, shape in expected)
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if remaining < payload:
+            raise ValueError(f"{path}: truncated checkpoint")
+        if remaining > payload:
+            raise ValueError(f"{path}: trailing bytes after checkpoint payload")
         arrays = []
-        for _, shape in header["arrays"]:
-            count = int(np.prod(shape)) if shape else 1
+        for _, shape in expected:
+            count = math.prod(shape)
             data = fh.read(8 * count)
             if len(data) != 8 * count:
                 raise ValueError(f"{path}: truncated checkpoint")
             arrays.append(np.frombuffer(data, dtype="<f8").reshape(shape).copy())
-        trailing = fh.read(1)
-    if trailing:
-        raise ValueError(f"{path}: trailing bytes after checkpoint payload")
     params = NetworkParams(header["w"], header["filters"], header["hidden"], *arrays)
-    scaler = TargetScaler(header["target_mean"], header["target_std"])
-    return TrainedModel(params, scaler, TrainConfig.from_dict(header["config"]))
+    try:
+        scaler = TargetScaler(header["target_mean"], header["target_std"])
+        cfg = TrainConfig.from_dict(header["config"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: bad checkpoint header: {exc!r}") from None
+    return TrainedModel(params, scaler, cfg)

@@ -142,6 +142,12 @@ class TestTrainPredict:
         assert "test mse:" in out
         with open("loss.csv") as fh:
             assert fh.readline().strip() == "epoch,train_mse"
+        entry = manifest_entries()[-1]
+        assert entry["subcommand"] == "train"
+        assert set(entry["stages"]) == {"train_s", "checkpoint_s", "evaluate_s"}
+        assert all(seconds >= 0 for seconds in entry["stages"].values())
+        # 268 training records in batches of 32 take 9 Adam steps per epoch
+        assert entry["counters"] == {"epochs": 1, "adam_steps": 9, "train_records": 268}
 
         assert main(["predict", "--model", "model.ckpt", "--triple", SIX_IDENTITY]) == 0
         value = float(capsys.readouterr().out.strip())

@@ -167,6 +167,20 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             read_output(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("((1, 0), (0, 1, 0), (1, 1)): 1", "one length"),
+        ("((), (), ()): 1", "one length"),
+        ("((1, 0, 0), (0, 1, 0), (1, 1, 0)): 1", "width 3 differs from the first record's"),
+        ("((1, 0), (0, 1), (1, -1)): 1", "non-negative integers"),
+        ("((1, 0), (0, 1), (1, 0.5)): 1", "non-negative integers"),
+        ("((1, 0), (0, 1), (1, True)): 1", "non-negative integers"),
+    ])
+    def test_read_rejects_ragged_or_bad_entries(self, tmp_path, line, message):
+        path = tmp_path / "bad.txt"
+        path.write_text("((1, 0), (0, 1), (1, 1)): 0\n" + line + "\n")
+        with pytest.raises(ValueError, match=f"bad.txt:2: .*{message}"):
+            read_output(path)
+
 
 class TestRecords:
     def test_record_validation(self):

@@ -1,8 +1,18 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cubicmaps.dataset import DatasetRecord
+import cubicmaps
+from cubicmaps.dataset import DatasetRecord, write_output
 from cubicmaps.network import (
+    _ADAM_BLOCK,
     Adam,
     NetworkParams,
     TargetScaler,
@@ -22,6 +32,46 @@ from cubicmaps.network import (
     train,
     write_history,
 )
+
+
+def frozen_scale(m):
+    """Per-column standardization exactly as first released: the reference."""
+    means = m.mean(axis=0)
+    var = m.var(axis=0)
+    divisor = np.where(var < 1e-12, 1.0, np.sqrt(var))
+    return (m - means) / divisor
+
+
+def frozen_adam_steps(arrays, grad_steps, cfg):
+    """The allocating Adam update as first released, applied in place to arrays."""
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    for t, grads in enumerate(grad_steps, start=1):
+        bc1 = 1.0 - cfg.beta1**t
+        bc2 = 1.0 - cfg.beta2**t
+        for i, (a, g) in enumerate(zip(arrays, grads)):
+            m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * g
+            v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * g * g
+            a -= cfg.learning_rate * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + cfg.epsilon)
+    return m, v
+
+
+def claimed_arrays(w, filters, hidden):
+    """The checkpoint header's [name, shape] list for the given widths."""
+    shapes = [[2, 2, 1, filters], [filters], [2 * (w - 1) * filters, hidden],
+              [hidden], [hidden, 1], [1]]
+    names = ("conv_w", "conv_b", "w1", "b1", "w2", "b2")
+    return [[name, shape] for name, shape in zip(names, shapes)]
+
+
+class ArrayList:
+    """Anything with arrays() is a parameter set to Adam."""
+
+    def __init__(self, arrays):
+        self._arrays = tuple(arrays)
+
+    def arrays(self):
+        return self._arrays
 
 
 def small_instance(seed=5, n=6, w=5, filters=3, hidden=4):
@@ -60,6 +110,14 @@ class TestScaling:
         x, y = features_and_labels(five_records[:10])
         assert x.shape == (10, 3, 5, 1)
         assert y.shape == (10, 1)
+
+    def test_features_and_labels_match_per_record_scaling(self, five_records):
+        # the five-point records have zero-variance columns, so the guard runs too
+        x, _ = features_and_labels(five_records)
+        per_record = np.stack([scale_features(record_matrix(r)).matrix for r in five_records])
+        assert x[..., 0].tobytes() == per_record.tobytes()
+        frozen = np.stack([frozen_scale(record_matrix(r)) for r in five_records])
+        assert per_record.tobytes() == frozen.tobytes()
 
     def test_target_scaler_round_trip(self):
         y = np.array([[0.0], [1.0], [0.0], [0.0]])
@@ -159,6 +217,28 @@ class TestAdam:
             want = prev - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
             assert np.allclose(arr, want, atol=1e-12)
 
+    def test_blocked_steps_are_byte_equal_to_frozen_formula(self):
+        # below one block, exactly one block, and over one block but not a multiple of it
+        shapes = [(7,), (_ADAM_BLOCK,), (3, _ADAM_BLOCK // 2 + 41)]
+        rng = np.random.Generator(np.random.PCG64(11))
+        cfg = TrainConfig(learning_rate=0.01)
+        start = [rng.standard_normal(shape) for shape in shapes]
+        grad_steps = [[rng.standard_normal(shape) for shape in shapes] for _ in range(6)]
+        blocked = [a.copy() for a in start]
+        opt = Adam(ArrayList(blocked), cfg)
+        for grads in grad_steps:
+            opt.step(ArrayList(blocked), grads)
+        frozen = [a.copy() for a in start]
+        m, v = frozen_adam_steps(frozen, grad_steps, cfg)
+        for got, want in zip(blocked + opt.m + opt.v, frozen + m + v):
+            assert got.tobytes() == want.tobytes()
+
+    def test_rejects_non_contiguous_parameters(self):
+        a = np.asfortranarray(np.ones((3, 4)))
+        opt = Adam(ArrayList([a]), TrainConfig())
+        with pytest.raises(ValueError, match="C-contiguous"):
+            opt.step(ArrayList([a]), [np.ones((3, 4))])
+
 
 class TestSplit:
     def test_split_sizes_and_disjointness(self):
@@ -203,6 +283,26 @@ class TestTraining:
         save_checkpoint(rerun, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_pinned_recipe_checkpoint_bytes(self, five_records, tmp_path):
+        # seed 42, 2 epochs, one BLAS thread: the checkpoint the benchmark also pins
+        data, ckpt = tmp_path / "five.txt", tmp_path / "model.ckpt"
+        write_output(five_records, data)
+        script = (
+            "import sys\n"
+            "from cubicmaps.dataset import read_output\n"
+            "from cubicmaps.network import TrainConfig, save_checkpoint, train\n"
+            "model, _, _ = train(read_output(sys.argv[1]), TrainConfig(epochs=2, seed=42))\n"
+            "save_checkpoint(model, sys.argv[2])\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        src = str(Path(cubicmaps.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", script, str(data), str(ckpt)],
+                       env=env, check=True, timeout=600)
+        assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == (
+            "38f89d10fad740eef56b0e2e2ab6876d8198c4e352ee409d56491000a715e1b9"
+        )
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
@@ -246,6 +346,58 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(ValueError, match="trailing"):
             load_checkpoint(path)
+
+    @staticmethod
+    def _write_crafted(path, size, header, payload=b""):
+        blob = json.dumps(header).encode()
+        path.write_bytes(b"CBMNET01" + size(blob).to_bytes(8, "little") + blob + payload)
+
+    @staticmethod
+    def _header_and_payload(model, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        data = path.read_bytes()
+        end = 16 + int.from_bytes(data[8:16], "little")
+        return json.loads(data[16:end]), data[end:]
+
+    @staticmethod
+    def _peak_bytes_while_rejected(path, match):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=match):
+                load_checkpoint(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("key", ["config", "target_mean"])
+    def test_missing_header_key(self, quick_model, tmp_path, key):
+        header, payload = self._header_and_payload(quick_model[0], tmp_path)
+        del header[key]
+        path = tmp_path / "crafted.ckpt"
+        self._write_crafted(path, len, header, payload)
+        with pytest.raises(ValueError, match="bad checkpoint header"):
+            load_checkpoint(path)
+
+    def test_huge_header_length_rejected_without_reading(self, quick_model, tmp_path):
+        path = tmp_path / "crafted.ckpt"
+        header, _ = self._header_and_payload(quick_model[0], tmp_path)
+        self._write_crafted(path, lambda blob: 1 << 62, header)
+        assert self._peak_bytes_while_rejected(path, "header length") < 1 << 20
+
+    @pytest.mark.parametrize("overrides, match", [
+        # shapes that disagree with w, filters and hidden
+        ({"arrays": claimed_arrays(5, 256, 1 << 40)}, "do not match"),
+        # shapes that agree with a huge hidden width, but not with the file size
+        ({"hidden": 1 << 40, "arrays": claimed_arrays(5, 256, 1 << 40)}, "truncated"),
+        ({"w": 1}, "w must be"),
+    ])
+    def test_bad_shapes_rejected_without_allocating(self, quick_model, tmp_path, overrides, match):
+        header, _ = self._header_and_payload(quick_model[0], tmp_path)
+        header.update(overrides)
+        path = tmp_path / "crafted.ckpt"
+        self._write_crafted(path, len, header)
+        assert self._peak_bytes_while_rejected(path, match) < 1 << 20
 
 
 class TestHistory:
