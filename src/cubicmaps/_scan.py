@@ -6,6 +6,14 @@ built once per field from exact Scalar arithmetic, and addition is XOR for
 p = 2 or digit-wise modular addition otherwise, so every array operation
 agrees with Scalar arithmetic (tested exhaustively on small fields).
 
+Encodings are stored in the narrowest unsigned dtype that holds q - 1,
+np.min_scalar_type(q - 1): uint8 up to q = 256 and uint16 beyond, which
+covers every level below MAX_SCAN_POINTS (q < 31623).  That applies to
+the point arrays, the exp/expx/inv tables and the cached monomials; a
+narrow array halves or quarters the memory traffic of every XOR, compare
+and gather.  The log table stays int64, because log[a] + log[b] indexes
+the extended exp table and reaches beyond q.
+
 Points are scanned in a fixed documented order: the affine chart [x:y:1]
 lexicographically by (x, y), then the line [x:1:0] by x, then [1:0:0].
 Scans are chunked so that even very large levels stay within memory.
@@ -13,7 +21,7 @@ Scans are chunked so that even very large levels stay within memory.
 
 import numpy as np
 
-from .finitefield import build_field
+from .finitefield import _prime_factors, build_field
 from .forms import MONOMIALS, RATIONALS
 
 MAX_SCAN_POINTS = 1_000_000_000
@@ -33,11 +41,12 @@ class FieldTables:
         self.q = q
         self.p = field.p
         self.k = field.k
+        self.dtype = dt = np.min_scalar_type(q - 1)
         gen = self._find_generator(field)
-        exp = np.zeros(q - 1, dtype=np.int64) if q > 2 else np.zeros(1, dtype=np.int64)
+        n = max(q - 1, 1)
+        exp = np.zeros(n, dtype=dt)
         log = np.zeros(q, dtype=np.int64)
         cur = field.one()
-        n = max(q - 1, 1)
         for i in range(n):
             e = cur.encode()
             exp[i] = e
@@ -47,36 +56,26 @@ class FieldTables:
         log[0] = big
         # extended exp table: two periods of exp, zeros beyond, so that
         # EXPX[LOG[a] + LOG[b]] is a*b with no branching on zeros
-        expx = np.zeros(4 * n + 4, dtype=np.int64)
+        expx = np.zeros(4 * n + 4, dtype=dt)
         expx[:n] = exp
         expx[n : 2 * n] = exp
         self.exp = exp
         self.log = log
         self.expx = expx
-        inv = np.zeros(q, dtype=np.int64)
+        inv = np.zeros(q, dtype=dt)
         if q > 2:
             inv[exp] = exp[(-log[exp]) % n]
         inv[1] = 1
         self.inv_table = inv
         if self.p > 2:
-            self.pow_p = np.array([self.p**i for i in range(self.k)], dtype=np.int64)
+            self.pow_p = [self.p**i for i in range(self.k)]
 
     @staticmethod
     def _find_generator(field):
         q = field.order
         if q == 2:
             return field.one()
-        factors = []
-        m = q - 1
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                factors.append(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            factors.append(m)
+        factors = _prime_factors(q - 1)
         for enc in range(2, q):
             a = field.scalar(enc)
             if all(not (a ** ((q - 1) // r) == field.one()) for r in factors):
@@ -94,10 +93,15 @@ class FieldTables:
     def add(self, a, b):
         if self.p == 2:
             return a ^ b
+        # digits in int64 whatever the operand dtypes, so the result does not
+        # hang on NEP 50 promotion; one cast back to the narrow dtype at the end
+        p = self.p
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
         out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
         for pi in self.pow_p:
-            out += (((a // pi) % self.p + (b // pi) % self.p) % self.p) * pi
-        return out
+            out += ((a // pi % p + b // pi % p) % p) * pi
+        return out.astype(self.dtype)
 
     def inv(self, a):
         return self.inv_table[a]
@@ -130,22 +134,23 @@ def iter_point_chunks(field, chunk=_CHUNK):
             f"scanning P^2({field}) needs {point_count(field)} points; "
             f"the limit is {MAX_SCAN_POINTS}"
         )
+    dt = np.min_scalar_type(q - 1)
     rows = max(1, chunk // q)
     offset = 0
     for x0 in range(0, q, rows):
-        xs = np.arange(x0, min(x0 + rows, q), dtype=np.int64)
+        xs = np.arange(x0, min(x0 + rows, q), dtype=dt)
         n = len(xs) * q
         x = np.repeat(xs, q)
-        y = np.tile(np.arange(q, dtype=np.int64), len(xs))
-        yield x, y, np.ones(n, dtype=np.int64), offset
+        y = np.tile(np.arange(q, dtype=dt), len(xs))
+        yield x, y, np.ones(n, dtype=dt), offset
         offset += n
-    x = np.arange(q, dtype=np.int64)
-    yield x, np.ones(q, dtype=np.int64), np.zeros(q, dtype=np.int64), offset
+    x = np.arange(q, dtype=dt)
+    yield x, np.ones(q, dtype=dt), np.zeros(q, dtype=dt), offset
     offset += q
     yield (
-        np.array([1], dtype=np.int64),
-        np.array([0], dtype=np.int64),
-        np.array([0], dtype=np.int64),
+        np.array([1], dtype=dt),
+        np.array([0], dtype=dt),
+        np.array([0], dtype=dt),
         offset,
     )
 

@@ -25,16 +25,21 @@ from .dataset import (
     NORM_ONLY,
     STRICT_ORTHONORMAL,
     EnumConfig,
-    _subspace3_key,
     default_jobs,
     generate_dataset,
-    iter_vectors,
     read_output,
     stats,
     write_output,
 )
 from .finitefield import build_field
-from .linsys import FIVE_POINT, SIX_POINT, PointConfig, make_plane, vanishing_cubics
+from .linsys import (
+    FIVE_POINT,
+    SIX_POINT,
+    PointConfig,
+    iter_subspaces,
+    make_plane,
+    vanishing_cubics,
+)
 from .network import (
     TrainConfig,
     evaluate,
@@ -140,19 +145,11 @@ def _plane_for(cfg, args):
 
 
 def _iter_admissible_planes(cfg):
-    """Distinct admissible planes of a system, one per coefficient subspace."""
-    dim = cfg.system.dim
-    seen = set()
-    for v in iter_vectors(cfg.p, dim):
-        for u in iter_vectors(cfg.p, dim):
-            for t in iter_vectors(cfg.p, dim):
-                key = _subspace3_key(cfg.p, v, u, t)
-                if key is None or key in seen:
-                    continue
-                seen.add(key)
-                plane = make_plane(cfg.system, *key)
-                if plane is not None:
-                    yield plane
+    """Distinct admissible planes of a system, one per coefficient 3-subspace."""
+    for rows in iter_subspaces(cfg.p, cfg.system.dim, 3):
+        plane = make_plane(cfg.system, *rows)
+        if plane is not None:
+            yield plane
 
 
 def cmd_dataset(args):
@@ -320,11 +317,22 @@ def cmd_stats(args):
     return 0
 
 
+def _positive_int(text):
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_case_args(sub, with_filter=False):
     sub.add_argument("--case", choices=sorted(set(_CASES)) + ["custom"], default="five")
     sub.add_argument("--p", type=int, default=2, help="base field characteristic (prime)")
     sub.add_argument("--points", help="custom case: ';'-separated projective points \"x,y,z\"")
-    sub.add_argument("--scan-bound", type=int, default=9, dest="scan_bound",
+    sub.add_argument("--scan-bound", type=_positive_int, default=9, dest="scan_bound",
                      help="largest extension degree scanned for witnesses")
     if with_filter:
         sub.add_argument("--filter", choices=sorted(set(_FILTERS)), default="norm")
@@ -345,7 +353,7 @@ def build_parser():
     sub = subs.add_parser("dataset", help="enumerate triples, label planes, write output.txt")
     _add_case_args(sub, with_filter=True)
     sub.add_argument("--out", default="output.txt")
-    sub.add_argument("--jobs", type=int, default=None,
+    sub.add_argument("--jobs", type=_positive_int, default=None,
                      help="worker processes (default: CUBICMAPS_JOBS or cpu count)")
     sub.set_defaults(func=cmd_dataset)
 
@@ -359,13 +367,13 @@ def build_parser():
     sub.add_argument("--triple", help="\"v;u;t\", comma-separated entries")
     sub.add_argument("--all", action="store_true",
                      help="sweep every admissible plane and compare labels against the oracle")
-    sub.add_argument("--source-bound", type=int, default=9, dest="source_bound",
+    sub.add_argument("--source-bound", type=_positive_int, default=9, dest="source_bound",
                      help="largest source extension degree for the forward oracle")
     sub.set_defaults(func=cmd_oracle)
 
     sub = subs.add_parser("train", help="train the surjectivity score on a dataset file")
     sub.add_argument("--data", required=True)
-    sub.add_argument("--epochs", type=int, default=150)
+    sub.add_argument("--epochs", type=_positive_int, default=150)
     sub.add_argument("--batch-size", type=int, default=32, dest="batch_size")
     sub.add_argument("--seed", type=int, default=42)
     sub.add_argument("--model-out", default="model.ckpt", dest="model_out")
@@ -392,7 +400,11 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error (code 2) or help (code 0)
+        return exc.code
     try:
         return args.func(args)
     except UsageError as exc:

@@ -17,9 +17,9 @@ File format, one record per line, newline-terminated:
     ((1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (1, 1, 0, 0, 1)): 1
 """
 
-import ast
 import multiprocessing
 import os
+import re
 
 from .finitefield import build_field
 from .linsys import (
@@ -27,9 +27,11 @@ from .linsys import (
     FIVE_POINT,
     SIX_POINT,
     CubicSystem,
+    gf_rref,
     iter_vectors,
     make_plane,
     reference_system,
+    require_bound,
 )
 from .surjectivity import label_plane
 
@@ -57,6 +59,7 @@ class EnumConfig:
             raise ValueError(f"unknown case {case!r}")
         if filter_mode not in _FILTER_MODES:
             raise ValueError(f"unknown filter mode {filter_mode!r}; expected one of {_FILTER_MODES}")
+        require_bound("scan_bound", scan_bound)
         self.case = case
         self.system = system
         self.p = p
@@ -119,32 +122,6 @@ def passes_filter(mode, v, u, t, p):
     return True
 
 
-def _subspace3_key(p, v, u, t):
-    """Canonical RREF rows of the span of v,u,t over GF(p); None when rank < 3."""
-    rows = [list(v), list(u), list(t)]
-    n = len(rows[0])
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, 3):
-            if rows[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(inv * x) % p for x in rows[r]]
-        for i in range(3):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == 3:
-            return (tuple(rows[0]), tuple(rows[1]), tuple(rows[2]))
-    return None
-
-
 def _label_subspace(system, rows, scan_bound):
     """Label of the plane spanned by canonical rows; None when rejected by make_plane."""
     plane = make_plane(system, *rows)
@@ -174,19 +151,25 @@ def _worker_label(rows):
 
 
 def _surviving_triples(cfg):
-    """Lazily yield (v, u, t, subspace_key) for triples passing rank and filter."""
+    """Lazily yield (v, u, t, subspace_key) for triples passing filter and rank.
+
+    The filter is applied per vector (and per pair under strict
+    orthonormality) before the triple loop; the filtered lists keep
+    lexicographic order, so the yield order is that of the full loop.
+    """
     p = cfg.p
-    dim = cfg.system.dim
-    vectors = list(iter_vectors(p, dim))
+    mode = cfg.filter_mode
+    vectors = list(iter_vectors(p, cfg.system.dim))
+    if mode != NO_FILTER:
+        vectors = [w for w in vectors if unit_norm(w, p)]
     for v in vectors:
-        for u in vectors:
-            for t in vectors:
-                key = _subspace3_key(p, v, u, t)
-                if key is None:
-                    continue
-                if not passes_filter(cfg.filter_mode, v, u, t, p):
-                    continue
-                yield v, u, t, key
+        us = [u for u in vectors if _dot(v, u, p) == 0] if mode == STRICT_ORTHONORMAL else vectors
+        for u in us:
+            ts = [t for t in us if _dot(u, t, p) == 0] if mode == STRICT_ORTHONORMAL else us
+            for t in ts:
+                key, _ = gf_rref(p, (v, u, t))
+                if len(key) == 3:
+                    yield v, u, t, key
 
 
 def enumerate_triples(cfg):
@@ -251,11 +234,36 @@ def write_output(records, path):
             fh.write(f"{rec.key}: {rec.label}\n")
 
 
+# a `(v, u, t)` key of write_output: three parenthesized vectors
+_TRIPLE = re.compile(r"\(\s*\(([^()]*)\)\s*,\s*\(([^()]*)\)\s*,\s*\(([^()]*)\)\s*,?\s*\)")
+
+
+def _parse_vector(body):
+    """The entry tokens of a tuple body like `1, 0` or `1,`; None if not a tuple."""
+    parts = body.split(",")
+    if len(parts) == 1:
+        # "()" is the empty tuple, "(1)" is not a tuple
+        return [] if not parts[0].strip() else None
+    if not parts[-1].strip():
+        parts.pop()
+    tokens = [t.strip() for t in parts]
+    return None if "" in tokens else tokens
+
+
+def _parse_key(key_text):
+    """The (v, u, t) entry tokens of a key, or None when it is not a triple of tuples."""
+    m = _TRIPLE.fullmatch(key_text.strip())
+    if m is None:
+        return None
+    vecs = [_parse_vector(body) for body in m.groups()]
+    return None if None in vecs else vecs
+
+
 def read_output(path):
     """Exact inverse of write_output; parse errors report 1-based line numbers.
 
     Every record must hold three vectors of one width, the width of the
-    first record, with non-negative integer entries.
+    first record, with non-negative decimal integer entries.
     """
     records = []
     width = None
@@ -267,16 +275,10 @@ def read_output(path):
             key_text, sep, value_text = line.rpartition(": ")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: missing ': ' separator")
-            try:
-                key = ast.literal_eval(key_text)
-            except (ValueError, SyntaxError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad triple {key_text!r}") from exc
-            if (
-                not isinstance(key, tuple)
-                or len(key) != 3
-                or not all(isinstance(w, tuple) for w in key)
-            ):
-                raise ValueError(f"{path}:{lineno}: expected a triple of tuples")
+            key = _parse_key(key_text)
+            if key is None:
+                raise ValueError(f"{path}:{lineno}: bad triple {key_text!r}; "
+                                 "expected a triple of tuples")
             n = len(key[0])
             if n == 0 or len(key[1]) != n or len(key[2]) != n:
                 raise ValueError(f"{path}:{lineno}: the three vectors must be non-empty "
@@ -286,7 +288,9 @@ def read_output(path):
             elif n != width:
                 raise ValueError(f"{path}:{lineno}: width {n} differs from the first "
                                  f"record's width {width}")
-            if not all(type(c) is int and c >= 0 for w in key for c in w):
+            # tokens are non-empty, so the joined text is all digits iff each token is
+            digits = "".join(map("".join, key))
+            if not (digits.isascii() and digits.isdigit()):
                 raise ValueError(f"{path}:{lineno}: entries must be non-negative integers")
             try:
                 label = int(value_text)
@@ -294,7 +298,7 @@ def read_output(path):
                 raise ValueError(f"{path}:{lineno}: bad label {value_text!r}") from exc
             if label not in (0, 1):
                 raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {label}")
-            records.append(DatasetRecord(*key, label))
+            records.append(DatasetRecord(*(map(int, w) for w in key), label))
     return records
 
 

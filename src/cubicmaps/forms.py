@@ -103,12 +103,25 @@ class TernaryForm:
 
 
 def combine(coeffs, basis):
-    """The linear combination sum(coeffs[i] * basis[i]) of cubic forms."""
+    """The linear combination sum(coeffs[i] * basis[i]) of cubic forms.
+
+    Coefficients are ints or Scalars of the basis field.
+    """
     if not basis:
         raise ValueError("empty basis")
     if len(coeffs) != len(basis):
         raise ValueError(f"coefficient vector length {len(coeffs)} != basis size {len(basis)}")
     field = basis[0].field
+    if any(form.field != field for form in basis):
+        raise ValueError("can only add forms over the same coefficient field")
+    if field is not RATIONALS and field.k == 1:
+        # prime field: encodings are residues, so sum them as ints mod p
+        p = field.p
+        cs = [c % p if type(c) is int else field.scalar(c).coords[0] for c in coeffs]
+        terms = [(c, form.coeffs) for c, form in zip(cs, basis) if c]
+        return TernaryForm(
+            field, [sum(c * a[i].coords[0] for c, a in terms) % p for i in range(10)]
+        )
     out = None
     for c, form in zip(coeffs, basis):
         term = form.scaled(c)

@@ -63,6 +63,12 @@ _INTEGER_GENERATORS = (
 )
 
 
+def require_bound(name, bound):
+    """Reject an extension-degree bound below 1: it would scan no level."""
+    if bound < 1:
+        raise ValueError(f"{name} must be at least 1, got {bound}")
+
+
 def iter_vectors(p, length):
     """All coefficient vectors in (GF(p))^length, lexicographic, leftmost major."""
     return itertools.product(range(p), repeat=length)
@@ -162,6 +168,58 @@ def _rref(rows):
         if r == len(rows):
             break
     return rows[:r], pivots
+
+
+def gf_rref(p, rows):
+    """Reduced row echelon form over GF(p) of integer rows.
+
+    Returns (rows, pivots): the nonzero RREF rows as a tuple of int tuples
+    with entries in 0..p-1, and their pivot columns.  The rows are the
+    canonical basis of the row space, so they key the spanned subspace, and
+    their number is its rank.
+    """
+    rows = [[c % p for c in row] for row in rows]
+    pivots = []
+    n = len(rows)
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        for i in range(r, n):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        top = rows[r]
+        if top[c] != 1:
+            inv = pow(top[c], p - 2, p)
+            top = rows[r] = [inv * x % p for x in top]
+        for i in range(n):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return tuple(tuple(row) for row in rows[:r]), pivots
+
+
+def iter_subspaces(p, n, k):
+    """Every k-dimensional subspace of GF(p)^n, as its gf_rref rows.
+
+    Pivot columns run over the k-subsets of range(n) in lexicographic
+    order; for each, the free entries (right of a row's pivot, outside the
+    pivot columns) run lexicographically over GF(p).
+    """
+    for pivots in itertools.combinations(range(n), k):
+        free = [(i, j) for i, c in enumerate(pivots) for j in range(c + 1, n) if j not in pivots]
+        for values in itertools.product(range(p), repeat=len(free)):
+            rows = [[0] * n for _ in pivots]
+            for i, c in enumerate(pivots):
+                rows[i][c] = 1
+            for (i, j), x in zip(free, values):
+                rows[i][j] = x
+            yield tuple(tuple(row) for row in rows)
 
 
 def _kernel_basis(rows, ncols, zero, one):
@@ -300,9 +358,7 @@ def make_plane(system, v, u, t):
         if len(w) != system.dim:
             raise ValueError(f"coefficient vector length {len(w)} != system dim {system.dim}")
         vecs.append(w)
-    rows = [[field.scalar(c) for c in w] for w in vecs]
-    rref, _ = _rref(rows)
-    if len(rref) < 3:
+    if len(gf_rref(field.p, vecs)[0]) < 3:
         return None
     forms = [combine(w, system.basis) for w in vecs]
     if any(f.is_zero() for f in forms):
@@ -370,8 +426,7 @@ def base_locus(forms, scan_bound=DEFAULT_SCAN_BOUND):
         if f.is_zero():
             raise ValueError("base_locus needs nonzero forms")
     field = _require_prime_base(forms)
-    if scan_bound < 1:
-        raise ValueError("scan_bound must be at least 1")
+    require_bound("scan_bound", scan_bound)
     positive = common_factor_all(forms)
     points = {}
     if not positive:

@@ -23,7 +23,16 @@ certifies surjectivity onto GF(q)-rational targets.
 from . import _scan
 from .finitefield import enumerate_p2
 from .forms import combine, evaluate, has_common_factor
-from .linsys import DEFAULT_SCAN_BOUND, Plane, iter_vectors, make_plane, pencil, vanishing_cubics
+from .linsys import (
+    DEFAULT_SCAN_BOUND,
+    Plane,
+    gf_rref,
+    iter_vectors,
+    make_plane,
+    pencil,
+    require_bound,
+    vanishing_cubics,
+)
 
 UNRULY = "unruly"
 NOT_UNRULY = "not_unruly"
@@ -58,35 +67,14 @@ class SurjectivityLabel:
         return f"SurjectivityLabel({self.value}, unruly={list(self.unruly_pencils)})"
 
 
-def _mod_inverse(a, p):
-    return pow(a, p - 2, p)
-
-
-def _subspace_key(p, a, b):
-    """RREF key of the 2-space spanned by a, b over GF(p); None if dependent."""
-    rows = [[c % p for c in a], [c % p for c in b]]
-    r = 0
-    for c in range(3):
-        piv = None
-        for i in range(r, 2):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = _mod_inverse(rows[r][c], p)
-        rows[r] = [(inv * v) % p for v in rows[r]]
-        for i in range(2):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == 2:
-            break
-    if r < 2:
-        return None
-    return (tuple(rows[0]), tuple(rows[1]))
+def _pencil_pairs(p):
+    """Independent pairs (a, b) over GF(p)^3, lexicographic, with the gf_rref key of their span."""
+    vectors = list(iter_vectors(p, 3))
+    for a in vectors:
+        for b in vectors:
+            key, _ = gf_rref(p, (a, b))
+            if len(key) == 2:
+                yield a, b, key
 
 
 def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
@@ -102,7 +90,8 @@ def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
     p = field.p
     if len(a) != 3 or len(b) != 3:
         raise ValueError("pencil coefficient vectors have length 3")
-    if _subspace_key(p, a, b) is None:
+    require_bound("scan_bound", scan_bound)
+    if len(gf_rref(p, (a, b))[0]) < 2:
         return UnrulyVerdict(POSITIVE_DIMENSIONAL)
     spec = pencil(plane, a, b)
     f, g = spec.forms
@@ -129,26 +118,21 @@ def label_plane(plane, scan_bound=DEFAULT_SCAN_BOUND, find_all=False):
     With find_all the scan continues past the first unruly pencil and
     collects every unruly (a, b) pair.
     """
-    p = plane.field.p
-    vectors = list(iter_vectors(p, 3))
+    require_bound("scan_bound", scan_bound)
     verdicts = {}
     unruly = []
     admissible = 0
-    for a in vectors:
-        for b in vectors:
-            key = _subspace_key(p, a, b)
-            if key is None:
-                continue
-            verdict = verdicts.get(key)
-            if verdict is None:
-                verdict = test_pencil(plane, a, b, scan_bound)
-                verdicts[key] = verdict
-            if verdict.status != POSITIVE_DIMENSIONAL:
-                admissible += 1
-            if verdict.status == UNRULY:
-                unruly.append((a, b))
-                if not find_all:
-                    return SurjectivityLabel(0, unruly)
+    for a, b, key in _pencil_pairs(plane.field.p):
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = test_pencil(plane, a, b, scan_bound)
+            verdicts[key] = verdict
+        if verdict.status != POSITIVE_DIMENSIONAL:
+            admissible += 1
+        if verdict.status == UNRULY:
+            unruly.append((a, b))
+            if not find_all:
+                return SurjectivityLabel(0, unruly)
     if admissible == 0:
         raise ValueError("plane admits no 0-dimensional pencil")
     return SurjectivityLabel(0 if unruly else 1, unruly)
@@ -184,6 +168,7 @@ def forward_oracle(plane, source_bound=DEFAULT_SCAN_BOUND):
     field = plane.field
     if field.k != 1:
         raise ValueError("the forward oracle runs over prime base fields")
+    require_bound("source_bound", source_bound)
     p = field.p
     remaining = {t.encode(): t for t in enumerate_p2(field)}
     ext = _scan.level_field(p, 1)
@@ -222,16 +207,11 @@ def find_unruly_seven_points(cfg, field, scan_bound=2):
     plane = make_plane(system, (1, 0, 0), (0, 1, 0), (0, 0, 1))
     if plane is None:
         raise ValueError("configuration is too special: the system has a fixed component")
-    p = field.p
-    vectors = list(iter_vectors(p, 3))
     seen = set()
-    for a in vectors:
-        for b in vectors:
-            key = _subspace_key(p, a, b)
-            if key is None or key in seen:
-                continue
-            seen.add(key)
-            verdict = test_pencil(plane, a, b, scan_bound)
-            if verdict.status == UNRULY:
-                return pencil(plane, a, b)
+    for a, b, key in _pencil_pairs(field.p):
+        if key in seen:
+            continue
+        seen.add(key)
+        if test_pencil(plane, a, b, scan_bound).status == UNRULY:
+            return pencil(plane, a, b)
     return None

@@ -22,7 +22,6 @@ from cubicmaps.certify import (
 from cubicmaps.cli import _iter_admissible_planes, main
 from cubicmaps.dataset import (
     EnumConfig,
-    _subspace3_key,
     read_output,
     write_output,
 )
@@ -33,6 +32,7 @@ from cubicmaps.linsys import (
     SIX_POINT,
     PointConfig,
     base_locus,
+    gf_rref,
     iter_vectors,
     make_plane,
     pencil,
@@ -51,7 +51,7 @@ from cubicmaps.network import (
     save_checkpoint,
     train,
 )
-from cubicmaps.surjectivity import _subspace_key, find_unruly_seven_points, forward_oracle
+from cubicmaps.surjectivity import find_unruly_seven_points, forward_oracle
 
 CASE46_LINE = "((1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (1, 1, 0, 0, 1)): 1"
 
@@ -104,7 +104,7 @@ def test_03_labels_agree_with_forward_oracle(five_records, six_records):
         system = EnumConfig(case).system
         by_key = {}
         for rec in records:
-            by_key.setdefault(_subspace3_key(2, rec.v, rec.u, rec.t), []).append(rec)
+            by_key.setdefault(gf_rref(2, rec.key)[0], []).append(rec)
         for key, group in by_key.items():
             planes += 1
             plane = make_plane(system, *key)
@@ -219,8 +219,8 @@ def test_07_base_locus_bounds_and_gcd_oracle(five_records, tmp_path):
             seen = set()
             for a in iter_vectors(2, 3):
                 for b in iter_vectors(2, 3):
-                    key = _subspace_key(2, a, b)
-                    if key is None or key in seen:
+                    key, _ = gf_rref(2, (a, b))
+                    if len(key) < 2 or key in seen:
                         continue
                     seen.add(key)
                     pencils += 1

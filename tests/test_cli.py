@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from cubicmaps.cli import UsageError, main, parse_triple
+from cubicmaps.cli import UsageError, _iter_admissible_planes, main, parse_triple
+from cubicmaps.dataset import EnumConfig
+from cubicmaps.linsys import FIVE_POINT, SIX_POINT
 
 CASE46 = "1,0,0,0,0;0,0,0,1,0;1,1,0,0,1"
 SIX_IDENTITY = "1,0,0,0;0,1,0,0;0,0,1,0"
@@ -109,6 +111,37 @@ class TestCheck:
         assert rc == 2
 
 
+class TestBoundsBelowOne:
+    def test_check_scan_bound_zero(self, capsys):
+        # at bound 0 no level is scanned and case 46 printed label 0
+        assert main(["check", "--triple", CASE46, "--scan-bound", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "label:" not in captured.out
+        assert "--scan-bound: must be at least 1" in captured.err
+
+    def test_oracle_source_bound_zero(self, capsys):
+        # at bound 0 the oracle reported 3 uncovered targets for case 46
+        assert main(["oracle", "--triple", CASE46, "--source-bound", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "uncovered" not in captured.out
+        assert "--source-bound: must be at least 1" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["dataset", "--case", "six", "--out", "six.txt", "--jobs", "0"],
+        ["dataset", "--case", "six", "--out", "six.txt", "--scan-bound", "-1"],
+        ["train", "--data", "six.txt", "--epochs", "-3"],
+        ["check", "--triple", CASE46, "--scan-bound", "nine"],
+    ])
+    def test_flags_reject_values_below_one(self, argv, capsys):
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_no_run_is_recorded(self):
+        main(["check", "--triple", CASE46, "--scan-bound", "0"])
+        with pytest.raises(FileNotFoundError):
+            manifest_entries()
+
+
 class TestOracle:
     def test_single_triple(self, capsys):
         assert main(["oracle", "--triple", CASE46]) == 0
@@ -125,6 +158,13 @@ class TestOracle:
         out = capsys.readouterr().out
         assert "planes checked: 15" in out
         assert "0 disagreements" in out
+
+    # 155 and 15 subspaces (see test_linsys); 5 five-point ones share a factor
+    @pytest.mark.parametrize("case, planes", [(FIVE_POINT, 150), (SIX_POINT, 15)])
+    def test_admissible_plane_counts(self, case, planes):
+        got = [plane.vectors for plane in _iter_admissible_planes(EnumConfig(case))]
+        assert len(got) == len(set(got)) == planes
+        assert all(len(rows) == 3 for rows in got)
 
     def test_requires_triple_or_all(self, capsys):
         assert main(["oracle"]) == 2

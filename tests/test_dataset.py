@@ -1,3 +1,6 @@
+import ast
+import itertools
+
 import pytest
 
 from cubicmaps.dataset import (
@@ -14,8 +17,10 @@ from cubicmaps.dataset import (
     unit_norm,
     write_output,
 )
-from cubicmaps.linsys import FIVE_POINT, SIX_POINT, CubicSystem, reference_system
+from cubicmaps.dataset import _surviving_triples
+from cubicmaps.linsys import FIVE_POINT, SIX_POINT, CubicSystem, gf_rref, iter_vectors, reference_system
 from cubicmaps.finitefield import build_field
+from cubicmaps.forms import TernaryForm
 
 CASE46 = ((1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (1, 1, 0, 0, 1))
 
@@ -73,6 +78,8 @@ class TestEnumConfig:
             EnumConfig(FIVE_POINT, p=4)
         with pytest.raises(ValueError):
             EnumConfig(FIVE_POINT, filter_mode="bogus")
+        with pytest.raises(ValueError, match="scan_bound must be at least 1"):
+            EnumConfig(FIVE_POINT, scan_bound=0)
 
 
 class TestGeneration:
@@ -128,12 +135,40 @@ class TestGeneration:
 
     def test_labels_depend_only_on_the_plane(self, five_records):
         # records spanning the same coefficient subspace carry equal labels
-        from cubicmaps.dataset import _subspace3_key
+        from cubicmaps.linsys import gf_rref
         by_plane = {}
         for r in five_records:
-            key = _subspace3_key(2, *r.key)
+            key, _ = gf_rref(2, r.key)
             by_plane.setdefault(key, set()).add(r.label)
         assert all(len(labels) == 1 for labels in by_plane.values())
+
+
+def brute_force_triples(cfg):
+    vectors = list(iter_vectors(cfg.p, cfg.system.dim))
+    for v, u, t in itertools.product(vectors, repeat=3):
+        key, _ = gf_rref(cfg.p, (v, u, t))
+        if len(key) == 3 and passes_filter(cfg.filter_mode, v, u, t, cfg.p):
+            yield v, u, t, key
+
+
+def gf3_coordinate_system():
+    f3 = build_field(3)
+    return CubicSystem(f3, tuple(TernaryForm(f3, row) for row in (
+        (1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    )), "custom")
+
+
+class TestFilterFirst:
+    @pytest.mark.parametrize("mode", [NORM_ONLY, STRICT_ORTHONORMAL, NO_FILTER])
+    def test_same_triples_in_the_same_order(self, mode):
+        configs = [EnumConfig(SIX_POINT, filter_mode=mode),
+                   EnumConfig(gf3_coordinate_system(), p=3, filter_mode=mode)]
+        if mode != NO_FILTER:
+            configs.append(EnumConfig(FIVE_POINT, filter_mode=mode))
+        for cfg in configs:
+            assert list(_surviving_triples(cfg)) == list(brute_force_triples(cfg))
 
 
 class TestRoundTrip:
@@ -154,6 +189,44 @@ class TestRoundTrip:
         write_output(seq, p1)
         write_output(par, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("case", [FIVE_POINT, SIX_POINT])
+    def test_read_equals_literal_eval(self, case, five_records, six_records, tmp_path):
+        path = tmp_path / "data.txt"
+        write_output(five_records if case == FIVE_POINT else six_records, path)
+        want = []
+        for line in path.read_text().splitlines():
+            key_text, _, label = line.rpartition(": ")
+            want.append(DatasetRecord(*ast.literal_eval(key_text), int(label)))
+        got = read_output(path)
+        assert got == want
+        assert all(type(c) is int for rec in got for c in rec.v + rec.u + rec.t)
+
+    def test_read_width_one_and_free_spacing(self, tmp_path):
+        path = tmp_path / "one.txt"
+        path.write_text("((1,), (0,), (1,)): 1\n( (1 ,0) ,(0,1),(1, 1), ): 0\n")
+        with pytest.raises(ValueError, match="one.txt:2: width 2 differs"):
+            read_output(path)
+        path.write_text("((1,), (0,), (1,)): 1\n\n((0,),(1,),( 1 , )): 0\n")
+        assert read_output(path) == [
+            DatasetRecord((1,), (0,), (1,), 1), DatasetRecord((0,), (1,), (1,), 0),
+        ]
+        write_output(read_output(path), path)
+        assert path.read_text() == "((1,), (0,), (1,)): 1\n((0,), (1,), (1,)): 0\n"
+
+    @pytest.mark.parametrize("key", [
+        "((1), (0), (1))",
+        "((1, 0), (0, 1))",
+        "((1, 0), (0, 1), (1, 1), (0, 0))",
+        "((1,, 0), (0, 1), (1, 1))",
+        "((1, 0), (0, 1), (1, (1)))",
+        "[(1, 0), (0, 1), (1, 1)]",
+    ])
+    def test_read_rejects_non_triples(self, tmp_path, key):
+        path = tmp_path / "bad.txt"
+        path.write_text(key + ": 1\n")
+        with pytest.raises(ValueError, match="bad.txt:1: bad triple"):
+            read_output(path)
 
     def test_read_rejects_malformed_lines(self, tmp_path):
         path = tmp_path / "bad.txt"

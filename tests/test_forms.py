@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicmaps.finitefield import ProjPoint, build_field
 from cubicmaps.forms import (
@@ -91,6 +93,33 @@ class TestTernaryForm:
         basis = [parse_form(t, field) for t in ("x^3 + y^3", "y^3 + z^3")]
         form = combine((field.one(), field.one()), basis)
         assert form == parse_form("x^3 + z^3", field)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), st.data())
+    def test_combine_matches_per_term_sum(self, p, data):
+        field = build_field(p)
+        row = st.lists(st.integers(0, p - 1), min_size=10, max_size=10)
+        basis = [TernaryForm(field, data.draw(row)) for _ in range(data.draw(st.integers(1, 5)))]
+        coeffs = data.draw(st.lists(st.integers(-2 * p, 2 * p), min_size=len(basis),
+                                    max_size=len(basis)))
+        want = basis[0].scaled(coeffs[0])
+        for c, form in zip(coeffs[1:], basis[1:]):
+            want = want + form.scaled(c)
+        assert combine(coeffs, basis) == want
+        assert combine([field.scalar(c) for c in coeffs], basis) == want
+
+    def test_combine_over_an_extension_field(self):
+        f4 = build_field(2, 2)
+        basis = [parse_form(t, f4) for t in ("2*x^3 + y^3", "3*y^3")]
+        form = combine((f4.scalar(2), f4.one()), basis)
+        assert form == basis[0].scaled(2) + basis[1]
+
+    def test_combine_rejects_mixed_fields(self):
+        f2, f3 = build_field(2), build_field(3)
+        with pytest.raises(ValueError):
+            combine((1, 1), [parse_form("x^3", f2), parse_form("y^3", f3)])
+        with pytest.raises(ValueError):
+            combine((f3.one(),), [parse_form("x^3", f2)])
 
     def test_scaled(self):
         field = build_field(3)

@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicmaps.finitefield import ProjPoint, build_field
 from cubicmaps.forms import RATIONALS, parse_form
@@ -10,6 +13,8 @@ from cubicmaps.linsys import (
     CubicSystem,
     PointConfig,
     base_locus,
+    gf_rref,
+    iter_subspaces,
     iter_vectors,
     make_plane,
     pencil,
@@ -224,3 +229,108 @@ class TestIterVectors:
         vecs = list(iter_vectors(2, 2))
         assert vecs == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert len(list(iter_vectors(3, 3))) == 27
+
+
+# The two subspace keys gf_rref replaced, written out as they were.
+
+
+def old_subspace3_key(p, v, u, t):
+    rows = [list(v), list(u), list(t)]
+    n = len(rows[0])
+    r = 0
+    for c in range(n):
+        piv = None
+        for i in range(r, 3):
+            if rows[i][c] % p:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [(inv * x) % p for x in rows[r]]
+        for i in range(3):
+            if i != r and rows[i][c] % p:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        r += 1
+        if r == 3:
+            return (tuple(rows[0]), tuple(rows[1]), tuple(rows[2]))
+    return None
+
+
+def old_subspace_key(p, a, b):
+    rows = [[c % p for c in a], [c % p for c in b]]
+    r = 0
+    for c in range(3):
+        piv = None
+        for i in range(r, 2):
+            if rows[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [(inv * v) % p for v in rows[r]]
+        for i in range(2):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        r += 1
+        if r == 2:
+            break
+    if r < 2:
+        return None
+    return (tuple(rows[0]), tuple(rows[1]))
+
+
+def full_rank_key(p, rows):
+    key, _ = gf_rref(p, rows)
+    return key if len(key) == len(rows) else None
+
+
+class TestGfRref:
+    def test_matches_old_triple_key_on_all_gf2_triples(self):
+        vectors = list(iter_vectors(2, 5))
+        for v, u, t in itertools.product(vectors, repeat=3):
+            assert full_rank_key(2, (v, u, t)) == old_subspace3_key(2, v, u, t)
+
+    def test_matches_old_pencil_key_on_all_gf2_pairs(self):
+        vectors = list(iter_vectors(2, 3))
+        for a, b in itertools.product(vectors, repeat=2):
+            assert full_rank_key(2, (a, b)) == old_subspace_key(2, a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([3, 5]), st.data())
+    def test_matches_old_keys_over_gf3_and_gf5(self, p, data):
+        vec = st.tuples(*[st.integers(0, p - 1)] * 5)
+        v, u, t = data.draw(vec), data.draw(vec), data.draw(vec)
+        assert full_rank_key(p, (v, u, t)) == old_subspace3_key(p, v, u, t)
+        a, b = v[:3], u[:3]
+        assert full_rank_key(p, (a, b)) == old_subspace_key(p, a, b)
+
+    def test_pivots_rank_and_reduction(self):
+        rows, pivots = gf_rref(5, [(2, 4, 1), (4, 8, 3), (0, 0, 0)])
+        assert rows == ((1, 2, 0), (0, 0, 1))
+        assert pivots == [0, 2]
+        assert gf_rref(3, [(0, 0), (3, 6)]) == ((), [])
+        assert gf_rref(7, []) == ((), [])
+
+
+class TestIterSubspaces:
+    @pytest.mark.parametrize("n, count", [(4, 15), (5, 155)])
+    def test_gf2_three_subspaces_are_the_distinct_triple_keys(self, n, count):
+        vectors = list(iter_vectors(2, n))
+        keys = {full_rank_key(2, trip) for trip in itertools.product(vectors, repeat=3)}
+        keys.discard(None)
+        got = list(iter_subspaces(2, n, 3))
+        assert len(got) == len(set(got)) == count
+        assert set(got) == keys
+
+    def test_gf3_counts_and_canonical_rows(self):
+        # Gaussian binomials [5 choose 3]_3 = 1210 and [4 choose 2]_3 = 130
+        for n, k, count in ((5, 3, 1210), (4, 2, 130)):
+            got = list(iter_subspaces(3, n, k))
+            assert len(set(got)) == count
+            assert all(gf_rref(3, rows)[0] == rows for rows in got)

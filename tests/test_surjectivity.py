@@ -149,6 +149,25 @@ class TestForwardOracle:
             forward_oracle(plane)
 
 
+class TestBoundsBelowOne:
+    # bound 0 scans no level, so every pencil of case 46 would read as unruly
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_label_plane_rejects(self, bound):
+        with pytest.raises(ValueError, match="scan_bound must be at least 1"):
+            label_plane(five_plane(), scan_bound=bound)
+
+    def test_test_pencil_rejects(self):
+        with pytest.raises(ValueError, match="scan_bound must be at least 1"):
+            pencil_verdict(five_plane(), (1, 0, 0), (0, 0, 1), scan_bound=0)
+
+    def test_forward_oracle_rejects(self):
+        with pytest.raises(ValueError, match="source_bound must be at least 1"):
+            forward_oracle(five_plane(), source_bound=0)
+
+    def test_bound_one_still_runs(self):
+        assert pencil_verdict(six_plane(), (0, 0, 1), (0, 1, 0), scan_bound=1).status == UNRULY
+
+
 class TestSevenPoints:
     def test_requires_seven_points(self):
         with pytest.raises(ValueError):
