@@ -1,4 +1,5 @@
-"""Exact arithmetic in GF(p^k) and points of the projective plane.
+"""Exact arithmetic in GF(p^k), points of the projective plane, and row
+reduction over GF(p).
 
 Elements of GF(p^k) are polynomials in a generator t of degree < k over
 GF(p), stored as a coefficient tuple (low degree first) and reduced modulo
@@ -366,3 +367,43 @@ def minimal_degree(pt):
         if ok:
             return d
     return k
+
+
+# -- row reduction over GF(p), rows of integer residues --
+
+
+def gf_rref(p, rows):
+    """Reduced row echelon form over GF(p) of integer rows.
+
+    Returns (rows, pivots): the nonzero RREF rows as a tuple of int tuples
+    with entries in 0..p-1, and their pivot columns.  The rows are the
+    canonical basis of the row space, so they key the spanned subspace, and
+    their number is its rank.
+    """
+    rows = [[c % p for c in row] for row in rows]
+    pivots = []
+    n = len(rows)
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        for i in range(r, n):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        top = rows[r]
+        if top[c] != 1:
+            inv = pow(top[c], p - 2, p)
+            top = rows[r] = [inv * x % p for x in top]
+        # left of column c the pivot row is zero, so only the tail changes
+        tail = top[c:]
+        for i in range(n):
+            f = rows[i][c]
+            if f and i != r:
+                row = rows[i]
+                rows[i] = row[:c] + [(x - f * y) % p for x, y in zip(row[c:], tail)]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return tuple(tuple(row) for row in rows[:r]), pivots

@@ -10,17 +10,19 @@ rendered form and every dataset coordinate refers to it.  Forms live either
 over a finite field (coefficients are Scalars) or over the rationals
 (coefficients are Fractions, tag RATIONALS).
 
-Common factors are found exactly: forms are treated as polynomials in one
-variable over the polynomial ring in the remaining two, and a fraction-free
-(pseudo-division) Euclidean sequence with content recursion computes the
-gcd.  Degenerate inputs that do not involve the chosen main variable are
-handled by recursing on a variable the two forms share; no common variable
-means no common factor.
+Common factors are decided exactly over prime fields by linear algebra on
+integer residues.  Two cubics f, g share a nonconstant factor iff the 12
+Sylvester rows mu*f and mu*g, mu over the 6 quadric monomials, written over
+the 21 quintic monomials, have rank below 12.  For three forms the gcd of
+the first two is needed only when they share a factor; it is read off a
+one-dimensional kernel of the same kind of matrix and tested against the
+third form with the same rank criterion.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
-from .finitefield import Field, ProjPoint, Scalar, embed_scalar
+from .finitefield import Field, ProjPoint, Scalar, embed_scalar, gf_rref
 
 MONOMIALS = (
     (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
@@ -227,237 +229,114 @@ def parse_form(text, field):
     return TernaryForm(field, [parsed.get(i, 0) for i in range(10)])
 
 
-# -- exact multivariate gcd over a finite field --
+# -- common factors over a prime field: Sylvester rank tests --
 #
-# Sparse representation: dict mapping exponent triples to nonzero integer
-# encodings of field elements, with arithmetic supplied by _Ops so the
-# prime-field case stays plain modular integers.
+# Forms of degree d are coefficient lists over the degree-d monomials in
+# the graded-lex order of MONOMIALS.  Nonzero f of degree m and g of degree
+# n share a nonconstant factor iff A*f = B*g for some A of degree n - 1 and
+# B of degree m - 1, not both zero (Cox-Little-O'Shea, ch. 3): a shared h
+# gives A = (g/h)*mu, B = (f/h)*mu for a monomial mu of degree deg h - 1,
+# and for coprime f, g the form f divides B, so deg B < m forces B = 0.
+# So the rows mu*f (mu of degree n - 1) and mu*g (mu of degree m - 1) are
+# dependent iff the forms share a factor.
 
 
-class _Ops:
-    """Field arithmetic on integer encodings."""
-
-    def __init__(self, field):
-        self.field = field
-        self.p = field.p
-        self.prime = field.k == 1
-
-    def add(self, a, b):
-        if self.prime:
-            return (a + b) % self.p
-        return (self.field.scalar(a) + self.field.scalar(b)).encode()
-
-    def sub(self, a, b):
-        if self.prime:
-            return (a - b) % self.p
-        return (self.field.scalar(a) - self.field.scalar(b)).encode()
-
-    def mul(self, a, b):
-        if self.prime:
-            return (a * b) % self.p
-        return (self.field.scalar(a) * self.field.scalar(b)).encode()
-
-    def inv(self, a):
-        if self.prime:
-            return pow(a, self.p - 2, self.p)
-        return self.field.scalar(a).inverse().encode()
+@lru_cache(maxsize=None)
+def _monomials(d):
+    """Exponent triples of degree d, graded-lex with x > y > z."""
+    return tuple((i, j, d - i - j) for i in range(d, -1, -1) for j in range(d - i, -1, -1))
 
 
-def _dict_of(form):
-    out = {}
-    for c, exp in zip(form.coeffs, MONOMIALS):
-        if not c.is_zero():
-            out[exp] = c.encode()
-    return out
+@lru_cache(maxsize=None)
+def _shift_table(m, d):
+    """For each monomial mu of degree d, the index of mu*nu in degree m + d for each nu of degree m."""
+    index = {e: i for i, e in enumerate(_monomials(m + d))}
+    return tuple(
+        tuple(index[(a + u, b + v, c + w)] for a, b, c in _monomials(m))
+        for u, v, w in _monomials(d)
+    )
 
 
-def _vars_of(f):
-    seen = set()
-    for exp in f:
-        for i, e in enumerate(exp):
-            if e:
-                seen.add(i)
-    return seen
+def _multiples(f, m, d):
+    """The rows mu*f, mu over the monomials of degree d, for f of degree m."""
+    width = len(_monomials(m + d))
+    terms = [(i, c) for i, c in enumerate(f) if c]
+    rows = []
+    for targets in _shift_table(m, d):
+        row = [0] * width
+        for i, c in terms:
+            row[targets[i]] = c
+        rows.append(row)
+    return rows
 
 
-def _is_const(f):
-    return all(all(e == 0 for e in exp) for exp in f)
+def _left_kernel(p, rows):
+    """A basis of the vectors k with sum(k[i] * rows[i]) = 0 over GF(p)."""
+    width = len(rows[0])
+    n = len(rows)
+    tagged = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    reduced, pivots = gf_rref(p, tagged)
+    return [row[width:] for row, c in zip(reduced, pivots) if c >= width]
 
 
-def _deg(f, v):
-    return max((exp[v] for exp in f), default=0)
+def _shares_factor(p, f, m, g, n):
+    """Whether nonzero f (degree m) and g (degree n) share a nonconstant factor."""
+    rows = _multiples(f, m, n - 1) + _multiples(g, n, m - 1)
+    return len(gf_rref(p, rows)[0]) < len(rows)
 
 
-def _add(f, g, ops):
-    out = dict(f)
-    for exp, c in g.items():
-        s = ops.add(out.get(exp, 0), c)
-        if s:
-            out[exp] = s
-        else:
-            out.pop(exp, None)
-    return out
+def _common_factor(p, f, m, g, n):
+    """(h, e): a gcd h of degree e >= 1 of f (degree m) and g (degree n), which share a factor.
 
-
-def _mul(f, g, ops):
-    out = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-            s = ops.add(out.get(exp, 0), ops.mul(c1, c2))
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-    return out
-
-
-def _scale(f, c, ops):
-    return {exp: ops.mul(v, c) for exp, v in f.items()}
-
-
-def _neg(f, ops):
-    return {exp: ops.sub(0, v) for exp, v in f.items()}
-
-
-def _lead_exp(f):
-    return max(f, key=lambda e: (sum(e), e))
-
-
-def _monic(f, ops):
-    if not f:
-        return f
-    inv = ops.inv(f[_lead_exp(f)])
-    return _scale(f, inv, ops)
-
-
-def _coeff_slices(f, v):
-    """Split by the degree in variable v: dict degree -> poly with v removed."""
-    out = {}
-    for exp, c in f.items():
-        d = exp[v]
-        rest = list(exp)
-        rest[v] = 0
-        out.setdefault(d, {})[tuple(rest)] = c
-    return out
-
-
-def _lead_vcoeff(f, v):
-    d = _deg(f, v)
-    return _coeff_slices(f, v)[d], d
-
-
-def _shift(f, v, d):
-    out = {}
-    for exp, c in f.items():
-        e = list(exp)
-        e[v] += d
-        out[tuple(e)] = c
-    return out
-
-
-def _exact_div(f, d, ops):
-    """Exact sparse division; internal, only called on true divisors."""
-    if not d:
-        raise ZeroDivisionError("division by zero polynomial")
-    lead = _lead_exp(d)
-    lead_inv = ops.inv(d[lead])
-    rem = dict(f)
-    quo = {}
-    while rem:
-        e = _lead_exp(rem)
-        diff = (e[0] - lead[0], e[1] - lead[1], e[2] - lead[2])
-        if any(x < 0 for x in diff):
-            raise ArithmeticError("inexact division in gcd computation")
-        c = ops.mul(rem[e], lead_inv)
-        quo[diff] = c
-        rem = _add(rem, _neg(_mul({diff: c}, d, ops), ops), ops)
-    return quo
-
-
-def _prem(a, b, v, ops):
-    """Fraction-free pseudo-remainder of a by b in the variable v."""
-    lb, db = _lead_vcoeff(b, v)
-    r = dict(a)
-    while r and _deg(r, v) >= db:
-        lr, dr = _lead_vcoeff(r, v)
-        # r <- lb*r - lr * v^(dr-db) * b
-        r = _add(_mul(lb, r, ops), _neg(_mul(_shift(lr, v, dr - db), b, ops), ops), ops)
-    return r
-
-
-def _content(f, v, ops):
-    """Gcd of the coefficients of f viewed as a polynomial in v."""
-    g = {}
-    for part in _coeff_slices(f, v).values():
-        g = _gcd(g, part, ops)
-        if _is_const(g) and g:
+    With h = gcd(f, g), the pairs (A, B) of degrees (n - e, m - e) with
+    A*f + B*g = 0 are zero for e > deg h and, at e = deg h, the multiples
+    of (g/h, -f/h).  So the largest e with a nonzero kernel is deg h, its B
+    spans f/h, and h is the quotient that solves h*(f/h) = f.
+    """
+    for e in range(min(m, n), 0, -1):
+        kernel = _left_kernel(p, _multiples(f, m, n - e) + _multiples(g, n, m - e))
+        if kernel:
             break
-    return g
+    cofactor = kernel[0][len(_monomials(n - e)):]
+    # the one dependency h_nu*(nu*cofactor) + c*f = 0 has c != 0
+    quotient = _left_kernel(p, _multiples(cofactor, m - e, e) + [f])[0]
+    return quotient[:-1], e
 
 
-def _gcd(f, g, ops):
-    """Monic gcd of sparse polynomials over a finite field."""
-    if not f:
-        return _monic(g, ops)
-    if not g:
-        return _monic(f, ops)
-    if _is_const(f) or _is_const(g):
-        return {(0, 0, 0): 1}
-    shared = _vars_of(f) & _vars_of(g)
-    if not shared:
-        return {(0, 0, 0): 1}
-    v = min(shared)
-    fc = _content(f, v, ops)
-    gc = _content(g, v, ops)
-    a = _exact_div(f, fc, ops)
-    b = _exact_div(g, gc, ops)
-    if _deg(a, v) < _deg(b, v):
-        a, b = b, a
-    # primitive pseudo-remainder sequence in v
-    while b:
-        r = _prem(a, b, v, ops)
-        if r:
-            r = _exact_div(r, _content(r, v, ops), ops)
-        a, b = b, r
-    part = {(0, 0, 0): 1} if _deg(a, v) == 0 else _exact_div(a, _content(a, v, ops), ops)
-    return _monic(_mul(part, _gcd(fc, gc, ops), ops), ops)
-
-
-def _check_gcd_input(f, g):
-    for form in (f, g):
-        if form.field is RATIONALS:
-            raise ValueError("common-factor detection is defined over finite fields")
-        if form.is_zero():
-            raise ValueError("common-factor detection needs nonzero forms")
-    if f.field != g.field:
-        raise ValueError(f"mixed fields: {f.field} vs {g.field}")
-
-
-def has_common_factor(f, g):
-    """True iff two nonzero cubics over a finite field share a nonconstant factor."""
-    _check_gcd_input(f, g)
-    ops = _Ops(f.field)
-    g_ = _gcd(_dict_of(f), _dict_of(g), ops)
-    return not _is_const(g_)
-
-
-def common_factor_all(forms):
-    """True iff all the forms share one nonconstant factor (iterated gcd)."""
-    forms = list(forms)
-    if not forms:
-        raise ValueError("common_factor_all needs at least one form")
+def _prime_coeffs(forms):
+    """Coefficient residues of nonzero forms over one prime field, and that p."""
+    field = forms[0].field
     for form in forms:
         if form.field is RATIONALS:
             raise ValueError("common-factor detection is defined over finite fields")
+        if form.field != field:
+            raise ValueError(f"mixed fields: {field} vs {form.field}")
         if form.is_zero():
             raise ValueError("common-factor detection needs nonzero forms")
-        if form.field != forms[0].field:
-            raise ValueError("mixed fields in common_factor_all")
-    ops = _Ops(forms[0].field)
-    g = _dict_of(forms[0])
-    for form in forms[1:]:
-        g = _gcd(g, _dict_of(form), ops)
-        if _is_const(g):
+    if field.k != 1:
+        raise ValueError("common-factor detection is implemented over prime fields")
+    return field.p, [[c.coords[0] for c in form.coeffs] for form in forms]
+
+
+def has_common_factor(f, g):
+    """True iff two nonzero cubics over a prime field share a nonconstant factor."""
+    p, (f, g) = _prime_coeffs([f, g])
+    return _shares_factor(p, f, 3, g, 3)
+
+
+def common_factor_all(forms):
+    """True iff all the cubics, over one prime field, share one nonconstant factor.
+
+    The running gcd is computed only while the forms so far share a
+    factor; the last form needs just the rank test against it.
+    """
+    forms = list(forms)
+    if not forms:
+        raise ValueError("common_factor_all needs at least one form")
+    p, coeffs = _prime_coeffs(forms)
+    h, e = coeffs[0], 3
+    for g in coeffs[1:-1]:
+        if not _shares_factor(p, h, e, g, 3):
             return False
-    return not _is_const(g)
+        h, e = _common_factor(p, h, e, g, 3)
+    return len(coeffs) == 1 or _shares_factor(p, h, e, coeffs[-1], 3)

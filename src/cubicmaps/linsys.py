@@ -22,7 +22,7 @@ import itertools
 from fractions import Fraction
 
 from . import _scan
-from .finitefield import Field, ProjPoint, build_field, minimal_degree
+from .finitefield import Field, ProjPoint, build_field, gf_rref, minimal_degree
 from .forms import MONOMIALS, RATIONALS, TernaryForm, combine, common_factor_all
 
 FIVE_POINT = "five_point"
@@ -168,40 +168,6 @@ def _rref(rows):
         if r == len(rows):
             break
     return rows[:r], pivots
-
-
-def gf_rref(p, rows):
-    """Reduced row echelon form over GF(p) of integer rows.
-
-    Returns (rows, pivots): the nonzero RREF rows as a tuple of int tuples
-    with entries in 0..p-1, and their pivot columns.  The rows are the
-    canonical basis of the row space, so they key the spanned subspace, and
-    their number is its rank.
-    """
-    rows = [[c % p for c in row] for row in rows]
-    pivots = []
-    n = len(rows)
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        for i in range(r, n):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        top = rows[r]
-        if top[c] != 1:
-            inv = pow(top[c], p - 2, p)
-            top = rows[r] = [inv * x % p for x in top]
-        for i in range(n):
-            f = rows[i][c]
-            if f and i != r:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return tuple(tuple(row) for row in rows[:r]), pivots
 
 
 def iter_subspaces(p, n, k):
@@ -350,8 +316,8 @@ def make_plane(system, v, u, t):
     field, or the three combined forms share a nonconstant factor.
     """
     field = system.field
-    if field is RATIONALS:
-        raise ValueError("planes are built over finite fields")
+    if field is RATIONALS or field.k != 1:
+        raise ValueError("planes are built over prime fields")
     vecs = []
     for w in (v, u, t):
         w = tuple(int(c) % field.p for c in w)

@@ -22,7 +22,7 @@ certifies surjectivity onto GF(q)-rational targets.
 
 from . import _scan
 from .finitefield import enumerate_p2
-from .forms import combine, evaluate, has_common_factor
+from .forms import MONOMIALS, combine, has_common_factor
 from .linsys import (
     DEFAULT_SCAN_BOUND,
     Plane,
@@ -77,6 +77,26 @@ def _pencil_pairs(p):
                 yield a, b, key
 
 
+def _monomial_coords(pt):
+    """Coordinate tuples over GF(p) of the 10 cubic monomials at a point, in MONOMIALS order."""
+    one = pt.field.one()
+    powers = []
+    for v in pt.coords:
+        square = v * v
+        powers.append((one, v, square, square * v))
+    xs, ys, zs = powers
+    return [(xs[i] * ys[j] * zs[k]).coords for i, j, k in MONOMIALS]
+
+
+def _vanishes_at(form, monomials):
+    """Whether a cubic over GF(p) vanishes where its monomials have the given coordinates."""
+    p = form.field.p
+    coeffs = [c.coords[0] for c in form.coeffs]
+    return not any(
+        sum(c * v for c, v in zip(coeffs, column)) % p for column in zip(*monomials)
+    )
+
+
 def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
     """Verdict for the pencil of a plane spanned by coefficient vectors a, b.
 
@@ -102,9 +122,10 @@ def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
         enc = _scan.find_witness_encoding(spec.forms, plane.forms, ext)
         if enc is not None:
             pt = _scan.decode_point(ext, enc)
-            if not all(evaluate(h, pt).is_zero() for h in spec.forms):
+            monomials = _monomial_coords(pt)
+            if not all(_vanishes_at(h, monomials) for h in spec.forms):
                 raise AssertionError("witness fails pencil-vanishing recheck")
-            if all(evaluate(h, pt).is_zero() for h in plane.forms):
+            if all(_vanishes_at(h, monomials) for h in plane.forms):
                 raise AssertionError("witness fails plane-nonvanishing recheck")
             return UnrulyVerdict(NOT_UNRULY, pt)
     return UnrulyVerdict(UNRULY)

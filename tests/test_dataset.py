@@ -1,7 +1,11 @@
 import ast
 import itertools
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicmaps.dataset import (
     NO_FILTER,
@@ -176,6 +180,17 @@ class TestRoundTrip:
         path = tmp_path / "six.txt"
         write_output(six_records, path)
         assert read_output(path) == six_records
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 6), st.data())
+    def test_arbitrary_records_round_trip(self, p, width, data):
+        vector = st.lists(st.integers(0, p - 1), min_size=width, max_size=width)
+        record = st.builds(DatasetRecord, vector, vector, vector, st.integers(0, 1))
+        records = data.draw(st.lists(record, max_size=20))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.txt"
+            write_output(records, path)
+            assert read_output(path) == records
 
     def test_exact_line_format(self, tmp_path):
         path = tmp_path / "one.txt"

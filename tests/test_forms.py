@@ -185,6 +185,107 @@ class TestCommonFactors:
             has_common_factor(zero, parse_form("x^3", field))
 
 
+def monomials_of(degree):
+    return [(i, j, degree - i - j) for i in range(degree, -1, -1) for j in range(degree - i, -1, -1)]
+
+
+def nonzero_poly(p, degree):
+    """A nonzero form of the given degree as an {exponent: coefficient} dict."""
+    n = len(monomials_of(degree))
+    coeffs = st.lists(st.integers(0, p - 1), min_size=n, max_size=n).filter(any)
+    return coeffs.map(lambda cs: dict(zip(monomials_of(degree), cs)))
+
+
+def multiply(p, *polys):
+    out = {(0, 0, 0): 1}
+    for poly in polys:
+        prod = {}
+        for (a, b, c), u in out.items():
+            for (i, j, k), v in poly.items():
+                e = (a + i, b + j, c + k)
+                prod[e] = (prod.get(e, 0) + u * v) % p
+        out = prod
+    return out
+
+
+def cubic(p, poly):
+    assert all(sum(e) == 3 for e in poly)
+    return TernaryForm(build_field(p), [poly.get(e, 0) for e in MONOMIALS])
+
+
+def line_key(p, line):
+    """A line's coefficients scaled so the first nonzero one is 1."""
+    inv = pow(next(c for c in line if c), p - 2, p)
+    return tuple(c * inv % p for c in line)
+
+
+def lines(p):
+    return st.tuples(*[st.integers(0, p - 1)] * 3).filter(any).map(lambda l: line_key(p, l))
+
+
+def split_cubic(p, factors):
+    return cubic(p, multiply(p, *({e: c for e, c in zip(monomials_of(1), l) if c} for l in factors)))
+
+
+class TestCommonFactorProperties:
+    # the verdicts are checked against forms whose factors are known by construction
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3), st.data())
+    def test_multiples_of_one_form_share_it(self, p, e, data):
+        h = data.draw(nonzero_poly(p, e))
+        a, b, c = (data.draw(nonzero_poly(p, 3 - e)) for _ in range(3))
+        f, g, k = (cubic(p, multiply(p, h, w)) for w in (a, b, c))
+        assert has_common_factor(f, g)
+        assert common_factor_all([f, g, k])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), st.data())
+    def test_products_of_lines_share_a_factor_iff_they_share_a_line(self, p, data):
+        # f = h*a and g = h*b with h a product of 1..3 lines, so a third
+        # form is also tested against a gcd of degree 1..3
+        shared = data.draw(st.lists(lines(p), min_size=1, max_size=3))
+        f_lines = shared + data.draw(st.lists(lines(p), min_size=3 - len(shared), max_size=3 - len(shared)))
+        g_lines = shared + data.draw(st.lists(lines(p), min_size=3 - len(shared), max_size=3 - len(shared)))
+        k_lines = data.draw(st.lists(lines(p), min_size=3, max_size=3))
+        if data.draw(st.booleans()):
+            k_lines[0] = data.draw(st.sampled_from(f_lines))
+        f, g, k = (split_cubic(p, ls) for ls in (f_lines, g_lines, k_lines))
+        assert has_common_factor(f, k) == bool(set(f_lines) & set(k_lines))
+        assert has_common_factor(g, k) == bool(set(g_lines) & set(k_lines))
+        assert common_factor_all([f, g, k]) == bool(set(f_lines) & set(g_lines) & set(k_lines))
+        assert common_factor_all([k, f]) == bool(set(f_lines) & set(k_lines))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 3), st.data())
+    def test_verdict_is_symmetric_and_scale_invariant(self, p, e, data):
+        # e = 0 draws unrelated cubics, e >= 1 cubics with a shared factor of degree e
+        h = data.draw(nonzero_poly(p, e))
+        f, g = (cubic(p, multiply(p, h, data.draw(nonzero_poly(p, 3 - e)))) for _ in range(2))
+        c, d = data.draw(st.integers(1, p - 1)), data.draw(st.integers(1, p - 1))
+        verdict = has_common_factor(f, g)
+        assert has_common_factor(g, f) == verdict
+        assert has_common_factor(f.scaled(c), g.scaled(d)) == verdict
+        assert common_factor_all([g.scaled(d), f]) == verdict
+        if e:
+            assert verdict
+
+    def test_extension_fields_rejected(self):
+        f4 = build_field(2, 2)
+        f, g = parse_form("x^3 + y^3", f4), parse_form("2*x^2*y", f4)
+        with pytest.raises(ValueError, match="prime fields"):
+            has_common_factor(f, g)
+        with pytest.raises(ValueError, match="prime fields"):
+            common_factor_all([f, g])
+
+    def test_rational_and_mixed_fields_rejected(self):
+        rational = TernaryForm(RATIONALS, [1] + [0] * 9)
+        with pytest.raises(ValueError, match="finite fields"):
+            common_factor_all([rational])
+        with pytest.raises(ValueError, match="mixed fields"):
+            has_common_factor(parse_form("x^3", build_field(2)), parse_form("x^3", build_field(3)))
+
+
 class TestRationalPoly:
     def test_expansion_binomial_cube(self):
         cube = (X + Y) ** 3

@@ -1,14 +1,23 @@
-import pytest
+import itertools
 
-from cubicmaps.finitefield import ProjPoint, build_field
-from cubicmaps.forms import parse_form
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from cubicmaps import _scan
+from cubicmaps.finitefield import ProjPoint, build_field, enumerate_p2
+from cubicmaps.forms import TernaryForm, evaluate, parse_form
 from cubicmaps.linsys import (
     FIVE_POINT,
     SIX_POINT,
     CubicSystem,
+    Plane,
     PointConfig,
+    gf_rref,
+    iter_subspaces,
     iter_vectors,
     make_plane,
+    pencil,
     reference_system,
 )
 from cubicmaps.surjectivity import (
@@ -19,10 +28,12 @@ from cubicmaps.surjectivity import (
     forward_oracle,
     label_plane,
 )
+from cubicmaps.surjectivity import _monomial_coords, _vanishes_at
 from cubicmaps.surjectivity import test_pencil as pencil_verdict
 
 CASE46 = ((1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (1, 1, 0, 0, 1))
 SIX_IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))
+GL3_GF2 = [m for m in itertools.product(iter_vectors(2, 3), repeat=3) if len(gf_rref(2, m)[0]) == 3]
 
 
 def five_plane():
@@ -112,6 +123,57 @@ class TestLabelPlane:
         assert label_plane(other).value == label_plane(five_plane()).value == 1
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([FIVE_POINT, SIX_POINT]), st.data())
+    def test_label_is_invariant_under_a_change_of_basis(self, case, data):
+        system = reference_system(case, build_field(2))
+        vecs = data.draw(st.sampled_from(list(iter_subspaces(2, system.dim, 3))))
+        plane = make_plane(system, *vecs)
+        assume(plane is not None)
+        m = data.draw(st.sampled_from(GL3_GF2))
+        moved = [[sum(m[i][j] * vecs[j][c] for j in range(3)) % 2 for c in range(system.dim)]
+                 for i in range(3)]
+        other = make_plane(system, *moved)
+        assert other is not None
+        assert label_plane(other, scan_bound=9).value == label_plane(plane, scan_bound=9).value
+
+
+class TestWitnessRecheck:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 9), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]),
+           st.data())
+    def test_vanishing_matches_evaluate(self, level, data):
+        p, d = level
+        ext = build_field(p, d)
+        form = TernaryForm(build_field(p), data.draw(st.lists(st.integers(0, p - 1),
+                                                              min_size=10, max_size=10)))
+        coords = data.draw(st.tuples(*[st.integers(0, ext.order - 1)] * 3).filter(any))
+        pt = ProjPoint(ext, coords)
+        assert _vanishes_at(form, _monomial_coords(pt)) == evaluate(form, pt).is_zero()
+
+    @staticmethod
+    def zero_dimensional_pencil(plane):
+        return next((a, b) for a in iter_vectors(2, 3) for b in iter_vectors(2, 3)
+                    if pencil_verdict(plane, a, b).status != POSITIVE_DIMENSIONAL)
+
+    def test_a_point_off_the_pencil_is_rejected(self, monkeypatch):
+        plane = five_plane()
+        a, b = self.zero_dimensional_pencil(plane)
+        f, _ = pencil(plane, a, b).forms
+        off = next(pt for pt in enumerate_p2(build_field(2)) if not evaluate(f, pt).is_zero())
+        monkeypatch.setattr(_scan, "find_witness_encoding", lambda *args: off.encode())
+        with pytest.raises(AssertionError, match="pencil-vanishing"):
+            pencil_verdict(plane, a, b)
+
+    def test_a_base_point_of_the_plane_is_rejected(self, monkeypatch):
+        plane = five_plane()
+        a, b = self.zero_dimensional_pencil(plane)
+        # [1:0:0] is one of the five points every form of the system passes through
+        monkeypatch.setattr(_scan, "find_witness_encoding", lambda *args: (1, 0, 0))
+        with pytest.raises(AssertionError, match="plane-nonvanishing"):
+            pencil_verdict(plane, a, b)
+
+
 class TestForwardOracle:
     def test_case46_covers_everything(self):
         assert forward_oracle(five_plane()) == []
@@ -141,11 +203,13 @@ class TestForwardOracle:
 
     def test_prime_base_field_required(self):
         f4 = build_field(2, 2)
-        system = CubicSystem(
-            f4, tuple(parse_form(t, f4) for t in ("x^3", "y^3", "z^3")), "custom",
-        )
-        plane = make_plane(system, (1, 0, 0), (0, 1, 0), (0, 0, 1))
-        with pytest.raises(ValueError):
+        forms = tuple(parse_form(t, f4) for t in ("x^3", "y^3", "z^3"))
+        system = CubicSystem(f4, forms, "custom")
+        with pytest.raises(ValueError, match="prime fields"):
+            make_plane(system, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+        # make_plane refuses GF(4), so build the plane directly
+        plane = Plane(system, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), forms)
+        with pytest.raises(ValueError, match="prime base fields"):
             forward_oracle(plane)
 
 
