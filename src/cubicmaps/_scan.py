@@ -194,15 +194,15 @@ def _cached_chunks(field):
 
 
 def _form_encodings(form, ext):
-    """Coefficient encodings of a form, valid in the extension field.
+    """Coefficient encodings of a form over GF(p), valid in the extension field.
 
-    Prime-field coefficients embed as constants, whose encodings coincide.
+    The residue coefficients embed as constants, whose encodings they are.
     """
     if form.field is RATIONALS:
         raise ValueError("scan evaluation needs a form over a finite field")
-    if form.field.p != ext.p or form.field.k not in (1, ext.k):
+    if form.field.p != ext.p:
         raise ValueError(f"cannot evaluate a form over {form.field} at points of {ext}")
-    return tuple(c.encode() for c in form.coeffs)
+    return form.coeffs
 
 
 def _eval(t, coeffs, monos):

@@ -214,7 +214,7 @@ def generate_dataset(cfg, jobs=None):
         if key not in seen:
             seen.add(key)
             keys.append(key)
-    basis_rows = [[c.encode() for c in f.coeffs] for f in cfg.system.basis]
+    basis_rows = [f.coeffs for f in cfg.system.basis]
     with multiprocessing.Pool(
         jobs, initializer=_worker_init, initargs=(cfg.case, basis_rows, cfg.p, cfg.scan_bound)
     ) as pool:

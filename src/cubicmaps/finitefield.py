@@ -407,3 +407,12 @@ def gf_rref(p, rows):
         if r == n:
             break
     return tuple(tuple(row) for row in rows[:r]), pivots
+
+
+def gf_left_kernel(p, rows):
+    """A basis, in RREF, of the vectors k with sum(k[i] * rows[i]) = 0 over GF(p)."""
+    width = len(rows[0])
+    n = len(rows)
+    tagged = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    reduced, pivots = gf_rref(p, tagged)
+    return [row[width:] for row, c in zip(reduced, pivots) if c >= width]

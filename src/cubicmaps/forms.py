@@ -7,8 +7,9 @@ monomial order (graded-lex with x > y > z):
 
 That order is frozen: every coefficient vector in the package, every
 rendered form and every dataset coordinate refers to it.  Forms live either
-over a finite field (coefficients are Scalars) or over the rationals
-(coefficients are Fractions, tag RATIONALS).
+over a prime field GF(p) (coefficients are int residues 0..p-1) or over the
+rationals (coefficients are Fractions, tag RATIONALS).  Extension fields
+GF(p^k), k > 1, carry points and scans, never forms.
 
 Common factors are decided exactly over prime fields by linear algebra on
 integer residues.  Two cubics f, g share a nonconstant factor iff the 12
@@ -22,7 +23,7 @@ third form with the same rank criterion.
 from fractions import Fraction
 from functools import lru_cache
 
-from .finitefield import Field, ProjPoint, Scalar, embed_scalar, gf_rref
+from .finitefield import Field, ProjPoint, Scalar, gf_left_kernel, gf_rref
 
 MONOMIALS = (
     (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
@@ -59,7 +60,11 @@ def _coerce_coeff(field, c):
         if isinstance(c, int):
             return Fraction(c)
         raise TypeError(f"rational coefficients must be int or Fraction, got {type(c).__name__}")
-    return field.scalar(c)
+    if isinstance(c, int):
+        return c % field.p
+    if isinstance(c, Scalar):
+        return field.scalar(c).coords[0]
+    raise TypeError(f"coefficients over {field} must be int or Scalar, got {type(c).__name__}")
 
 
 class TernaryForm:
@@ -71,13 +76,13 @@ class TernaryForm:
         coeffs = tuple(coeffs)
         if len(coeffs) != 10:
             raise ValueError(f"a cubic form needs 10 coefficients, got {len(coeffs)}")
+        if field is not RATIONALS and field.k != 1:
+            raise ValueError(f"cubic forms live over prime fields or the rationals, not {field}")
         self.field = field
         self.coeffs = tuple(_coerce_coeff(field, c) for c in coeffs)
 
     def is_zero(self):
-        if self.field is RATIONALS:
-            return all(c == 0 for c in self.coeffs)
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __eq__(self, other):
         return (
@@ -87,9 +92,7 @@ class TernaryForm:
         )
 
     def __hash__(self):
-        if self.field is RATIONALS:
-            return hash(("QQ", self.coeffs))
-        return hash((self.field.p, self.field.k, tuple(c.encode() for c in self.coeffs)))
+        return hash((self.field, self.coeffs))
 
     def __add__(self, other):
         if not isinstance(other, TernaryForm) or other.field != self.field:
@@ -107,7 +110,7 @@ class TernaryForm:
 def combine(coeffs, basis):
     """The linear combination sum(coeffs[i] * basis[i]) of cubic forms.
 
-    Coefficients are ints or Scalars of the basis field.
+    Coefficients are ints, or Scalars of the basis field when it is GF(p).
     """
     if not basis:
         raise ValueError("empty basis")
@@ -116,27 +119,17 @@ def combine(coeffs, basis):
     field = basis[0].field
     if any(form.field != field for form in basis):
         raise ValueError("can only add forms over the same coefficient field")
-    if field is not RATIONALS and field.k == 1:
-        # prime field: encodings are residues, so sum them as ints mod p
-        p = field.p
-        cs = [c % p if type(c) is int else field.scalar(c).coords[0] for c in coeffs]
-        terms = [(c, form.coeffs) for c, form in zip(cs, basis) if c]
-        return TernaryForm(
-            field, [sum(c * a[i].coords[0] for c, a in terms) % p for i in range(10)]
-        )
-    out = None
-    for c, form in zip(coeffs, basis):
-        term = form.scaled(c)
-        out = term if out is None else out + term
-    return out
+    cs = [_coerce_coeff(field, c) for c in coeffs]
+    terms = [(c, form.coeffs) for c, form in zip(cs, basis) if c]
+    return TernaryForm(field, [sum(c * a[i] for c, a in terms) for i in range(10)])
 
 
 def evaluate(form, point):
     """The value of a cubic form at a point.
 
-    Over a finite field the point may be a ProjPoint or a triple of Scalars
-    (or integer encodings); a form over GF(p) is evaluated at extension
-    points by embedding its coefficients.  Over the rationals the point is a
+    Over GF(p) the point may be a ProjPoint or a triple of Scalars (or
+    integer encodings); at points over an extension GF(p^k) the residue
+    coefficients embed as constants.  Over the rationals the point is a
     triple of ints or Fractions.
     """
     if form.field is RATIONALS:
@@ -156,11 +149,13 @@ def evaluate(form, point):
     if len(coords) != 3:
         raise ValueError("a point of P^2 needs 3 coordinates")
     target = coords[0].field
+    if target.p != form.field.p:
+        raise ValueError(f"cannot evaluate a form over {form.field} at a point over {target}")
     x, y, z = coords
     total = target.zero()
     for c, (i, j, k) in zip(form.coeffs, MONOMIALS):
-        if not c.is_zero():
-            total = total + embed_scalar(c, target) * x**i * y**j * z**k
+        if c:
+            total = total + target.scalar(c) * x**i * y**j * z**k
     return total
 
 
@@ -170,13 +165,12 @@ def reduce_mod(form, field):
         raise ValueError("reduce_mod expects a form over the rationals")
     if not isinstance(field, Field):
         raise ValueError("reduce_mod expects a finite target field")
+    p = field.p
     coeffs = []
     for c in form.coeffs:
-        if c.denominator % field.p == 0:
-            raise ValueError(f"denominator of {c} is divisible by p={field.p}")
-        num = field.scalar(c.numerator % field.p)
-        den = field.scalar(c.denominator % field.p)
-        coeffs.append(num * den.inverse())
+        if c.denominator % p == 0:
+            raise ValueError(f"denominator of {c} is divisible by p={p}")
+        coeffs.append(c.numerator * pow(c.denominator, -1, p))
     return TernaryForm(field, coeffs)
 
 
@@ -185,16 +179,7 @@ def reduce_mod(form, field):
 
 def render_form(form):
     """Plain-text rendering "c*x^3 + c*x^2*y + ..." of the nonzero terms."""
-    parts = []
-    for c, name in zip(form.coeffs, MONOMIAL_NAMES):
-        if form.field is RATIONALS:
-            if c == 0:
-                continue
-            parts.append(f"{c}*{name}")
-        else:
-            if c.is_zero():
-                continue
-            parts.append(f"{c.encode()}*{name}")
+    parts = [f"{c}*{name}" for c, name in zip(form.coeffs, MONOMIAL_NAMES) if c]
     return " + ".join(parts) if parts else "0"
 
 
@@ -222,10 +207,7 @@ def parse_form(text, field):
             raise ValueError(f"unknown monomial {mono!r} in form text")
         if index[mono] in parsed:
             raise ValueError(f"monomial {mono!r} appears twice in form text")
-        if field is RATIONALS:
-            parsed[index[mono]] = Fraction(coeff_text)
-        else:
-            parsed[index[mono]] = field.scalar(int(coeff_text))
+        parsed[index[mono]] = Fraction(coeff_text) if field is RATIONALS else int(coeff_text)
     return TernaryForm(field, [parsed.get(i, 0) for i in range(10)])
 
 
@@ -270,15 +252,6 @@ def _multiples(f, m, d):
     return rows
 
 
-def _left_kernel(p, rows):
-    """A basis of the vectors k with sum(k[i] * rows[i]) = 0 over GF(p)."""
-    width = len(rows[0])
-    n = len(rows)
-    tagged = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    reduced, pivots = gf_rref(p, tagged)
-    return [row[width:] for row, c in zip(reduced, pivots) if c >= width]
-
-
 def _shares_factor(p, f, m, g, n):
     """Whether nonzero f (degree m) and g (degree n) share a nonconstant factor."""
     rows = _multiples(f, m, n - 1) + _multiples(g, n, m - 1)
@@ -294,12 +267,12 @@ def _common_factor(p, f, m, g, n):
     spans f/h, and h is the quotient that solves h*(f/h) = f.
     """
     for e in range(min(m, n), 0, -1):
-        kernel = _left_kernel(p, _multiples(f, m, n - e) + _multiples(g, n, m - e))
+        kernel = gf_left_kernel(p, _multiples(f, m, n - e) + _multiples(g, n, m - e))
         if kernel:
             break
     cofactor = kernel[0][len(_monomials(n - e)):]
     # the one dependency h_nu*(nu*cofactor) + c*f = 0 has c != 0
-    quotient = _left_kernel(p, _multiples(cofactor, m - e, e) + [f])[0]
+    quotient = gf_left_kernel(p, _multiples(cofactor, m - e, e) + [f])[0]
     return quotient[:-1], e
 
 
@@ -313,9 +286,7 @@ def _prime_coeffs(forms):
             raise ValueError(f"mixed fields: {field} vs {form.field}")
         if form.is_zero():
             raise ValueError("common-factor detection needs nonzero forms")
-    if field.k != 1:
-        raise ValueError("common-factor detection is implemented over prime fields")
-    return field.p, [[c.coords[0] for c in form.coeffs] for form in forms]
+    return field.p, [form.coeffs for form in forms]
 
 
 def has_common_factor(f, g):

@@ -22,7 +22,7 @@ import itertools
 from fractions import Fraction
 
 from . import _scan
-from .finitefield import Field, ProjPoint, build_field, gf_rref, minimal_degree
+from .finitefield import ProjPoint, build_field, gf_left_kernel, gf_rref, minimal_degree
 from .forms import MONOMIALS, RATIONALS, TernaryForm, combine, common_factor_all
 
 FIVE_POINT = "five_point"
@@ -129,19 +129,11 @@ class CubicSystem:
         return f"CubicSystem(dim={self.dim}, field={self.field}, {self.provenance})"
 
 
-# -- generic dense linear algebra over a field (Scalars or Fractions) --
-
-
-def _is_zero(x):
-    return x == 0 if isinstance(x, Fraction) else x.is_zero()
-
-
-def _inv(x):
-    return 1 / x if isinstance(x, Fraction) else x.inverse()
+# -- dense linear algebra over the rationals --
 
 
 def _rref(rows):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form of Fraction rows; returns (nonzero rows, pivot columns)."""
     rows = [list(r) for r in rows]
     if not rows:
         return [], []
@@ -151,16 +143,16 @@ def _rref(rows):
     for c in range(ncols):
         pivot = None
         for i in range(r, len(rows)):
-            if not _is_zero(rows[i][c]):
+            if rows[i][c]:
                 pivot = i
                 break
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = _inv(rows[r][c])
+        inv = 1 / rows[r][c]
         rows[r] = [inv * v for v in rows[r]]
         for i in range(len(rows)):
-            if i != r and not _is_zero(rows[i][c]):
+            if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
@@ -188,16 +180,16 @@ def iter_subspaces(p, n, k):
             yield tuple(tuple(row) for row in rows)
 
 
-def _kernel_basis(rows, ncols, zero, one):
-    """Canonical (RREF) basis of the right kernel of a matrix."""
+def _kernel_basis(rows, ncols):
+    """Canonical (RREF) basis of the right kernel of a Fraction matrix."""
     rref, pivots = _rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for j in free:
-        vec = [zero] * ncols
-        vec[j] = one
+        vec = [Fraction(0)] * ncols
+        vec[j] = Fraction(1)
         for i, c in enumerate(pivots):
-            vec[c] = zero - rref[i][j]
+            vec[c] = -rref[i][j]
         basis.append(vec)
     canon, _ = _rref(basis)
     return canon
@@ -206,27 +198,27 @@ def _kernel_basis(rows, ncols, zero, one):
 def vanishing_cubics(cfg, field):
     """The system of cubics vanishing on a configuration, canonical basis.
 
-    field is a Field (points are reduced mod p; reductions must stay
-    pairwise distinct) or RATIONALS.
+    field is a prime field GF(p) (points are reduced mod p; reductions must
+    stay pairwise distinct) or RATIONALS.  The basis is the RREF of the
+    kernel of the evaluation matrix: over GF(p) the left kernel of its
+    transpose, the 10 monomial columns, by gf_left_kernel.
     """
     if field is RATIONALS:
         pts = [tuple(Fraction(c) for c in pt) for pt in cfg.points]
         if len({_normalize_rational(pt) for pt in pts}) != len(pts):
             raise ValueError("points collide over the rationals")
-        zero, one = Fraction(0), Fraction(1)
-        rows = []
-        for x, y, z in pts:
-            rows.append([x**i * y**j * z**k for (i, j, k) in MONOMIALS])
+        rows = [[x**i * y**j * z**k for (i, j, k) in MONOMIALS] for x, y, z in pts]
+        kernel = _kernel_basis(rows, 10)
     else:
+        if field.k != 1:
+            raise ValueError(f"cubic forms live over prime fields or the rationals, not {field}")
         pts = [ProjPoint(field, pt) for pt in cfg.points]
         if len(set(pts)) != len(pts):
             raise ValueError(f"points collide after reduction into {field}")
-        zero, one = field.zero(), field.one()
-        rows = []
-        for pt in pts:
-            x, y, z = pt.coords
-            rows.append([x**i * y**j * z**k for (i, j, k) in MONOMIALS])
-    kernel = _kernel_basis(rows, 10, zero, one)
+        p = field.p
+        pts = [pt.encode() for pt in pts]
+        columns = [[x**i * y**j * z**k % p for x, y, z in pts] for (i, j, k) in MONOMIALS]
+        kernel = gf_left_kernel(p, columns)
     if not kernel:
         raise ValueError("no cubics vanish on the configuration")
     basis = [TernaryForm(field, row) for row in kernel]
@@ -255,8 +247,7 @@ def reduced_generator_system(case, p):
         raise ValueError(f"unknown case {case!r}; expected {FIVE_POINT!r} or {SIX_POINT!r}")
     field = build_field(p)
     gens = _INTEGER_GENERATORS if case == FIVE_POINT else _INTEGER_GENERATORS[:-1]
-    rows = [[field.scalar(c) for c in g] for g in gens]
-    rref, _ = _rref(rows)
+    rref, _ = gf_rref(p, gens)
     if not rref:
         raise ValueError(f"integer generators vanish identically mod {p}")
     basis = [TernaryForm(field, row) for row in rref]
@@ -269,9 +260,8 @@ def same_span(sys1, sys2):
         return False
 
     def rref_of(sys):
-        rows = [list(f.coeffs) for f in sys.basis]
-        rref, _ = _rref(rows)
-        return [tuple(r) for r in rref]
+        rows = [f.coeffs for f in sys.basis]
+        return _rref(rows)[0] if sys.field is RATIONALS else gf_rref(sys.field.p, rows)[0]
 
     return rref_of(sys1) == rref_of(sys2)
 
@@ -316,7 +306,7 @@ def make_plane(system, v, u, t):
     field, or the three combined forms share a nonconstant factor.
     """
     field = system.field
-    if field is RATIONALS or field.k != 1:
+    if field is RATIONALS:
         raise ValueError("planes are built over prime fields")
     vecs = []
     for w in (v, u, t):
@@ -367,10 +357,8 @@ class BaseLocus:
 
 def _require_prime_base(forms):
     field = forms[0].field
-    if field is RATIONALS or not isinstance(field, Field):
+    if field is RATIONALS:
         raise ValueError("base-locus scans run over finite fields")
-    if field.k != 1:
-        raise ValueError("base-locus scans are implemented over prime base fields")
     for f in forms:
         if f.field != field:
             raise ValueError("mixed fields in base-locus scan")

@@ -25,8 +25,8 @@ from .finitefield import enumerate_p2
 from .forms import MONOMIALS, combine, has_common_factor
 from .linsys import (
     DEFAULT_SCAN_BOUND,
-    Plane,
     gf_rref,
+    iter_subspaces,
     iter_vectors,
     make_plane,
     pencil,
@@ -67,14 +67,17 @@ class SurjectivityLabel:
         return f"SurjectivityLabel({self.value}, unruly={list(self.unruly_pencils)})"
 
 
-def _pencil_pairs(p):
-    """Independent pairs (a, b) over GF(p)^3, lexicographic, with the gf_rref key of their span."""
-    vectors = list(iter_vectors(p, 3))
-    for a in vectors:
-        for b in vectors:
-            key, _ = gf_rref(p, (a, b))
-            if len(key) == 2:
-                yield a, b, key
+def _pencil_subspaces(p):
+    """The 2-subspaces of GF(p)^3 as gf_rref rows (r0, r1); (r1, r0) is each one's first spanning pair."""
+    # the order a lexicographic walk over pairs meets them in: it reaches unruly pencils sooner
+    return sorted(iter_subspaces(p, 3, 2), key=lambda r: (r[1], r[0]))
+
+
+def _spanning_pairs(p, r0, r1):
+    """Every ordered pair of independent vectors of the span of r0 and r1."""
+    xs = list(iter_vectors(p, 2))
+    vec = {(x, y): tuple((x * a + y * b) % p for a, b in zip(r0, r1)) for x, y in xs}
+    return [(vec[c], vec[d]) for c in xs for d in xs if (c[0] * d[1] - c[1] * d[0]) % p]
 
 
 def _monomial_coords(pt):
@@ -91,9 +94,8 @@ def _monomial_coords(pt):
 def _vanishes_at(form, monomials):
     """Whether a cubic over GF(p) vanishes where its monomials have the given coordinates."""
     p = form.field.p
-    coeffs = [c.coords[0] for c in form.coeffs]
     return not any(
-        sum(c * v for c, v in zip(coeffs, column)) % p for column in zip(*monomials)
+        sum(c * v for c, v in zip(form.coeffs, column)) % p for column in zip(*monomials)
     )
 
 
@@ -132,31 +134,28 @@ def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
 
 
 def label_plane(plane, scan_bound=DEFAULT_SCAN_BOUND, find_all=False):
-    """Label a plane by scanning all rational pencils in deterministic order.
+    """Label a plane by testing each rational pencil once, in deterministic order.
 
-    Pencil coefficient pairs (a, b) run lexicographically over (GF(p)^3)^2;
-    verdicts are memoized per 2-subspace since they are basis-invariant.
-    With find_all the scan continues past the first unruly pencil and
-    collects every unruly (a, b) pair.
+    The pencils are the 2-subspaces of GF(p)^3, each tested on its first
+    spanning pair (a, b) in lexicographic order; the first unruly one is
+    reported as that pair.  With find_all the walk continues past the first
+    unruly pencil and reports every ordered spanning pair of every unruly
+    pencil, sorted.
     """
     require_bound("scan_bound", scan_bound)
-    verdicts = {}
+    p = plane.field.p
     unruly = []
-    admissible = 0
-    for a, b, key in _pencil_pairs(plane.field.p):
-        verdict = verdicts.get(key)
-        if verdict is None:
-            verdict = test_pencil(plane, a, b, scan_bound)
-            verdicts[key] = verdict
-        if verdict.status != POSITIVE_DIMENSIONAL:
-            admissible += 1
-        if verdict.status == UNRULY:
-            unruly.append((a, b))
+    admissible = False
+    for r0, r1 in _pencil_subspaces(p):
+        status = test_pencil(plane, r1, r0, scan_bound).status
+        admissible = admissible or status != POSITIVE_DIMENSIONAL
+        if status == UNRULY:
             if not find_all:
-                return SurjectivityLabel(0, unruly)
-    if admissible == 0:
+                return SurjectivityLabel(0, [(r1, r0)])
+            unruly.extend(_spanning_pairs(p, r0, r1))
+    if not admissible:
         raise ValueError("plane admits no 0-dimensional pencil")
-    return SurjectivityLabel(0 if unruly else 1, unruly)
+    return SurjectivityLabel(0 if unruly else 1, sorted(unruly))
 
 
 def _annihilator_positive_dimensional(plane, target):
@@ -187,8 +186,6 @@ def forward_oracle(plane, source_bound=DEFAULT_SCAN_BOUND):
     A plane labeled 1 must give an empty list at source_bound 9.
     """
     field = plane.field
-    if field.k != 1:
-        raise ValueError("the forward oracle runs over prime base fields")
     require_bound("source_bound", source_bound)
     p = field.p
     remaining = {t.encode(): t for t in enumerate_p2(field)}
@@ -228,11 +225,7 @@ def find_unruly_seven_points(cfg, field, scan_bound=2):
     plane = make_plane(system, (1, 0, 0), (0, 1, 0), (0, 0, 1))
     if plane is None:
         raise ValueError("configuration is too special: the system has a fixed component")
-    seen = set()
-    for a, b, key in _pencil_pairs(field.p):
-        if key in seen:
-            continue
-        seen.add(key)
-        if test_pencil(plane, a, b, scan_bound).status == UNRULY:
-            return pencil(plane, a, b)
+    for r0, r1 in _pencil_subspaces(field.p):
+        if test_pencil(plane, r1, r0, scan_bound).status == UNRULY:
+            return pencil(plane, r1, r0)
     return None

@@ -57,7 +57,7 @@ class TestTernaryForm:
     def test_parse_coefficients_general_field(self):
         field = build_field(5)
         form = parse_form("3*x^3 + 2*x*y*z + 4*z^3", field)
-        assert [c.encode() for c in form.coeffs] == [3, 0, 0, 0, 2, 0, 0, 0, 0, 4]
+        assert form.coeffs == (3, 0, 0, 0, 2, 0, 0, 0, 0, 4)
 
     def test_evaluate_against_direct_sum(self):
         field = build_field(7)
@@ -108,11 +108,32 @@ class TestTernaryForm:
         assert combine(coeffs, basis) == want
         assert combine([field.scalar(c) for c in coeffs], basis) == want
 
-    def test_combine_over_an_extension_field(self):
+    def test_forms_over_an_extension_field_are_rejected(self):
         f4 = build_field(2, 2)
-        basis = [parse_form(t, f4) for t in ("2*x^3 + y^3", "3*y^3")]
-        form = combine((f4.scalar(2), f4.one()), basis)
-        assert form == basis[0].scaled(2) + basis[1]
+        with pytest.raises(ValueError, match="prime fields"):
+            TernaryForm(f4, [0] * 10)
+        with pytest.raises(ValueError, match="prime fields"):
+            parse_form("2*x^3 + y^3", f4)
+        with pytest.raises(ValueError, match="prime fields"):
+            TernaryForm(f4, [f4.scalar(2)] + [0] * 9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), st.lists(st.integers(-100, 100), min_size=10, max_size=10))
+    def test_coefficients_are_int_residues_whatever_the_input(self, p, ints):
+        field = build_field(p)
+        residues = tuple(c % p for c in ints)
+        from_ints = TernaryForm(field, ints)
+        from_scalars = TernaryForm(field, [field.scalar(c) for c in ints])
+        round_trip = parse_form(render_form(from_ints), field)
+        for form in (from_ints, from_scalars, round_trip):
+            assert form.coeffs == residues
+            assert all(type(c) is int and 0 <= c < p for c in form.coeffs)
+        assert from_ints == from_scalars == round_trip
+        assert hash(from_ints) == hash(round_trip)
+
+    def test_scalar_of_another_field_rejected(self):
+        with pytest.raises(ValueError, match="mixed fields"):
+            TernaryForm(build_field(2), [build_field(3).one()] + [0] * 9)
 
     def test_combine_rejects_mixed_fields(self):
         f2, f3 = build_field(2), build_field(3)
@@ -271,12 +292,12 @@ class TestCommonFactorProperties:
             assert verdict
 
     def test_extension_fields_rejected(self):
+        # no form over GF(4) can be built, so none reaches the rank tests
         f4 = build_field(2, 2)
-        f, g = parse_form("x^3 + y^3", f4), parse_form("2*x^2*y", f4)
         with pytest.raises(ValueError, match="prime fields"):
-            has_common_factor(f, g)
+            parse_form("x^3 + y^3", f4)
         with pytest.raises(ValueError, match="prime fields"):
-            common_factor_all([f, g])
+            TernaryForm(f4, [0, 2] + [0] * 8)
 
     def test_rational_and_mixed_fields_rejected(self):
         rational = TernaryForm(RATIONALS, [1] + [0] * 9)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubicmaps.finitefield import ProjPoint, build_field
-from cubicmaps.forms import RATIONALS, parse_form
+from cubicmaps.finitefield import ProjPoint, build_field, enumerate_p2
+from cubicmaps.forms import MONOMIALS, RATIONALS, evaluate, parse_form
 from cubicmaps.linsys import (
     FIVE_POINT,
     SIX_POINT,
@@ -86,6 +86,28 @@ class TestVanishingCubics:
         assert vanishing_cubics(PointConfig(pts), field).dim == 3
 
 
+class TestVanishingCubicsOverPrimeFields:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 11]), st.data())
+    def test_basis_is_the_canonical_kernel(self, p, data):
+        field = build_field(p)
+        points = data.draw(st.lists(st.sampled_from(enumerate_p2(field)), min_size=1,
+                                    max_size=7, unique=True))
+        # unnormalized integer representatives: scaled, then shifted by multiples of p
+        scale = data.draw(st.integers(1, p - 1))
+        shift = data.draw(st.tuples(*[st.integers(-2, 2)] * 3))
+        ints = [tuple(scale * c + p * k for c, k in zip(pt.encode(), shift)) for pt in points]
+        system = vanishing_cubics(PointConfig(ints), field)
+        for form in system.basis:
+            assert all(type(c) is int and 0 <= c < p for c in form.coeffs)
+            for pt in points:
+                assert evaluate(form, pt).is_zero()
+        matrix = [[x**i * y**j * z**k for i, j, k in MONOMIALS] for x, y, z in ints]
+        assert system.dim == 10 - len(gf_rref(p, matrix)[0])
+        rows = tuple(form.coeffs for form in system.basis)
+        assert gf_rref(p, rows)[0] == rows
+
+
 class TestReferenceSystems:
     def test_five_point_fixture_forms(self):
         f2 = build_field(2)
@@ -113,7 +135,10 @@ class TestReferenceSystems:
         # generators still span the full vanishing system
         sys7 = reduced_generator_system(FIVE_POINT, 7)
         assert sys7.dim == 5
-        assert same_span(sys7, vanishing_cubics(reference_points(FIVE_POINT), build_field(7)))
+        direct = vanishing_cubics(reference_points(FIVE_POINT), build_field(7))
+        assert same_span(sys7, direct)
+        # both bases are the canonical RREF of that span
+        assert [f.coeffs for f in sys7.basis] == [f.coeffs for f in direct.basis]
 
     def test_mod2_fixture_differs_from_mod2_point_system(self):
         # the two five-point configurations collide mod 2, so the fixture
@@ -213,10 +238,12 @@ class TestBaseLocus:
                     assert locus.total_points() <= 9
 
     def test_prime_base_field_required(self):
+        # forms over GF(4) are refused when built, before any base-locus scan
         f4 = build_field(2, 2)
-        forms = (parse_form("x^3", f4), parse_form("y^3", f4))
-        with pytest.raises(ValueError):
-            base_locus(forms, scan_bound=2)
+        with pytest.raises(ValueError, match="prime fields"):
+            parse_form("x^3", f4)
+        with pytest.raises(ValueError, match="prime fields"):
+            vanishing_cubics(PointConfig(((1, 0, 0), (0, 1, 0))), f4)
 
     def test_form_count_bounds(self):
         f2 = build_field(2)

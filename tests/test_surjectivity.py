@@ -11,7 +11,6 @@ from cubicmaps.linsys import (
     FIVE_POINT,
     SIX_POINT,
     CubicSystem,
-    Plane,
     PointConfig,
     gf_rref,
     iter_subspaces,
@@ -28,7 +27,7 @@ from cubicmaps.surjectivity import (
     forward_oracle,
     label_plane,
 )
-from cubicmaps.surjectivity import _monomial_coords, _vanishes_at
+from cubicmaps.surjectivity import _monomial_coords, _pencil_subspaces, _spanning_pairs, _vanishes_at
 from cubicmaps.surjectivity import test_pencil as pencil_verdict
 
 CASE46 = ((1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (1, 1, 0, 0, 1))
@@ -138,6 +137,45 @@ class TestLabelPlane:
         assert label_plane(other, scan_bound=9).value == label_plane(plane, scan_bound=9).value
 
 
+def old_pencil_pairs(p):
+    """The ordered-pair walk label_plane made before it walked subspaces, written out."""
+    vectors = list(iter_vectors(p, 3))
+    for a in vectors:
+        for b in vectors:
+            key, _ = gf_rref(p, (a, b))
+            if len(key) == 2:
+                yield a, b, key
+
+
+class TestPencilWalkOrder:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_subspace_walk_matches_the_old_pair_walk(self, p):
+        old = list(old_pencil_pairs(p))
+        first, pairs = {}, {}
+        for a, b, key in old:
+            first.setdefault(key, (a, b))
+            pairs.setdefault(key, []).append((a, b))
+        walk = _pencil_subspaces(p)
+        # the same subspaces in the order the pair walk first meets them
+        assert walk == list(first)
+        # each tested on the pair the old walk tested it on
+        assert [(r1, r0) for r0, r1 in walk] == list(first.values())
+        # find_all's expansion gives the old pairs, and their sorted union the old order
+        for r0, r1 in walk:
+            assert sorted(_spanning_pairs(p, r0, r1)) == pairs[(r0, r1)]
+        some = walk[::3]
+        union = sorted(pair for r0, r1 in some for pair in _spanning_pairs(p, r0, r1))
+        assert union == [(a, b) for a, b, key in old if key in some]
+
+    @pytest.mark.parametrize("make", [six_plane, five_plane])
+    def test_label_reports_the_old_walks_pairs(self, make):
+        plane = make()
+        want = [(a, b) for a, b, _ in old_pencil_pairs(2)
+                if pencil_verdict(plane, a, b).status == UNRULY]
+        assert label_plane(plane).unruly_pencils == tuple(want[:1])
+        assert label_plane(plane, find_all=True).unruly_pencils == tuple(want)
+
+
 class TestWitnessRecheck:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 9), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]),
@@ -202,15 +240,13 @@ class TestForwardOracle:
         raise AssertionError("no admissible planes sampled")
 
     def test_prime_base_field_required(self):
+        # no GF(4) form, hence no GF(4) system or plane, can be built
         f4 = build_field(2, 2)
-        forms = tuple(parse_form(t, f4) for t in ("x^3", "y^3", "z^3"))
-        system = CubicSystem(f4, forms, "custom")
+        for text in ("x^3", "y^3", "z^3"):
+            with pytest.raises(ValueError, match="prime fields"):
+                parse_form(text, f4)
         with pytest.raises(ValueError, match="prime fields"):
-            make_plane(system, (1, 0, 0), (0, 1, 0), (0, 0, 1))
-        # make_plane refuses GF(4), so build the plane directly
-        plane = Plane(system, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), forms)
-        with pytest.raises(ValueError, match="prime base fields"):
-            forward_oracle(plane)
+            TernaryForm(f4, [1] + [0] * 9)
 
 
 class TestBoundsBelowOne:
