@@ -17,6 +17,11 @@ the extended exp table and reaches beyond q.
 Points are scanned in a fixed documented order: the affine chart [x:y:1]
 lexicographically by (x, y), then the line [x:1:0] by x, then [1:0:0].
 Scans are chunked so that even very large levels stay within memory.
+
+The covering scan decides GF(p)-rationality of each image [f0:f1:f2]
+before it normalizes anything.  With lambda the last nonzero coordinate,
+f/lambda lies in GF(p) iff f = 0 or f^(p-1) = lambda^(p-1), because GF(p)*
+is the set of roots of z^(p-1) = 1.  Only rational images are normalized.
 """
 
 import numpy as np
@@ -69,6 +74,10 @@ class FieldTables:
         self.inv_table = inv
         if self.p > 2:
             self.pow_p = [self.p**i for i in range(self.k)]
+            # a^(p-1) for every a: 0 at 0, 1 exactly on GF(p)*
+            pw = np.zeros(q, dtype=dt)
+            pw[exp] = exp[log[exp] * (self.p - 1) % n]
+            self.pow_table = pw
 
     @staticmethod
     def _find_generator(field):
@@ -105,6 +114,12 @@ class FieldTables:
 
     def inv(self, a):
         return self.inv_table[a]
+
+    def pow_p1(self, a):
+        """a^(p-1); at p = 2 that is a itself, returned as is."""
+        if self.p == 2:
+            return a
+        return self.pow_table[a]
 
 
 def tables(field):
@@ -228,16 +243,22 @@ def _scan_chunks(field):
         yield x, y, z, monomial_values(t, x, y, z)
 
 
+def _zero_mask(t, encs, monos):
+    """Points where every form of encs vanishes."""
+    mask = None
+    for coeffs in encs:
+        zero = _eval(t, coeffs, monos) == 0
+        mask = zero if mask is None else (mask & zero)
+    return mask
+
+
 def common_zero_encodings(forms, ext):
     """Encoded coordinates of all points of P^2(ext) where every form vanishes."""
     t = tables(ext)
     encs = [_form_encodings(f, ext) for f in forms]
     out = []
     for x, y, z, monos in _scan_chunks(ext):
-        mask = None
-        for coeffs in encs:
-            zero = _eval(t, coeffs, monos) == 0
-            mask = zero if mask is None else (mask & zero)
+        mask = _zero_mask(t, encs, monos)
         if mask.any():
             idx = np.nonzero(mask)[0]
             out.extend(zip(x[idx].tolist(), y[idx].tolist(), z[idx].tolist()))
@@ -250,11 +271,7 @@ def count_common_zeros(forms, ext):
     encs = [_form_encodings(f, ext) for f in forms]
     total = 0
     for x, y, z, monos in _scan_chunks(ext):
-        mask = None
-        for coeffs in encs:
-            zero = _eval(t, coeffs, monos) == 0
-            mask = zero if mask is None else (mask & zero)
-        total += int(mask.sum())
+        total += int(_zero_mask(t, encs, monos).sum())
     return total
 
 
@@ -264,10 +281,7 @@ def find_witness_encoding(pencil_forms, plane_forms, ext):
     pencil = [_form_encodings(f, ext) for f in pencil_forms]
     plane = [_form_encodings(f, ext) for f in plane_forms]
     for x, y, z, monos in _scan_chunks(ext):
-        mask = None
-        for coeffs in pencil:
-            zero = _eval(t, coeffs, monos) == 0
-            mask = zero if mask is None else (mask & zero)
+        mask = _zero_mask(t, pencil, monos)
         if not mask.any():
             continue
         idx = np.nonzero(mask)[0]
@@ -288,37 +302,29 @@ def covered_target_encodings(forms3, ext, base_p):
     Returns a set of (a, b, c) integer triples with entries < base_p: the
     prime-subfield targets hit by the map [f0:f1:f2] on points of the
     extension level, excluding common zeros of all three forms.
+
+    An image is GF(base_p)-rational iff its last nonzero coordinate lambda
+    exists (the point is not a base point) and every coordinate f has
+    f = 0 or f^(p-1) = lambda^(p-1).  Only rational images are normalized,
+    by dividing through by lambda.
     """
     t = tables(ext)
+    if ext.p != base_p:
+        raise ValueError(f"{ext} is not an extension of GF({base_p})")
     encs = [_form_encodings(f, ext) for f in forms3]
     covered = set()
-    for x, y, z, monos in _scan_chunks(ext):
-        f0 = _eval(t, encs[0], monos)
-        f1 = _eval(t, encs[1], monos)
-        f2 = _eval(t, encs[2], monos)
-        a = np.zeros_like(f0)
-        b = np.zeros_like(f0)
-        c = np.zeros_like(f0)
-        m2 = f2 != 0
-        if m2.any():
-            s = t.inv(f2[m2])
-            a[m2] = t.mul(f0[m2], s)
-            b[m2] = t.mul(f1[m2], s)
-            c[m2] = 1
-        m1 = (f2 == 0) & (f1 != 0)
-        if m1.any():
-            s = t.inv(f1[m1])
-            a[m1] = t.mul(f0[m1], s)
-            b[m1] = 1
-        m0 = (f2 == 0) & (f1 == 0) & (f0 != 0)
-        if m0.any():
-            a[m0] = 1
-        nonbase = m2 | m1 | m0
-        rational = nonbase & (a < base_p) & (b < base_p) & (c < base_p)
-        if rational.any():
-            trip = np.stack([a[rational], b[rational], c[rational]], axis=1)
-            for row in np.unique(trip, axis=0):
-                covered.add((int(row[0]), int(row[1]), int(row[2])))
+    for _x, _y, _z, monos in _scan_chunks(ext):
+        fs = [_eval(t, coeffs, monos) for coeffs in encs]
+        f0, f1, f2 = fs
+        lam = np.where(f2 != 0, f2, np.where(f1 != 0, f1, f0))
+        lam_pow = t.pow_p1(lam)
+        rational = lam != 0
+        for f in fs:
+            rational &= (f == 0) | (t.pow_p1(f) == lam_pow)
+        idx = np.nonzero(rational)[0]
+        if len(idx):
+            s = t.inv(lam[idx])
+            covered.update(zip(*(t.mul(f[idx], s).tolist() for f in fs)))
     return covered
 
 

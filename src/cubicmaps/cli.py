@@ -198,11 +198,18 @@ def cmd_oracle(args):
     cfg = _resolve_config(args)
     code = 0
     if args.all:
-        planes = disagreements = 0
+        planes = disagreements = uncovered_targets = 0
+        label_s = oracle_s = 0.0
         for plane in _iter_admissible_planes(cfg):
             planes += 1
+            t0 = time.perf_counter()
             label = label_plane(plane, scan_bound=args.scan_bound).value
+            t1 = time.perf_counter()
             uncovered = forward_oracle(plane, source_bound=args.source_bound)
+            t2 = time.perf_counter()
+            label_s += t1 - t0
+            oracle_s += t2 - t1
+            uncovered_targets += len(uncovered)
             if (label == 1) != (len(uncovered) == 0):
                 disagreements += 1
                 print(f"DISAGREEMENT: plane {plane.vectors} label {label}, "
@@ -210,11 +217,17 @@ def cmd_oracle(args):
         print(f"planes checked: {planes}")
         print(f"{disagreements} disagreements")
         code = 1 if disagreements else 0
+        stages = {"label_s": round(label_s, 6), "oracle_s": round(oracle_s, 6)}
+        counters = {"planes": planes, "disagreements": disagreements,
+                    "uncovered_targets": uncovered_targets}
     else:
         if not args.triple:
             raise UsageError("oracle requires --triple or --all")
         plane = _plane_for(cfg, args)
+        t0 = time.perf_counter()
         uncovered = forward_oracle(plane, source_bound=args.source_bound)
+        stages = {"oracle_s": round(time.perf_counter() - t0, 6)}
+        counters = {"uncovered_targets": len(uncovered)}
         print(f"uncovered targets: {len(uncovered)}")
         for point in uncovered:
             print(f"  {point}")
@@ -225,6 +238,8 @@ def cmd_oracle(args):
         {},
         None,
         started,
+        stages=stages,
+        counters=counters,
     )
     return code
 

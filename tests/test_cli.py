@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cubicmaps
 from cubicmaps.cli import UsageError, _iter_admissible_planes, main, parse_triple
 from cubicmaps.dataset import EnumConfig
 from cubicmaps.linsys import FIVE_POINT, SIX_POINT
@@ -152,12 +156,22 @@ class TestOracle:
         out = capsys.readouterr().out
         assert "uncovered targets: 3" in out
         assert "[0:0:1]" in out and "[0:1:0]" in out and "[1:0:0]" in out
+        entry = manifest_entries()[-1]
+        assert entry["subcommand"] == "oracle"
+        assert set(entry["stages"]) == {"oracle_s"}
+        assert entry["stages"]["oracle_s"] >= 0
+        assert entry["counters"] == {"uncovered_targets": 3}
 
     def test_full_sweep_six(self, capsys):
         assert main(["oracle", "--case", "six", "--all"]) == 0
         out = capsys.readouterr().out
         assert "planes checked: 15" in out
         assert "0 disagreements" in out
+        entry = manifest_entries()[-1]
+        assert set(entry["stages"]) == {"label_s", "oracle_s"}
+        assert all(seconds >= 0 for seconds in entry["stages"].values())
+        # all 15 six-point planes are labeled 0; together they miss 30 targets
+        assert entry["counters"] == {"planes": 15, "disagreements": 0, "uncovered_targets": 30}
 
     # 155 and 15 subspaces (see test_linsys); 5 five-point ones share a factor
     @pytest.mark.parametrize("case, planes", [(FIVE_POINT, 150), (SIX_POINT, 15)])
@@ -231,3 +245,22 @@ class TestVerifyAndStats:
     def test_stats_missing_file(self, capsys):
         assert main(["stats", "--data", "missing.txt"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    def _run(self, *argv):
+        src = os.path.dirname(os.path.dirname(cubicmaps.__file__))
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        return subprocess.run([sys.executable, "-m", "cubicmaps", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_version(self):
+        done = self._run("--version")
+        assert done.returncode == 0
+        assert cubicmaps.__version__ in done.stdout
+
+    def test_usage_error_exits_2(self):
+        done = self._run("check", "--scan-bound", "0", "--triple", CASE46)
+        assert done.returncode == 2
+        assert "--scan-bound" in done.stderr
