@@ -26,7 +26,7 @@ is the set of roots of z^(p-1) = 1.  Only rational images are normalized.
 
 import numpy as np
 
-from .finitefield import _prime_factors, build_field
+from .finitefield import ProjPoint, _prime_factors
 from .forms import MONOMIALS, RATIONALS
 
 MAX_SCAN_POINTS = 1_000_000_000
@@ -131,18 +131,13 @@ def tables(field):
     return t
 
 
-def level_field(p, d):
-    """The scan field GF(p^d) over a prime base."""
-    return build_field(p, d)
-
-
 def point_count(field):
     q = field.order
     return q * q + q + 1
 
 
 def iter_point_chunks(field, chunk=_CHUNK):
-    """Yield (X, Y, Z, offset) encoding arrays covering P^2 in scan order."""
+    """Yield (X, Y, Z) encoding arrays covering P^2 in scan order."""
     q = field.order
     if point_count(field) > MAX_SCAN_POINTS:
         raise ValueError(
@@ -151,23 +146,13 @@ def iter_point_chunks(field, chunk=_CHUNK):
         )
     dt = np.min_scalar_type(q - 1)
     rows = max(1, chunk // q)
-    offset = 0
     for x0 in range(0, q, rows):
         xs = np.arange(x0, min(x0 + rows, q), dtype=dt)
-        n = len(xs) * q
         x = np.repeat(xs, q)
         y = np.tile(np.arange(q, dtype=dt), len(xs))
-        yield x, y, np.ones(n, dtype=dt), offset
-        offset += n
-    x = np.arange(q, dtype=dt)
-    yield x, np.ones(q, dtype=dt), np.zeros(q, dtype=dt), offset
-    offset += q
-    yield (
-        np.array([1], dtype=dt),
-        np.array([0], dtype=dt),
-        np.array([0], dtype=dt),
-        offset,
-    )
+        yield x, y, np.ones(len(xs) * q, dtype=dt)
+    yield np.arange(q, dtype=dt), np.ones(q, dtype=dt), np.zeros(q, dtype=dt)
+    yield np.array([1], dtype=dt), np.array([0], dtype=dt), np.array([0], dtype=dt)
 
 
 def monomial_values(t, x, y, z):
@@ -196,7 +181,7 @@ def _cached_chunks(field):
     if got is None:
         t = tables(field)
         xs, ys, zs = [], [], []
-        for x, y, z, _off in iter_point_chunks(field):
+        for x, y, z in iter_point_chunks(field):
             xs.append(x)
             ys.append(y)
             zs.append(z)
@@ -239,7 +224,7 @@ def _scan_chunks(field):
         x, y, z, monos = _cached_chunks(field)
         yield x, y, z, monos
         return
-    for x, y, z, _off in iter_point_chunks(field):
+    for x, y, z in iter_point_chunks(field):
         yield x, y, z, monomial_values(t, x, y, z)
 
 
@@ -296,21 +281,19 @@ def find_witness_encoding(pencil_forms, plane_forms, ext):
     return None
 
 
-def covered_target_encodings(forms3, ext, base_p):
-    """Normalized images in P^2(GF(base_p)) of all non-base points of P^2(ext).
+def covered_target_encodings(forms3, ext):
+    """Normalized images in P^2(GF(p)) of all non-base points of P^2(ext), p = ext.p.
 
-    Returns a set of (a, b, c) integer triples with entries < base_p: the
+    Returns a set of (a, b, c) integer triples with entries < p: the
     prime-subfield targets hit by the map [f0:f1:f2] on points of the
     extension level, excluding common zeros of all three forms.
 
-    An image is GF(base_p)-rational iff its last nonzero coordinate lambda
+    An image is GF(p)-rational iff its last nonzero coordinate lambda
     exists (the point is not a base point) and every coordinate f has
     f = 0 or f^(p-1) = lambda^(p-1).  Only rational images are normalized,
     by dividing through by lambda.
     """
     t = tables(ext)
-    if ext.p != base_p:
-        raise ValueError(f"{ext} is not an extension of GF({base_p})")
     encs = [_form_encodings(f, ext) for f in forms3]
     covered = set()
     for _x, _y, _z, monos in _scan_chunks(ext):
@@ -330,6 +313,4 @@ def covered_target_encodings(forms3, ext, base_p):
 
 def decode_point(field, enc_triple):
     """An encoded (x, y, z) triple as a normalized ProjPoint."""
-    from .finitefield import ProjPoint
-
     return ProjPoint(field, [field.scalar(int(v)) for v in enc_triple])

@@ -25,7 +25,6 @@ from .dataset import (
     NORM_ONLY,
     STRICT_ORTHONORMAL,
     EnumConfig,
-    default_jobs,
     generate_dataset,
     read_output,
     stats,
@@ -155,8 +154,7 @@ def _iter_admissible_planes(cfg):
 def cmd_dataset(args):
     started = time.time()
     cfg = _resolve_config(args)
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    records = generate_dataset(cfg, jobs=jobs)
+    records = generate_dataset(cfg, jobs=args.jobs)
     write_output(records, args.out)
     summary = stats(records)
     print(f"wrote {summary['count']} records to {args.out}")
@@ -167,7 +165,7 @@ def cmd_dataset(args):
     _write_manifest(
         args,
         {"case": args.case, "p": args.p, "filter": _FILTERS[args.filter],
-         "scan_bound": args.scan_bound, "jobs": jobs},
+         "scan_bound": args.scan_bound, "jobs": args.jobs},
         {"out": os.path.abspath(args.out)},
         args.out,
         started,
@@ -368,8 +366,9 @@ def build_parser():
     sub = subs.add_parser("dataset", help="enumerate triples, label planes, write output.txt")
     _add_case_args(sub, with_filter=True)
     sub.add_argument("--out", default="output.txt")
-    sub.add_argument("--jobs", type=_positive_int, default=None,
-                     help="worker processes (default: CUBICMAPS_JOBS or cpu count)")
+    sub.add_argument("--jobs", type=_positive_int, default=1,
+                     help="processes that label subspaces (default 1); the output is the same "
+                          "for any count")
     sub.set_defaults(func=cmd_dataset)
 
     sub = subs.add_parser("check", help="label the plane spanned by one coefficient triple")
@@ -422,13 +421,7 @@ def main(argv=None):
         return exc.code
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,8 +17,8 @@ File format, one record per line, newline-terminated:
     ((1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (1, 1, 0, 0, 1)): 1
 """
 
+import functools
 import multiprocessing
-import os
 import re
 
 from .finitefield import build_field
@@ -122,32 +122,12 @@ def passes_filter(mode, v, u, t, p):
     return True
 
 
-def _label_subspace(system, rows, scan_bound):
+def _label_subspace(system, scan_bound, rows):
     """Label of the plane spanned by canonical rows; None when rejected by make_plane."""
     plane = make_plane(system, *rows)
     if plane is None:
         return None
     return label_plane(plane, scan_bound).value
-
-
-_WORKER_STATE = {}
-
-
-def _worker_init(case, basis_rows, p, scan_bound):
-    field = build_field(p)
-    if case == "custom":
-        from .forms import TernaryForm
-
-        basis = [TernaryForm(field, row) for row in basis_rows]
-        system = CubicSystem(field, basis, "custom")
-    else:
-        system = reference_system(case, field)
-    _WORKER_STATE["system"] = system
-    _WORKER_STATE["scan_bound"] = scan_bound
-
-
-def _worker_label(rows):
-    return _label_subspace(_WORKER_STATE["system"], rows, _WORKER_STATE["scan_bound"])
 
 
 def _surviving_triples(cfg):
@@ -172,59 +152,26 @@ def _surviving_triples(cfg):
                     yield v, u, t, key
 
 
-def enumerate_triples(cfg):
-    """Stream DatasetRecords in triple order, labeling subspaces on first use."""
-    labels = {}
-    for v, u, t, key in _surviving_triples(cfg):
-        if key not in labels:
-            labels[key] = _label_subspace(cfg.system, key, cfg.scan_bound)
-        label = labels[key]
-        if label is None:
-            continue
-        yield DatasetRecord(v, u, t, label)
+def generate_dataset(cfg, jobs=1):
+    """The full record list, in triple order; jobs > 1 labels subspaces in a process pool.
 
-
-def default_jobs():
-    """Worker count from the CUBICMAPS_JOBS variable, else available CPUs."""
-    env = os.environ.get("CUBICMAPS_JOBS")
-    if env:
-        jobs = int(env)
-        if jobs < 1:
-            raise ValueError("CUBICMAPS_JOBS must be positive")
-        return jobs
-    return os.cpu_count() or 1
-
-
-def generate_dataset(cfg, jobs=None):
-    """The full record list; jobs > 1 labels distinct subspaces in parallel.
-
-    Output is independent of the worker count: the distinct subspaces are
-    collected in first-encounter order, labeled by an order-preserving
-    pool map, and records are emitted in triple order afterwards.
+    One walk over the triples collects the distinct subspaces in
+    first-encounter order; each triple keeps its subspace's index.  The
+    subspaces are then labeled by map, or by an order-preserving pool map,
+    so the output is independent of the worker count.
     """
-    if jobs is None:
-        jobs = default_jobs()
     if jobs < 1:
         raise ValueError("jobs must be positive")
+    keys = {}
+    triples = [(v, u, t, keys.setdefault(key, len(keys)))
+               for v, u, t, key in _surviving_triples(cfg)]
+    label = functools.partial(_label_subspace, cfg.system, cfg.scan_bound)
     if jobs == 1:
-        return list(enumerate_triples(cfg))
-    keys = []
-    seen = set()
-    for _, _, _, key in _surviving_triples(cfg):
-        if key not in seen:
-            seen.add(key)
-            keys.append(key)
-    basis_rows = [f.coeffs for f in cfg.system.basis]
-    with multiprocessing.Pool(
-        jobs, initializer=_worker_init, initargs=(cfg.case, basis_rows, cfg.p, cfg.scan_bound)
-    ) as pool:
-        labels = dict(zip(keys, pool.map(_worker_label, keys, chunksize=4)))
-    records = []
-    for v, u, t, key in _surviving_triples(cfg):
-        label = labels[key]
-        if label is not None:
-            records.append(DatasetRecord(v, u, t, label))
-    return records
+        labels = list(map(label, keys))
+    else:
+        with multiprocessing.Pool(jobs) as pool:
+            labels = pool.map(label, keys, chunksize=4)
+    return [DatasetRecord(v, u, t, labels[i]) for v, u, t, i in triples if labels[i] is not None]
 
 
 def write_output(records, path):

@@ -274,15 +274,6 @@ def build_field(p, k=1):
     return Field(p, k, canonical_modulus(p, k))
 
 
-def embed_scalar(s, field):
-    """Embed a prime-field scalar into an extension with the same p."""
-    if s.field == field:
-        return s
-    if s.field.k == 1 and s.field.p == field.p:
-        return field.scalar(s.coords[0])
-    raise ValueError(f"cannot embed an element of {s.field} into {field}")
-
-
 class ProjPoint:
     """A point of P^2 over a field, held in normalized coordinates.
 

@@ -385,7 +385,7 @@ def base_locus(forms, scan_bound=DEFAULT_SCAN_BOUND):
     points = {}
     if not positive:
         for d in range(1, scan_bound + 1):
-            ext = _scan.level_field(field.p, d)
+            ext = build_field(field.p, d)
             found = []
             for enc in sorted(_scan.common_zero_encodings(forms, ext)):
                 pt = _scan.decode_point(ext, enc)

@@ -21,7 +21,7 @@ certifies surjectivity onto GF(q)-rational targets.
 """
 
 from . import _scan
-from .finitefield import enumerate_p2
+from .finitefield import build_field, enumerate_p2
 from .forms import MONOMIALS, combine, has_common_factor
 from .linsys import (
     DEFAULT_SCAN_BOUND,
@@ -120,7 +120,7 @@ def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
     if f.is_zero() or g.is_zero() or has_common_factor(f, g):
         return UnrulyVerdict(POSITIVE_DIMENSIONAL)
     for d in range(1, scan_bound + 1):
-        ext = _scan.level_field(p, d)
+        ext = build_field(p, d)
         enc = _scan.find_witness_encoding(spec.forms, plane.forms, ext)
         if enc is not None:
             pt = _scan.decode_point(ext, enc)
@@ -145,16 +145,11 @@ def label_plane(plane, scan_bound=DEFAULT_SCAN_BOUND, find_all=False):
     require_bound("scan_bound", scan_bound)
     p = plane.field.p
     unruly = []
-    admissible = False
     for r0, r1 in _pencil_subspaces(p):
-        status = test_pencil(plane, r1, r0, scan_bound).status
-        admissible = admissible or status != POSITIVE_DIMENSIONAL
-        if status == UNRULY:
+        if test_pencil(plane, r1, r0, scan_bound).status == UNRULY:
             if not find_all:
                 return SurjectivityLabel(0, [(r1, r0)])
             unruly.extend(_spanning_pairs(p, r0, r1))
-    if not admissible:
-        raise ValueError("plane admits no 0-dimensional pencil")
     return SurjectivityLabel(0 if unruly else 1, sorted(unruly))
 
 
@@ -189,8 +184,8 @@ def forward_oracle(plane, source_bound=DEFAULT_SCAN_BOUND):
     require_bound("source_bound", source_bound)
     p = field.p
     remaining = {t.encode(): t for t in enumerate_p2(field)}
-    ext = _scan.level_field(p, 1)
-    for enc in _scan.covered_target_encodings(plane.forms, ext, p):
+    ext = build_field(p, 1)
+    for enc in _scan.covered_target_encodings(plane.forms, ext):
         remaining.pop(enc, None)
     for enc, target in list(remaining.items()):
         if _annihilator_positive_dimensional(plane, target):
@@ -198,8 +193,8 @@ def forward_oracle(plane, source_bound=DEFAULT_SCAN_BOUND):
     for d in range(2, source_bound + 1):
         if not remaining:
             break
-        ext = _scan.level_field(p, d)
-        for enc in _scan.covered_target_encodings(plane.forms, ext, p):
+        ext = build_field(p, d)
+        for enc in _scan.covered_target_encodings(plane.forms, ext):
             remaining.pop(enc, None)
     return [remaining[enc] for enc in sorted(remaining)]
 
@@ -225,7 +220,7 @@ def find_unruly_seven_points(cfg, field, scan_bound=2):
     plane = make_plane(system, (1, 0, 0), (0, 1, 0), (0, 0, 1))
     if plane is None:
         raise ValueError("configuration is too special: the system has a fixed component")
-    for r0, r1 in _pencil_subspaces(field.p):
-        if test_pencil(plane, r1, r0, scan_bound).status == UNRULY:
-            return pencil(plane, r1, r0)
+    label = label_plane(plane, scan_bound)
+    if label.value == 0:
+        return pencil(plane, *label.unruly_pencils[0])
     return None

@@ -12,6 +12,8 @@ from cubicmaps.linsys import FIVE_POINT, SIX_POINT
 
 CASE46 = "1,0,0,0,0;0,0,0,1,0;1,1,0,0,1"
 SIX_IDENTITY = "1,0,0,0;0,1,0,0;0,0,1,0"
+# six points over GF(2) whose cubics include a plane with no 0-dimensional pencil
+GF2_SIX_POINTS = "1,0,0;0,1,0;0,0,1;1,1,1;2,3,1;3,2,1"
 
 
 @pytest.fixture(autouse=True)
@@ -61,6 +63,7 @@ class TestDataset:
         assert entry["subcommand"] == "dataset"
         assert entry["config"]["case"] == "six"
         assert entry["config"]["p"] == 2
+        assert entry["config"]["jobs"] == 1
         assert len(entry["dataset_sha256"]) == 64
         assert entry["wall_time_s"] >= 0
 
@@ -172,6 +175,13 @@ class TestOracle:
         assert all(seconds >= 0 for seconds in entry["stages"].values())
         # all 15 six-point planes are labeled 0; together they miss 30 targets
         assert entry["counters"] == {"planes": 15, "disagreements": 0, "uncovered_targets": 30}
+
+    def test_full_sweep_custom_with_all_pencils_positive_dimensional(self, capsys):
+        argv = ["oracle", "--all", "--case", "custom", "--p", "2", "--points", GF2_SIX_POINTS]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "planes checked: 11" in out
+        assert "0 disagreements" in out
 
     # 155 and 15 subspaces (see test_linsys); 5 five-point ones share a factor
     @pytest.mark.parametrize("case, planes", [(FIVE_POINT, 150), (SIX_POINT, 15)])

@@ -13,7 +13,6 @@ from cubicmaps.dataset import (
     STRICT_ORTHONORMAL,
     DatasetRecord,
     EnumConfig,
-    default_jobs,
     generate_dataset,
     passes_filter,
     read_output,
@@ -22,7 +21,16 @@ from cubicmaps.dataset import (
     write_output,
 )
 from cubicmaps.dataset import _surviving_triples
-from cubicmaps.linsys import FIVE_POINT, SIX_POINT, CubicSystem, gf_rref, iter_vectors, reference_system
+from cubicmaps.linsys import (
+    FIVE_POINT,
+    SIX_POINT,
+    CubicSystem,
+    PointConfig,
+    gf_rref,
+    iter_vectors,
+    reference_system,
+    vanishing_cubics,
+)
 from cubicmaps.finitefield import build_field
 from cubicmaps.forms import TernaryForm
 
@@ -132,6 +140,14 @@ class TestGeneration:
         assert stats(records) == {
             "count": 2520, "positives": 0, "negatives": 2520, "positive_rate": 0.0,
         }
+
+    def test_parallel_generation_matches_sequential_for_a_custom_system(self):
+        # the pool receives the system pickled with the labeling function
+        pts = PointConfig(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 3, 1), (3, 2, 1)))
+        cfg = EnumConfig(vanishing_cubics(pts, build_field(2)))
+        serial = generate_dataset(cfg, jobs=1)
+        assert stats(serial)["count"] == 240 and stats(serial)["positives"] == 24
+        assert generate_dataset(cfg, jobs=2) == serial
 
     def test_parallel_generation_matches_sequential(self, six_records):
         parallel = generate_dataset(EnumConfig(SIX_POINT), jobs=2)
@@ -283,14 +299,3 @@ class TestRecords:
 
     def test_stats_rate(self, five_records):
         assert stats(five_records)["positive_rate"] == 144 / 3240
-
-
-class TestJobs:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("CUBICMAPS_JOBS", "3")
-        assert default_jobs() == 3
-
-    def test_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("CUBICMAPS_JOBS", "zero")
-        with pytest.raises(ValueError):
-            default_jobs()

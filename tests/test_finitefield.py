@@ -5,7 +5,6 @@ from cubicmaps.finitefield import (
     ProjPoint,
     build_field,
     canonical_modulus,
-    embed_scalar,
     enumerate_p2,
     minimal_degree,
 )
@@ -102,15 +101,6 @@ class TestScalarArithmetic:
             powers.append(powers[-1].frobenius())
         assert powers[6].encode() == s.encode()
         assert all(powers[d].encode() != s.encode() for d in range(1, 6))
-
-    def test_embed_scalar_is_a_homomorphism(self):
-        small = build_field(2)
-        big = build_field(2, 6)
-        for a in small.elements():
-            for b in small.elements():
-                ea, eb = embed_scalar(a, big), embed_scalar(b, big)
-                assert (ea + eb).encode() == embed_scalar(a + b, big).encode()
-                assert (ea * eb).encode() == embed_scalar(a * b, big).encode()
 
 
 class TestFieldConstruction:

@@ -77,11 +77,10 @@ class TestNarrowEncodings:
         field = build_field(p, k)
         q = field.order
         chunks = list(_scan.iter_point_chunks(field, chunk=q))
-        assert all(x.dtype == np.min_scalar_type(q - 1) for x, _, _, _ in chunks)
-        points = [pt for x, y, z, _ in chunks for pt in zip(x.tolist(), y.tolist(), z.tolist())]
+        assert all(x.dtype == np.min_scalar_type(q - 1) for x, _, _ in chunks)
+        points = [pt for x, y, z in chunks for pt in zip(x.tolist(), y.tolist(), z.tolist())]
         affine = [(x, y, 1) for x in range(q) for y in range(q)]
         assert points == affine + [(x, 1, 0) for x in range(q)] + [(1, 0, 0)]
-        assert [off for *_, off in chunks] == [x * q for x in range(q)] + [q * q, q * q + q]
 
 
 class TestPowerTable:
@@ -163,12 +162,6 @@ class TestCoveredTargets:
     def test_matches_pointwise_reference(self, case):
         p, k, forms3 = case
         ext = build_field(p, k)
-        got = _scan.covered_target_encodings(forms3, ext, p)
+        got = _scan.covered_target_encodings(forms3, ext)
         assert got == _reference_covered(forms3, ext)
         assert all(type(v) is int and 0 <= v < p for enc in got for v in enc)
-
-    def test_base_prime_must_match_the_level(self):
-        base = build_field(3)
-        forms3 = [TernaryForm(base, [1] + [0] * 9)] * 3
-        with pytest.raises(ValueError):
-            _scan.covered_target_encodings(forms3, build_field(3, 2), 2)

@@ -18,6 +18,7 @@ from cubicmaps.linsys import (
     make_plane,
     pencil,
     reference_system,
+    vanishing_cubics,
 )
 from cubicmaps.surjectivity import (
     NOT_UNRULY,
@@ -210,6 +211,30 @@ class TestWitnessRecheck:
         monkeypatch.setattr(_scan, "find_witness_encoding", lambda *args: (1, 0, 0))
         with pytest.raises(AssertionError, match="plane-nonvanishing"):
             pencil_verdict(plane, a, b)
+
+
+class TestAllPencilsPositiveDimensional:
+    """[xy(x+y) : xz(x+z) : yz(y+z)] over GF(2): each of its 7 pencils shares a factor."""
+
+    @staticmethod
+    def plane():
+        pts = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 3, 1), (3, 2, 1))
+        system = vanishing_cubics(PointConfig(pts), build_field(2))
+        return make_plane(system, (1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))
+
+    def test_every_pencil_is_positive_dimensional(self):
+        plane = self.plane()
+        assert plane is not None
+        for r0, r1 in _pencil_subspaces(2):
+            assert pencil_verdict(plane, r1, r0).status == POSITIVE_DIMENSIONAL
+
+    def test_no_unruly_pencil_gives_label_1(self):
+        label = label_plane(self.plane(), find_all=True)
+        assert label.value == 1
+        assert label.unruly_pencils == ()
+
+    def test_oracle_leaves_nothing_uncovered(self):
+        assert forward_oracle(self.plane()) == []
 
 
 class TestForwardOracle:
