@@ -27,7 +27,6 @@ is the set of roots of z^(p-1) = 1.  Only rational images are normalized.
 import numpy as np
 
 from .finitefield import ProjPoint, _prime_factors
-from .forms import MONOMIALS, RATIONALS
 
 MAX_SCAN_POINTS = 1_000_000_000
 _CACHE_POINT_LIMIT = 2_000_000
@@ -198,8 +197,6 @@ def _form_encodings(form, ext):
 
     The residue coefficients embed as constants, whose encodings they are.
     """
-    if form.field is RATIONALS:
-        raise ValueError("scan evaluation needs a form over a finite field")
     if form.field.p != ext.p:
         raise ValueError(f"cannot evaluate a form over {form.field} at points of {ext}")
     return form.coeffs

@@ -50,7 +50,7 @@ class EnumConfig:
     def __init__(self, case, p=2, filter_mode=NORM_ONLY, scan_bound=DEFAULT_SCAN_BOUND):
         if isinstance(case, CubicSystem):
             system = case
-            if system.field.p != p or system.field.k != 1:
+            if system.field.p != p:
                 raise ValueError("custom system must live over GF(p) for the given prime p")
             case = "custom"
         elif case in (FIVE_POINT, SIX_POINT):

@@ -6,10 +6,9 @@ monomial order (graded-lex with x > y > z):
     x^3, x^2*y, x^2*z, x*y^2, x*y*z, x*z^2, y^3, y^2*z, y*z^2, z^3
 
 That order is frozen: every coefficient vector in the package, every
-rendered form and every dataset coordinate refers to it.  Forms live either
-over a prime field GF(p) (coefficients are int residues 0..p-1) or over the
-rationals (coefficients are Fractions, tag RATIONALS).  Extension fields
-GF(p^k), k > 1, carry points and scans, never forms.
+rendered form and every dataset coordinate refers to it.  Forms live only
+over a prime field GF(p), with int residues 0..p-1 as coefficients.
+Extension fields GF(p^k), k > 1, carry points and scans, never forms.
 
 Common factors are decided exactly over prime fields by linear algebra on
 integer residues.  Two cubics f, g share a nonconstant factor iff the 12
@@ -20,10 +19,9 @@ one-dimensional kernel of the same kind of matrix and tested against the
 third form with the same rank criterion.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .finitefield import Field, ProjPoint, Scalar, gf_left_kernel, gf_rref
+from .finitefield import ProjPoint, Scalar, gf_left_kernel, gf_rref
 
 MONOMIALS = (
     (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
@@ -36,30 +34,7 @@ MONOMIAL_NAMES = (
 )
 
 
-class _Rationals:
-    """Tag for forms with exact rational coefficients."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "QQ"
-
-
-RATIONALS = _Rationals()
-
-
 def _coerce_coeff(field, c):
-    if field is RATIONALS:
-        if isinstance(c, Fraction):
-            return c
-        if isinstance(c, int):
-            return Fraction(c)
-        raise TypeError(f"rational coefficients must be int or Fraction, got {type(c).__name__}")
     if isinstance(c, int):
         return c % field.p
     if isinstance(c, Scalar):
@@ -76,8 +51,8 @@ class TernaryForm:
         coeffs = tuple(coeffs)
         if len(coeffs) != 10:
             raise ValueError(f"a cubic form needs 10 coefficients, got {len(coeffs)}")
-        if field is not RATIONALS and field.k != 1:
-            raise ValueError(f"cubic forms live over prime fields or the rationals, not {field}")
+        if field.k != 1:
+            raise ValueError(f"cubic forms live over prime fields, not {field}")
         self.field = field
         self.coeffs = tuple(_coerce_coeff(field, c) for c in coeffs)
 
@@ -110,7 +85,7 @@ class TernaryForm:
 def combine(coeffs, basis):
     """The linear combination sum(coeffs[i] * basis[i]) of cubic forms.
 
-    Coefficients are ints, or Scalars of the basis field when it is GF(p).
+    Coefficients are ints, or Scalars of the basis field.
     """
     if not basis:
         raise ValueError("empty basis")
@@ -127,19 +102,10 @@ def combine(coeffs, basis):
 def evaluate(form, point):
     """The value of a cubic form at a point.
 
-    Over GF(p) the point may be a ProjPoint or a triple of Scalars (or
-    integer encodings); at points over an extension GF(p^k) the residue
-    coefficients embed as constants.  Over the rationals the point is a
-    triple of ints or Fractions.
+    The point may be a ProjPoint or a triple of Scalars (or integer
+    encodings); at points over an extension GF(p^k) the residue
+    coefficients embed as constants.
     """
-    if form.field is RATIONALS:
-        x, y, z = (Fraction(c) if isinstance(c, int) else c for c in point)
-        total = Fraction(0)
-        for c, (i, j, k) in zip(form.coeffs, MONOMIALS):
-            if c:
-                total += c * x**i * y**j * z**k
-        return total
-
     if isinstance(point, ProjPoint):
         coords = point.coords
     else:
@@ -157,21 +123,6 @@ def evaluate(form, point):
         if c:
             total = total + target.scalar(c) * x**i * y**j * z**k
     return total
-
-
-def reduce_mod(form, field):
-    """Reduce a rational form into a finite field (denominators must be units)."""
-    if form.field is not RATIONALS:
-        raise ValueError("reduce_mod expects a form over the rationals")
-    if not isinstance(field, Field):
-        raise ValueError("reduce_mod expects a finite target field")
-    p = field.p
-    coeffs = []
-    for c in form.coeffs:
-        if c.denominator % p == 0:
-            raise ValueError(f"denominator of {c} is divisible by p={p}")
-        coeffs.append(c.numerator * pow(c.denominator, -1, p))
-    return TernaryForm(field, coeffs)
 
 
 # -- rendering and parsing --
@@ -196,7 +147,7 @@ def parse_form(text, field):
             raise ValueError(f"empty term in form text {text!r}")
         if "*" in term:
             head, _, tail = term.partition("*")
-            if head.lstrip("-").replace("/", "").isdigit():
+            if head.lstrip("-").isdigit():
                 coeff_text, mono = head, tail
             else:
                 coeff_text, mono = "1", term
@@ -207,7 +158,7 @@ def parse_form(text, field):
             raise ValueError(f"unknown monomial {mono!r} in form text")
         if index[mono] in parsed:
             raise ValueError(f"monomial {mono!r} appears twice in form text")
-        parsed[index[mono]] = Fraction(coeff_text) if field is RATIONALS else int(coeff_text)
+        parsed[index[mono]] = int(coeff_text)
     return TernaryForm(field, [parsed.get(i, 0) for i in range(10)])
 
 
@@ -280,8 +231,6 @@ def _prime_coeffs(forms):
     """Coefficient residues of nonzero forms over one prime field, and that p."""
     field = forms[0].field
     for form in forms:
-        if form.field is RATIONALS:
-            raise ValueError("common-factor detection is defined over finite fields")
         if form.field != field:
             raise ValueError(f"mixed fields: {field} vs {form.field}")
         if form.is_zero():

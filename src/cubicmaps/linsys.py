@@ -1,15 +1,19 @@
 """Linear systems of cubics through plane points, planes and base loci.
 
 A point configuration of n points (1 <= n <= 7) in P^2 determines the
-linear system of cubic forms vanishing on it: the kernel of the n x 10
-evaluation matrix over the working field, kept in reduced row-echelon form
+linear system of cubic forms vanishing on it over a prime field GF(p): the
+kernel of the n x 10 evaluation matrix, kept in reduced row-echelon form
 over the frozen monomial order so the basis is canonical.
 
 Two reference configurations are built in.  "five_point" is
 [1:0:0], [0:1:0], [0:0:1], [1:1:1], [2:3:1]; "six_point" adds [3:2:1].
-For each there is a verbatim reference basis (the one the dataset
-coordinates refer to) and a set of integer generators that reduce into any
-GF(p); over GF(2) both routes span the same space.
+For each there is a verbatim reference basis (the fixture, the one the
+dataset coordinates refer to) and a set of integer generators.  The
+fixture is pinned, not computed: it is not the system of cubics through
+the configuration over Z or any GF(p) (x^2*y + y^2*z is 21 at [2:3:1] and,
+over GF(2), 1 at [0:1:1]).  The integer generators take values with gcd 7
+at the reference points, so mod p they span the vanishing system exactly
+when p = 7; mod 2 they span the fixture.
 
 A plane is a 3-dimensional subsystem spanned by three combinations of the
 basis whose coefficient vectors have rank 3 and whose forms share no
@@ -19,11 +23,10 @@ d = 1..scan_bound and keeping the common zeros of minimal degree exactly d.
 """
 
 import itertools
-from fractions import Fraction
 
 from . import _scan
 from .finitefield import ProjPoint, build_field, gf_left_kernel, gf_rref, minimal_degree
-from .forms import MONOMIALS, RATIONALS, TernaryForm, combine, common_factor_all
+from .forms import MONOMIALS, TernaryForm, combine, common_factor_all
 
 FIVE_POINT = "five_point"
 SIX_POINT = "six_point"
@@ -106,7 +109,7 @@ def reference_points(case):
 
 
 class CubicSystem:
-    """A linear system of cubics: an ordered basis of forms over one field."""
+    """A linear system of cubics: an ordered basis of forms over one prime field."""
 
     __slots__ = ("field", "basis", "provenance")
 
@@ -115,7 +118,7 @@ class CubicSystem:
         if not basis:
             raise ValueError("a cubic system needs at least one basis form")
         for f in basis:
-            if f.field != field and not (f.field is RATIONALS and field is RATIONALS):
+            if f.field != field:
                 raise ValueError("basis forms must live over the system field")
         self.field = field
         self.basis = basis
@@ -127,39 +130,6 @@ class CubicSystem:
 
     def __repr__(self):
         return f"CubicSystem(dim={self.dim}, field={self.field}, {self.provenance})"
-
-
-# -- dense linear algebra over the rationals --
-
-
-def _rref(rows):
-    """Reduced row echelon form of Fraction rows; returns (nonzero rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [inv * v for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
 
 
 def iter_subspaces(p, n, k):
@@ -180,60 +150,36 @@ def iter_subspaces(p, n, k):
             yield tuple(tuple(row) for row in rows)
 
 
-def _kernel_basis(rows, ncols):
-    """Canonical (RREF) basis of the right kernel of a Fraction matrix."""
-    rref, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for j in free:
-        vec = [Fraction(0)] * ncols
-        vec[j] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -rref[i][j]
-        basis.append(vec)
-    canon, _ = _rref(basis)
-    return canon
-
-
 def vanishing_cubics(cfg, field):
     """The system of cubics vanishing on a configuration, canonical basis.
 
-    field is a prime field GF(p) (points are reduced mod p; reductions must
-    stay pairwise distinct) or RATIONALS.  The basis is the RREF of the
-    kernel of the evaluation matrix: over GF(p) the left kernel of its
-    transpose, the 10 monomial columns, by gf_left_kernel.
+    field is a prime field GF(p); points are reduced mod p, and the
+    reductions must stay pairwise distinct.  The basis is the RREF of the
+    kernel of the evaluation matrix: the left kernel of its transpose, the
+    10 monomial columns, by gf_left_kernel.
     """
-    if field is RATIONALS:
-        pts = [tuple(Fraction(c) for c in pt) for pt in cfg.points]
-        if len({_normalize_rational(pt) for pt in pts}) != len(pts):
-            raise ValueError("points collide over the rationals")
-        rows = [[x**i * y**j * z**k for (i, j, k) in MONOMIALS] for x, y, z in pts]
-        kernel = _kernel_basis(rows, 10)
-    else:
-        if field.k != 1:
-            raise ValueError(f"cubic forms live over prime fields or the rationals, not {field}")
-        pts = [ProjPoint(field, pt) for pt in cfg.points]
-        if len(set(pts)) != len(pts):
-            raise ValueError(f"points collide after reduction into {field}")
-        p = field.p
-        pts = [pt.encode() for pt in pts]
-        columns = [[x**i * y**j * z**k % p for x, y, z in pts] for (i, j, k) in MONOMIALS]
-        kernel = gf_left_kernel(p, columns)
+    if field.k != 1:
+        raise ValueError(f"cubic forms live over prime fields, not {field}")
+    pts = [ProjPoint(field, pt) for pt in cfg.points]
+    if len(set(pts)) != len(pts):
+        raise ValueError(f"points collide after reduction into {field}")
+    p = field.p
+    pts = [pt.encode() for pt in pts]
+    columns = [[x**i * y**j * z**k % p for x, y, z in pts] for (i, j, k) in MONOMIALS]
+    kernel = gf_left_kernel(p, columns)
     if not kernel:
         raise ValueError("no cubics vanish on the configuration")
     basis = [TernaryForm(field, row) for row in kernel]
     return CubicSystem(field, basis, "computed-from-points")
 
 
-def _normalize_rational(pt):
-    for c in reversed(pt):
-        if c != 0:
-            return tuple(v / c for v in pt)
-    raise ValueError("(0:0:0) is not a projective point")
+def reference_system(case, field):
+    """The verbatim reference basis (the fixture) for a case, reduced into GF(p).
 
-
-def reference_system(case, field=RATIONALS):
-    """The verbatim reference basis for a case, over Q or reduced into GF(p)."""
+    The dataset's coefficient vectors refer to this basis over GF(2).  Its
+    forms do not vanish on reference_points(case): over GF(p) it is not
+    vanishing_cubics(reference_points(case), field).
+    """
     if case not in _REFERENCE_BASIS:
         raise ValueError(f"unknown case {case!r}; expected {FIVE_POINT!r} or {SIX_POINT!r}")
     rows = _REFERENCE_BASIS[case]
@@ -242,7 +188,12 @@ def reference_system(case, field=RATIONALS):
 
 
 def reduced_generator_system(case, p):
-    """Integer generators reduced mod p, RREF-canonicalized row space."""
+    """Integer generators reduced mod p, RREF-canonicalized row space.
+
+    Their values at the reference points have gcd 7, so this is the system
+    of cubics through the reduced points only at p = 7; at p = 2 it spans
+    the fixture.
+    """
     if case not in _REFERENCE_BASIS:
         raise ValueError(f"unknown case {case!r}; expected {FIVE_POINT!r} or {SIX_POINT!r}")
     field = build_field(p)
@@ -260,8 +211,7 @@ def same_span(sys1, sys2):
         return False
 
     def rref_of(sys):
-        rows = [f.coeffs for f in sys.basis]
-        return _rref(rows)[0] if sys.field is RATIONALS else gf_rref(sys.field.p, rows)[0]
+        return gf_rref(sys.field.p, [f.coeffs for f in sys.basis])[0]
 
     return rref_of(sys1) == rref_of(sys2)
 
@@ -306,8 +256,6 @@ def make_plane(system, v, u, t):
     field, or the three combined forms share a nonconstant factor.
     """
     field = system.field
-    if field is RATIONALS:
-        raise ValueError("planes are built over prime fields")
     vecs = []
     for w in (v, u, t):
         w = tuple(int(c) % field.p for c in w)
@@ -357,8 +305,6 @@ class BaseLocus:
 
 def _require_prime_base(forms):
     field = forms[0].field
-    if field is RATIONALS:
-        raise ValueError("base-locus scans run over finite fields")
     for f in forms:
         if f.field != field:
             raise ValueError("mixed fields in base-locus scan")

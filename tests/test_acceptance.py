@@ -266,7 +266,7 @@ def test_07_base_locus_bounds_and_gcd_oracle(five_records, tmp_path):
     print(f"[criterion 7]   gcd oracle: 1000 pairs, {mismatches} mismatches, "
           f"{escalations} escalations")
 
-    # (c) the pinned generator sets span the computed vanishing spaces
+    # (c) the integer generators reduced mod 2 span the pinned fixture
     spans_ok = all(
         same_span(reduced_generator_system(case, 2), reference_system(case, build_field(2)))
         for case in (FIVE_POINT, SIX_POINT)

@@ -8,14 +8,12 @@ from cubicmaps.finitefield import ProjPoint, build_field
 from cubicmaps.forms import (
     MONOMIAL_NAMES,
     MONOMIALS,
-    RATIONALS,
     TernaryForm,
     combine,
     common_factor_all,
     evaluate,
     has_common_factor,
     parse_form,
-    reduce_mod,
     render_form,
 )
 from cubicmaps.ratpoly import RationalPoly, univariate_gcd
@@ -146,12 +144,6 @@ class TestTernaryForm:
         field = build_field(3)
         f = parse_form("x^3 + 2*y^3", field)
         assert f.scaled(field.scalar(2)) == parse_form("2*x^3 + y^3", field)
-
-    def test_reduce_mod(self):
-        rational = TernaryForm(RATIONALS, [Fraction(v) for v in (1, 3, 0, 1, 0, -1, 0, 3, -3, 0)])
-        reduced = reduce_mod(rational, build_field(2))
-        want = parse_form("x^3 + x^2*y + x*y^2 + x*z^2 + y^2*z + y*z^2", build_field(2))
-        assert reduced == want
 
     def test_zero_and_equality(self):
         field = build_field(2)
@@ -299,10 +291,7 @@ class TestCommonFactorProperties:
         with pytest.raises(ValueError, match="prime fields"):
             TernaryForm(f4, [0, 2] + [0] * 8)
 
-    def test_rational_and_mixed_fields_rejected(self):
-        rational = TernaryForm(RATIONALS, [1] + [0] * 9)
-        with pytest.raises(ValueError, match="finite fields"):
-            common_factor_all([rational])
+    def test_mixed_fields_rejected(self):
         with pytest.raises(ValueError, match="mixed fields"):
             has_common_factor(parse_form("x^3", build_field(2)), parse_form("x^3", build_field(3)))
 

@@ -1,13 +1,15 @@
 import itertools
-from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicmaps.finitefield import ProjPoint, build_field, enumerate_p2
-from cubicmaps.forms import MONOMIALS, RATIONALS, evaluate, parse_form
+from cubicmaps.forms import MONOMIALS, evaluate, parse_form
 from cubicmaps.linsys import (
+    _INTEGER_GENERATORS,
     FIVE_POINT,
     SIX_POINT,
     CubicSystem,
@@ -53,14 +55,11 @@ class TestPointConfig:
 
 class TestVanishingCubics:
     def test_dimensions(self):
+        # the dims hold over Q too: rank mod 2 <= rank over Q <= number of points
         f2 = build_field(2)
         assert vanishing_cubics(reference_points(FIVE_POINT), f2).dim == 5
         assert vanishing_cubics(reference_points(SIX_POINT), f2).dim == 4
         assert vanishing_cubics(PointConfig(((1, 2, 1),)), build_field(5)).dim == 9
-
-    def test_rational_dimensions(self):
-        assert vanishing_cubics(reference_points(FIVE_POINT), RATIONALS).dim == 5
-        assert vanishing_cubics(reference_points(SIX_POINT), RATIONALS).dim == 4
 
     def test_basis_forms_vanish_at_the_points(self):
         field = build_field(7)
@@ -71,14 +70,6 @@ class TestVanishingCubics:
             for point in cfg.points:
                 pt = ProjPoint(field, tuple(c % 7 for c in point))
                 assert evaluate(form, pt).is_zero()
-
-    def test_rational_basis_vanishes_exactly(self):
-        cfg = reference_points(FIVE_POINT)
-        system = vanishing_cubics(cfg, RATIONALS)
-        from cubicmaps.forms import evaluate
-        for form in system.basis:
-            for point in cfg.points:
-                assert evaluate(form, tuple(Fraction(c) for c in point)) == 0
 
     def test_generic_points_impose_independent_conditions(self):
         field = build_field(11)
@@ -131,19 +122,27 @@ class TestReferenceSystems:
             assert same_span(reduced_generator_system(case, 2), reference_system(case, build_field(2)))
 
     def test_reduced_generators_vanish_on_reduced_points_mod_7(self):
-        # over a prime where no reference point degenerates, the reduced
-        # generators still span the full vanishing system
-        sys7 = reduced_generator_system(FIVE_POINT, 7)
-        assert sys7.dim == 5
-        direct = vanishing_cubics(reference_points(FIVE_POINT), build_field(7))
-        assert same_span(sys7, direct)
-        # both bases are the canonical RREF of that span
-        assert [f.coeffs for f in sys7.basis] == [f.coeffs for f in direct.basis]
+        # the integer generators' values at the reference points have gcd 7,
+        # so mod p they span the system through the reduced points exactly
+        # when p = 7 (six_point drops the last generator)
+        for case, gens in ((FIVE_POINT, _INTEGER_GENERATORS), (SIX_POINT, _INTEGER_GENERATORS[:-1])):
+            points = reference_points(case).points
+            values = [sum(c * x**i * y**j * z**k for c, (i, j, k) in zip(gen, MONOMIALS))
+                      for gen in gens for x, y, z in points]
+            assert reduce(gcd, values) == 7
+            for p in (2, 3, 5, 7, 11):
+                reduced = reduced_generator_system(case, p)
+                direct = vanishing_cubics(reference_points(case), build_field(p))
+                assert reduced.dim == direct.dim == len(gens)
+                assert same_span(reduced, direct) == (p == 7)
+                if p == 7:
+                    # both bases are the canonical RREF of that span
+                    assert [f.coeffs for f in reduced.basis] == [f.coeffs for f in direct.basis]
 
     def test_mod2_fixture_differs_from_mod2_point_system(self):
-        # the two five-point configurations collide mod 2, so the fixture
-        # span (reduced from characteristic zero) is not the mod-2 vanishing
-        # system of the reduced points
+        # the fixture is pinned, not a system through points: over GF(2)
+        # x*y*z is 1 at [1:1:1], so its span is not the system of cubics
+        # through the four points [1:0:0], [0:1:0], [0:0:1], [1:1:1]
         f2 = build_field(2)
         fixture = reference_system(FIVE_POINT, f2)
         direct = vanishing_cubics(PointConfig(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))), f2)
@@ -181,11 +180,6 @@ class TestPlanes:
         system = reference_system(FIVE_POINT, build_field(2))
         with pytest.raises(ValueError):
             make_plane(system, (1, 0), (0, 1), (1, 1))
-
-    def test_rational_system_rejected(self):
-        system = reference_system(FIVE_POINT, RATIONALS)
-        with pytest.raises(ValueError):
-            make_plane(system, *CASE46)
 
     def test_pencil_combination(self):
         f2 = build_field(2)
