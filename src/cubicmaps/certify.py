@@ -13,7 +13,10 @@ preimage problem for a target [a:1:b] to one quartic equation in one
 variable, and the case analysis showing the quartic always has an
 admissible root.  Floating point enters only in numeric_preimage, which
 constructs a preimage of an arbitrary complex target from the quartic's
-roots and verifies it projectively to a tolerance.
+roots and verifies it projectively to a tolerance.  It evaluates the
+certified preimage quartic and map from complex terms compiled from them
+once per process, in RationalPoly.evaluate's order, so its results are
+those of evaluating the exact polynomials.
 
 For the six_point case two clearings of the second target condition are
 tracked.  The component relation g2 = b*g1 yields the quartic whose roots
@@ -25,6 +28,7 @@ x = 1 + a, so the case analysis is common to them.
 """
 
 import cmath
+import functools
 import itertools
 from fractions import Fraction
 
@@ -500,15 +504,43 @@ def projective_residual(u, v):
     return sum(abs(c) ** 2 for c in cr) ** 0.5 / (nu * nv)
 
 
+@functools.lru_cache(maxsize=None)
+def _numeric_form(case):
+    """The preimage quartic and the map of a case as complex terms, built once.
+
+    Returns (quartic, components): quartic[d] holds the (c, a-exponent,
+    b-exponent) terms of the coefficient of x^d, and each component the
+    (c, x-, y-, z-exponent) terms of one map component, both in the term
+    order of the exact polynomials.
+    """
+    coeffs = preimage_quartic(case).univariate_coeffs("x")
+    quartic = tuple(
+        tuple((complex(c), e[3], e[4]) for e, c in coeffs[d].terms.items()) if d in coeffs else ()
+        for d in range(5)
+    )
+    components = tuple(
+        tuple((complex(c), e[0], e[1], e[2]) for e, c in comp.terms.items())
+        for comp in explicit_map(case).components
+    )
+    return quartic, components
+
+
+def _evaluate_terms(terms, point):
+    """Sum of c * v**e over the terms, in RationalPoly.evaluate's term and factor order."""
+    acc = None
+    for term in terms:
+        value = term[0]
+        for v, e in zip(point, term[1:]):
+            if e:
+                value = value * v**e
+        acc = value if acc is None else acc + value
+    return 0j if acc is None else acc
+
+
 def _quartic_coeffs_at(case, a, b):
     """Ascending complex coefficients of the preimage quartic at (a, b)."""
-    poly = preimage_quartic(case)
-    coeffs = poly.univariate_coeffs("x")
-    out = []
-    for d in range(5):
-        part = coeffs.get(d)
-        out.append(complex(part.evaluate({"a": a, "b": b})) if part is not None else 0j)
-    return out
+    point = (complex(a), complex(b))
+    return [_evaluate_terms(terms, point) for terms in _numeric_form(case)[0]]
 
 
 def _ordered_roots(coeffs):
@@ -518,8 +550,9 @@ def _ordered_roots(coeffs):
     return sorted(roots, key=lambda z: -abs(_poly_val(deriv_desc, z)))
 
 
-def _numeric_image(emap, triple):
-    return evaluate_map(emap, [complex(c) for c in triple])
+def _numeric_image(case, triple):
+    point = tuple(complex(c) for c in triple)
+    return tuple(_evaluate_terms(terms, point) for terms in _numeric_form(case)[1])
 
 
 def numeric_preimage(case, target, tol=1e-9):
@@ -533,7 +566,6 @@ def numeric_preimage(case, target, tol=1e-9):
     """
     if case not in _CASES:
         raise ValueError(f"unknown case {case!r}")
-    emap = explicit_map(case)
     t0, t1, t2 = (complex(c) for c in target)
     scale = max(abs(t0), abs(t1), abs(t2))
     if scale == 0.0:
@@ -578,7 +610,7 @@ def numeric_preimage(case, target, tol=1e-9):
                 candidates.append((1.0 + 0j, y, 1.0 + 0j))
     tried = []
     for source in candidates:
-        img = _numeric_image(emap, source)
+        img = _numeric_image(case, source)
         if max(abs(v) for v in img) == 0.0:
             continue
         residual = projective_residual(img, (t0, t1, t2))

@@ -7,7 +7,8 @@ appends one JSON line to the manifest file recording the subcommand,
 the resolved configuration, the tool version, wall time, input/output
 paths, and the SHA-256 of the dataset file it read or wrote.
 
-Exit codes: 0 success, 1 check or certificate failure, 2 usage error.
+Exit codes: 0 success, 1 check or certificate failure (an inconclusive
+check label included), 2 usage error.
 """
 
 import argparse
@@ -32,6 +33,7 @@ from .dataset import (
 )
 from .finitefield import build_field
 from .linsys import (
+    DEFAULT_SCAN_BOUND,
     FIVE_POINT,
     SIX_POINT,
     PointConfig,
@@ -178,9 +180,18 @@ def cmd_check(args):
     cfg = _resolve_config(args)
     plane = _plane_for(cfg, args)
     label = label_plane(plane, scan_bound=args.scan_bound, find_all=True)
-    print(f"label: {label.value}")
+    # label 1 rests on witnesses and algebra; label 0 rests on a scan that is
+    # exhaustive only at the default bound
+    conclusive = label.value == 1 or args.scan_bound >= DEFAULT_SCAN_BOUND
+    if conclusive:
+        print(f"label: {label.value}")
+        pencil_line = "unruly pencil"
+    else:
+        print(f"label: inconclusive (scan bound {args.scan_bound} < {DEFAULT_SCAN_BOUND}: "
+              f"a pencil without a witness up to degree {args.scan_bound} may have one above it)")
+        pencil_line = f"no witness up to degree {args.scan_bound}"
     for a, b in label.unruly_pencils:
-        print(f"unruly pencil: a={a} b={b}")
+        print(f"{pencil_line}: a={a} b={b}")
     _write_manifest(
         args,
         {"case": args.case, "p": args.p, "triple": args.triple, "scan_bound": args.scan_bound},
@@ -188,7 +199,7 @@ def cmd_check(args):
         None,
         started,
     )
-    return 0
+    return 0 if conclusive else 1
 
 
 def cmd_oracle(args):
@@ -302,10 +313,15 @@ def cmd_verify(args):
     started = time.time()
     cases = (FIVE_POINT, SIX_POINT) if args.case == "all" else (_CASES[args.case],)
     ok = True
+    checks = failed_checks = numeric_targets = 0
+    t0 = time.perf_counter()
     for case in cases:
         cert = verify_case(case)
         print(cert.report())
         ok = ok and cert.passed
+        checks += len(cert.checks)
+        failed_checks += sum(not c.passed for c in cert.checks)
+    t1 = time.perf_counter()
     if args.targets:
         for case in cases:
             triples = [(1.5, 1.0, -2.25), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (-3.0, 1.0, 7.0)]
@@ -313,9 +329,15 @@ def cmd_verify(args):
             for target in triples:
                 _, residual = numeric_preimage(case, target)
                 worst = max(worst, residual)
+                numeric_targets += 1
             print(f"{case}: numeric spot checks worst residual {worst:.3e}")
             ok = ok and worst < 1e-9
-    _write_manifest(args, {"case": args.case, "targets": args.targets}, {}, None, started)
+    t2 = time.perf_counter()
+    stages = {"certify_s": round(t1 - t0, 6), "numeric_s": round(t2 - t1, 6)}
+    counters = {"cases": len(cases), "checks": checks, "failed_checks": failed_checks,
+                "numeric_targets": numeric_targets}
+    _write_manifest(args, {"case": args.case, "targets": args.targets}, {}, None, started,
+                    stages=stages, counters=counters)
     return 0 if ok else 1
 
 

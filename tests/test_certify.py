@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cubicmaps import certify
 from cubicmaps.certify import (
     RootSolveError,
     check_line_family,
@@ -24,6 +27,36 @@ from cubicmaps.ratpoly import RationalPoly
 
 X = RationalPoly.var("x")
 A = RationalPoly.var("a")
+
+CASES = (FIVE_POINT, SIX_POINT)
+LINE_TARGETS = {
+    FIVE_POINT: ((1, 0, 0), (0, 0, 1), (1, 0, 2), (1, 0, 5.5), (3, 0, -2)),
+    SIX_POINT: ((1, 0, 0), (0, 0, 1), (2.5, 0, 1), (1, 0, 1), (-4, 0, 3)),
+}
+SPECIAL_TARGETS = ((-1, 1, 4), (-1, 1, -1), (0, 1, 0), (2, 1, 2), (1, 1, 1))
+
+
+def seeded_targets(seed, count):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u = rng.uniform(-7, 7, size=(count, 4))
+    return [(complex(ar, ai), 1.0, complex(br, bi)) for ar, ai, br, bi in u.tolist()]
+
+
+# reference for the compiled terms: the numeric path through exact polynomial evaluation
+def exact_quartic_coeffs_at(case, a, b):
+    coeffs = preimage_quartic(case).univariate_coeffs("x")
+    return [complex(coeffs[d].evaluate({"a": a, "b": b})) if d in coeffs else 0j for d in range(5)]
+
+
+def exact_numeric_image(case, triple):
+    return evaluate_map(explicit_map(case), [complex(c) for c in triple])
+
+
+def exact_numeric_preimages(monkeypatch, case, targets):
+    with monkeypatch.context() as patch:
+        patch.setattr(certify, "_quartic_coeffs_at", exact_quartic_coeffs_at)
+        patch.setattr(certify, "_numeric_image", exact_numeric_image)
+        return [numeric_preimage(case, t) for t in targets]
 
 
 class TestExplicitMaps:
@@ -189,17 +222,14 @@ class TestNumericPreimage:
             assert residual < 1e-9
 
     def test_line_targets(self):
-        for case, targets in (
-            (FIVE_POINT, ((1, 0, 0), (0, 0, 1), (1, 0, 2), (1, 0, 5.5), (3, 0, -2))),
-            (SIX_POINT, ((1, 0, 0), (0, 0, 1), (2.5, 0, 1), (1, 0, 1), (-4, 0, 3))),
-        ):
+        for case, targets in LINE_TARGETS.items():
             for target in targets:
                 _, residual = numeric_preimage(case, target)
                 assert residual < 1e-9, (case, target)
 
     def test_special_value_targets(self):
-        for case in (FIVE_POINT, SIX_POINT):
-            for target in ((-1, 1, 4), (-1, 1, -1), (0, 1, 0), (2, 1, 2), (1, 1, 1)):
+        for case in CASES:
+            for target in SPECIAL_TARGETS:
                 _, residual = numeric_preimage(case, target)
                 assert residual < 1e-9, (case, target)
 
@@ -227,6 +257,66 @@ class TestNumericPreimage:
     def test_unknown_case(self):
         with pytest.raises(ValueError):
             numeric_preimage("octic", (1, 1, 1))
+
+
+class TestCompiledNumericForm:
+    """numeric_preimage evaluates terms compiled once per case; they must agree bit for bit."""
+
+    @pytest.mark.parametrize("case, seed", [(FIVE_POINT, 21), (SIX_POINT, 22)])
+    def test_preimages_identical_to_exact_evaluation(self, monkeypatch, case, seed):
+        targets = seeded_targets(seed, 200) + list(LINE_TARGETS[case]) + list(SPECIAL_TARGETS)
+        want = exact_numeric_preimages(monkeypatch, case, targets)
+        got = [numeric_preimage(case, t) for t in targets]
+        assert got == want
+        assert all(residual < 1e-9 for _, residual in got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(CASES),
+        st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+                 min_size=5, max_size=5),
+    )
+    def test_terms_equal_exact_evaluation(self, case, values):
+        a, b, x, y, z = values
+        assert certify._quartic_coeffs_at(case, a, b) == exact_quartic_coeffs_at(case, a, b)
+        assert certify._numeric_image(case, (x, y, z)) == exact_numeric_image(case, (x, y, z))
+
+    def test_exact_results_are_fresh_objects(self):
+        for case in CASES:
+            want = numeric_preimage(case, (1.5, 1.0, -2.25))
+            quartic, kept_quartic = preimage_quartic(case), preimage_quartic(case)
+            emap, kept_map = explicit_map(case), explicit_map(case)
+            assert quartic.terms is not kept_quartic.terms
+            assert all(c.terms is not k.terms for c, k in zip(emap.components, kept_map.components))
+            quartic.terms.clear()
+            for comp in emap.components:
+                comp.terms.clear()
+            assert preimage_quartic(case) == kept_quartic
+            assert explicit_map(case).components == kept_map.components
+            assert numeric_preimage(case, (1.5, 1.0, -2.25)) == want
+
+    def test_unknown_case_adds_no_cache_entry(self):
+        numeric_preimage(FIVE_POINT, (1.5, 1.0, -2.25))
+        before = certify._numeric_form.cache_info().currsize
+        with pytest.raises(ValueError):
+            certify._quartic_coeffs_at("octic", 1j, 1j)
+        assert certify._numeric_form.cache_info().currsize == before
+
+    def test_one_root_solve_per_quartic_target(self, monkeypatch):
+        calls = []
+        solve = certify.solve_roots
+
+        def counting(coeffs, *args, **kwargs):
+            calls.append(len(coeffs))
+            return solve(coeffs, *args, **kwargs)
+
+        monkeypatch.setattr(certify, "solve_roots", counting)
+        targets = seeded_targets(5, 10)
+        for case in CASES:
+            calls.clear()
+            for target in targets:
+                numeric_preimage(case, target)
+            assert calls == [5] * len(targets)
 
 
 class TestProjectiveResidual:

@@ -92,6 +92,22 @@ class TestCheck:
         assert "label: 0" in out
         assert "unruly pencil: a=(0, 0, 1) b=(0, 1, 0)" in out
 
+    def test_bound_below_exhaustive_is_inconclusive(self, capsys):
+        # at bound 2 twelve pencils of case 46 show no witness, yet its label is 1
+        assert main(["check", "--triple", CASE46, "--scan-bound", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "label: 0" not in out
+        assert "label: inconclusive (scan bound 2 < 9" in out
+        assert "no witness up to degree 2: a=(0, 0, 1) b=(1, 1, 0)" in out
+        assert out.count("no witness up to degree 2:") == 12
+
+    def test_six_point_plane_label_zero_at_exhaustive_bound(self, capsys):
+        argv = ["check", "--case", "six", "--triple", "0,1,0,0;0,0,1,0;0,0,0,1", "--scan-bound", "9"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "label: 0" in out
+        assert "unruly pencil: a=(0, 0, 1) b=(1, 0, 0)" in out
+
     def test_malformed_triple(self, capsys):
         assert main(["check", "--triple", "1,0,0,0,0;0,0,0,1,0"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -243,6 +259,13 @@ class TestVerifyAndStats:
         assert main(["verify", "--case", "all", "--targets"]) == 0
         out = capsys.readouterr().out
         assert out.count("numeric spot checks worst residual") == 2
+        entry = manifest_entries()[-1]
+        assert entry["subcommand"] == "verify"
+        assert set(entry["stages"]) == {"certify_s", "numeric_s"}
+        assert all(seconds >= 0 for seconds in entry["stages"].values())
+        # 15 checks for five_point and 18 for six_point; four spot targets per map
+        assert entry["counters"] == {"cases": 2, "checks": 33, "failed_checks": 0,
+                                     "numeric_targets": 8}
 
     def test_stats(self, capsys):
         main(["dataset", "--case", "six", "--out", "six.txt"])
