@@ -9,7 +9,7 @@ agrees with Scalar arithmetic (tested exhaustively on small fields).
 Encodings are stored in the narrowest unsigned dtype that holds q - 1,
 np.min_scalar_type(q - 1): uint8 up to q = 256 and uint16 beyond, which
 covers every level below MAX_SCAN_POINTS (q < 31623).  That applies to
-the point arrays, the exp/expx/inv tables and the cached monomials; a
+the point arrays, the exp/expx/inv/frob tables and the cached monomials; a
 narrow array halves or quarters the memory traffic of every XOR, compare
 and gather.  The log table stays int64, because log[a] + log[b] indexes
 the extended exp table and reaches beyond q.
@@ -17,6 +17,24 @@ the extended exp table and reaches beyond q.
 Points are scanned in a fixed documented order: the affine chart [x:y:1]
 lexicographically by (x, y), then the line [x:1:0] by x, then [1:0:0].
 Scans are chunked so that even very large levels stay within memory.
+
+Every scan reads one point per Frobenius orbit.  The forms have GF(p)
+coefficients, so they commute with the Frobenius F: a -> a^p, and
+f(F P) = F f(P).  F fixes z and with it the chart, so the conjugates of
+[x:y:z] are [F^j x : F^j y : z], j = 0..k-1, and a point comes first in
+scan order among them iff no conjugate (F^j x, F^j y) is lexicographically
+smaller.  Only those points are scanned, about 1/k of P^2(GF(p^k)):
+
+* covering scan: a conjugate point maps to the conjugate image, and a
+  GF(p)-rational image is fixed by F, so every point of an orbit has the
+  same rational image, or none;
+* witness scan: the conjugates of a common zero of the pencil are common
+  zeros, and a plane form that is nonzero at a point is nonzero at its
+  conjugates, so the conjugates of a witness are witnesses.  The first
+  witness in full scan order is therefore the first point of its orbit,
+  and the first witness among the scanned points is that same point;
+* base loci: each common zero found is expanded to its orbit, so the
+  points and counts are those of the full plane.
 
 The covering scan decides GF(p)-rationality of each image [f0:f1:f2]
 before it normalizes anything.  With lambda the last nonzero coordinate,
@@ -37,7 +55,7 @@ _monomial_cache = {}
 
 
 class FieldTables:
-    """Discrete log/exp multiplication and vector addition for one GF(q)."""
+    """Discrete log/exp multiplication, vector addition and Frobenius for one GF(q)."""
 
     def __init__(self, field):
         q = field.order
@@ -71,6 +89,10 @@ class FieldTables:
             inv[exp] = exp[(-log[exp]) % n]
         inv[1] = 1
         self.inv_table = inv
+        # a^p for every a: F(g^i) = g^(i p)
+        frob = np.zeros(q, dtype=dt)
+        frob[exp] = exp[log[exp] * self.p % n]
+        self.frob_table = frob
         if self.p > 2:
             self.pow_p = [self.p**i for i in range(self.k)]
             # a^(p-1) for every a: 0 at 0, 1 exactly on GF(p)*
@@ -135,22 +157,43 @@ def point_count(field):
     return q * q + q + 1
 
 
+def _orbit_first(t, x, y):
+    """Mask of the points (x, y) that no Frobenius conjugate precedes lexicographically."""
+    keep = np.ones(len(x), dtype=bool)
+    fx, fy = x, y
+    for _ in range(t.k - 1):
+        fx = t.frob_table[fx]
+        fy = t.frob_table[fy]
+        keep &= (fx > x) | ((fx == x) & (fy >= y))
+    return keep
+
+
 def iter_point_chunks(field, chunk=_CHUNK):
-    """Yield (X, Y, Z) encoding arrays covering P^2 in scan order."""
+    """Yield (X, Y, Z) encoding arrays of one point per Frobenius orbit of P^2.
+
+    The points are the first of their orbits, in scan order.  A row [x:*:1]
+    holds such points only if x comes first among its own conjugates, so
+    the other rows are never built.
+    """
     q = field.order
     if point_count(field) > MAX_SCAN_POINTS:
         raise ValueError(
             f"scanning P^2({field}) needs {point_count(field)} points; "
             f"the limit is {MAX_SCAN_POINTS}"
         )
-    dt = np.min_scalar_type(q - 1)
+    t = tables(field)
+    dt = t.dtype
+    a = np.arange(q, dtype=dt)
+    xs_first = a[_orbit_first(t, a, np.zeros_like(a))]
     rows = max(1, chunk // q)
-    for x0 in range(0, q, rows):
-        xs = np.arange(x0, min(x0 + rows, q), dtype=dt)
+    for i in range(0, len(xs_first), rows):
+        xs = xs_first[i : i + rows]
         x = np.repeat(xs, q)
-        y = np.tile(np.arange(q, dtype=dt), len(xs))
-        yield x, y, np.ones(len(xs) * q, dtype=dt)
-    yield np.arange(q, dtype=dt), np.ones(q, dtype=dt), np.zeros(q, dtype=dt)
+        y = np.tile(a, len(xs))
+        keep = _orbit_first(t, x, y)
+        yield x[keep], y[keep], np.ones(int(keep.sum()), dtype=dt)
+    n = len(xs_first)
+    yield xs_first, np.ones(n, dtype=dt), np.zeros(n, dtype=dt)
     yield np.array([1], dtype=dt), np.array([0], dtype=dt), np.array([0], dtype=dt)
 
 
@@ -174,7 +217,7 @@ def monomial_values(t, x, y, z):
 
 
 def _cached_chunks(field):
-    """Materialized point and monomial arrays for small levels."""
+    """Materialized orbit-first point and monomial arrays for small levels."""
     key = (field.p, field.k)
     got = _monomial_cache.get(key)
     if got is None:
@@ -215,13 +258,17 @@ def _eval(t, coeffs, monos):
 
 
 def _scan_chunks(field):
-    """Yield (x, y, z, monomials) chunks, cached when the level is small."""
+    """Yield (x, y, z, monomials) chunks of orbit-first points, cached when the level is small.
+
+    The cache limit counts every point of P^2, so the same levels are
+    cached whatever share of them a scan reads.
+    """
     t = tables(field)
     if point_count(field) <= _CACHE_POINT_LIMIT:
         x, y, z, monos = _cached_chunks(field)
         yield x, y, z, monos
         return
-    for x, y, z in iter_point_chunks(field):
+    for x, y, z in iter_point_chunks(field, _CHUNK):
         yield x, y, z, monomial_values(t, x, y, z)
 
 
@@ -234,27 +281,31 @@ def _zero_mask(t, encs, monos):
     return mask
 
 
+def _scan_key(enc):
+    """Position of an encoded (x, y, z) triple in scan order."""
+    x, y, z = enc
+    return z == 0, z == 0 and y == 0, x, y
+
+
 def common_zero_encodings(forms, ext):
-    """Encoded coordinates of all points of P^2(ext) where every form vanishes."""
+    """Encoded coordinates of all points of P^2(ext) where every form vanishes, in scan order."""
     t = tables(ext)
     encs = [_form_encodings(f, ext) for f in forms]
-    out = []
+    found = set()
     for x, y, z, monos in _scan_chunks(ext):
         mask = _zero_mask(t, encs, monos)
         if mask.any():
-            idx = np.nonzero(mask)[0]
-            out.extend(zip(x[idx].tolist(), y[idx].tolist(), z[idx].tolist()))
-    return out
+            x, y, z = x[mask], y[mask], z[mask]
+            # the zeros scanned are orbit representatives: add every conjugate
+            for _ in range(t.k):
+                found.update(zip(x.tolist(), y.tolist(), z.tolist()))
+                x, y = t.frob_table[x], t.frob_table[y]
+    return sorted(found, key=_scan_key)
 
 
 def count_common_zeros(forms, ext):
     """Number of points of P^2(ext) where every form vanishes."""
-    t = tables(ext)
-    encs = [_form_encodings(f, ext) for f in forms]
-    total = 0
-    for x, y, z, monos in _scan_chunks(ext):
-        total += int(_zero_mask(t, encs, monos).sum())
-    return total
+    return len(common_zero_encodings(forms, ext))
 
 
 def find_witness_encoding(pencil_forms, plane_forms, ext):

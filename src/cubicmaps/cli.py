@@ -8,7 +8,8 @@ the resolved configuration, the tool version, wall time, input/output
 paths, and the SHA-256 of the dataset file it read or wrote.
 
 Exit codes: 0 success, 1 check or certificate failure (an inconclusive
-check label included), 2 usage error.
+check label included), 2 usage error (a dataset or oracle --all scan bound
+below the exhaustive bound included).
 """
 
 import argparse
@@ -50,7 +51,7 @@ from .network import (
     train,
     write_history,
 )
-from .surjectivity import UNRULY, forward_oracle, label_plane
+from .surjectivity import NOT_UNRULY, UNRULY, forward_oracle, label_plane
 
 _CASES = {
     "five": FIVE_POINT,
@@ -145,6 +146,16 @@ def _plane_for(cfg, args):
     return plane
 
 
+def _require_exhaustive_scan(args):
+    """Refuse a scan bound below the exhaustive one where labels are reported as proved."""
+    if args.scan_bound < DEFAULT_SCAN_BOUND:
+        raise UsageError(
+            f"--scan-bound {args.scan_bound} is below the exhaustive bound {DEFAULT_SCAN_BOUND}: "
+            "a pencil without a witness up to that degree may have one above it, so its "
+            "label 0 would be unproved"
+        )
+
+
 def _iter_admissible_planes(cfg):
     """Distinct admissible planes of a system, one per coefficient 3-subspace."""
     for rows in iter_subspaces(cfg.p, cfg.system.dim, 3):
@@ -155,6 +166,7 @@ def _iter_admissible_planes(cfg):
 
 def cmd_dataset(args):
     started = time.time()
+    _require_exhaustive_scan(args)
     cfg = _resolve_config(args)
     records = generate_dataset(cfg, jobs=args.jobs)
     write_output(records, args.out)
@@ -192,6 +204,14 @@ def cmd_check(args):
         pencil_line = f"no witness up to degree {args.scan_bound}"
     for a, b in label.unruly_pencils:
         print(f"{pencil_line}: a={a} b={b}")
+    if args.witness:
+        for (a, b), verdict in label.verdicts:
+            status = verdict.status
+            if status == NOT_UNRULY:
+                status += f" witness {verdict.witness} over {verdict.witness.field}"
+            elif status == UNRULY and not conclusive:
+                status = pencil_line
+            print(f"pencil a={a} b={b}: {status}")
     _write_manifest(
         args,
         {"case": args.case, "p": args.p, "triple": args.triple, "scan_bound": args.scan_bound},
@@ -207,6 +227,7 @@ def cmd_oracle(args):
     cfg = _resolve_config(args)
     code = 0
     if args.all:
+        _require_exhaustive_scan(args)
         planes = disagreements = uncovered_targets = 0
         label_s = oracle_s = 0.0
         for plane in _iter_admissible_planes(cfg):
@@ -396,6 +417,8 @@ def build_parser():
     sub = subs.add_parser("check", help="label the plane spanned by one coefficient triple")
     _add_case_args(sub)
     sub.add_argument("--triple", required=True, help="\"v;u;t\", comma-separated entries")
+    sub.add_argument("--witness", action="store_true",
+                     help="print every tested pencil's verdict and witness point")
     sub.set_defaults(func=cmd_check)
 
     sub = subs.add_parser("oracle", help="uncovered-target report, or full label/oracle sweep")

@@ -55,13 +55,17 @@ class UnrulyVerdict:
 
 
 class SurjectivityLabel:
-    """Label of a plane: 0 iff unruly_pencils is nonempty."""
+    """Label of a plane: 0 iff unruly_pencils is nonempty.
 
-    __slots__ = ("value", "unruly_pencils")
+    verdicts holds ((a, b), UnrulyVerdict) for every pencil tested, in walk order.
+    """
 
-    def __init__(self, value, unruly_pencils):
+    __slots__ = ("value", "unruly_pencils", "verdicts")
+
+    def __init__(self, value, unruly_pencils, verdicts):
         self.value = value
         self.unruly_pencils = tuple(unruly_pencils)
+        self.verdicts = tuple(verdicts)
 
     def __repr__(self):
         return f"SurjectivityLabel({self.value}, unruly={list(self.unruly_pencils)})"
@@ -140,17 +144,21 @@ def label_plane(plane, scan_bound=DEFAULT_SCAN_BOUND, find_all=False):
     spanning pair (a, b) in lexicographic order; the first unruly one is
     reported as that pair.  With find_all the walk continues past the first
     unruly pencil and reports every ordered spanning pair of every unruly
-    pencil, sorted.
+    pencil, sorted.  The label keeps the verdict of every pencil it tests,
+    in walk order; without find_all they end at the first unruly pencil.
     """
     require_bound("scan_bound", scan_bound)
     p = plane.field.p
     unruly = []
+    verdicts = []
     for r0, r1 in _pencil_subspaces(p):
-        if test_pencil(plane, r1, r0, scan_bound).status == UNRULY:
+        verdict = test_pencil(plane, r1, r0, scan_bound)
+        verdicts.append(((r1, r0), verdict))
+        if verdict.status == UNRULY:
             if not find_all:
-                return SurjectivityLabel(0, [(r1, r0)])
+                return SurjectivityLabel(0, [(r1, r0)], verdicts)
             unruly.extend(_spanning_pairs(p, r0, r1))
-    return SurjectivityLabel(0 if unruly else 1, sorted(unruly))
+    return SurjectivityLabel(0 if unruly else 1, sorted(unruly), verdicts)
 
 
 def _annihilator_positive_dimensional(plane, target):

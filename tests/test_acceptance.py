@@ -161,6 +161,7 @@ def test_05_numeric_preimages_for_random_targets():
     assert ok, line
 
 
+@pytest.mark.slow
 def test_06_training_metrics_and_determinism(five_records, tmp_path):
     cfg = TrainConfig()
     model, test_idx, history = train(five_records, cfg)

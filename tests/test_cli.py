@@ -108,6 +108,52 @@ class TestCheck:
         assert "label: 0" in out
         assert "unruly pencil: a=(0, 0, 1) b=(1, 0, 0)" in out
 
+    # recorded from test_pencil before the scans read one point per Frobenius orbit
+    CASE46_WITNESSES = [
+        "pencil a=(0, 0, 1) b=(0, 1, 0): not_unruly witness [1:1:0] over GF(2)",
+        "pencil a=(0, 0, 1) b=(1, 0, 0): not_unruly witness [1:1:1] over GF(2)",
+        "pencil a=(0, 0, 1) b=(1, 1, 0): not_unruly witness [3:6:1] over GF(8)",
+        "pencil a=(0, 1, 0) b=(1, 0, 0): positive_dimensional",
+        "pencil a=(0, 1, 0) b=(1, 0, 1): not_unruly witness [0:1:1] over GF(2)",
+        "pencil a=(0, 1, 1) b=(1, 0, 0): not_unruly witness [8:12:1] over GF(16)",
+        "pencil a=(0, 1, 1) b=(1, 0, 1): not_unruly witness [2:1:1] over GF(4)",
+    ]
+    SIX_PLANE_WITNESSES = [
+        "pencil a=(0, 0, 1) b=(0, 1, 0): positive_dimensional",
+        "pencil a=(0, 0, 1) b=(1, 0, 0): unruly",
+        "pencil a=(0, 0, 1) b=(1, 1, 0): not_unruly witness [2:3:1] over GF(4)",
+        "pencil a=(0, 1, 0) b=(1, 0, 0): not_unruly witness [1:1:1] over GF(2)",
+        "pencil a=(0, 1, 0) b=(1, 0, 1): unruly",
+        "pencil a=(0, 1, 1) b=(1, 0, 0): not_unruly witness [1:0:1] over GF(2)",
+        "pencil a=(0, 1, 1) b=(1, 0, 1): not_unruly witness [0:1:1] over GF(2)",
+    ]
+
+    def test_witness_five_point_plane(self, capsys):
+        assert main(["check", "--triple", CASE46, "--witness"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["label: 1"] + self.CASE46_WITNESSES
+
+    def test_witness_six_point_plane(self, capsys):
+        argv = ["check", "--case", "six", "--triple", "0,1,0,0;0,0,1,0;0,0,0,1", "--witness"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "label: 0"
+        assert out[-7:] == self.SIX_PLANE_WITNESSES
+        assert len(out) == 1 + 12 + 7
+
+    def test_witness_below_exhaustive_bound_claims_no_unruly_pencil(self, capsys):
+        argv = ["check", "--case", "six", "--triple", "0,1,0,0;0,0,1,0;0,0,0,1",
+                "--witness", "--scan-bound", "2"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert ": unruly" not in out
+        assert "pencil a=(0, 0, 1) b=(1, 0, 0): no witness up to degree 2" in out
+        assert "pencil a=(0, 0, 1) b=(1, 1, 0): not_unruly witness [2:3:1] over GF(4)" in out
+
+    def test_without_witness_flag_no_pencil_lines(self, capsys):
+        assert main(["check", "--triple", CASE46]) == 0
+        assert "pencil a=" not in capsys.readouterr().out
+
     def test_malformed_triple(self, capsys):
         assert main(["check", "--triple", "1,0,0,0,0;0,0,0,1,0"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -163,6 +209,34 @@ class TestBoundsBelowOne:
         main(["check", "--triple", CASE46, "--scan-bound", "0"])
         with pytest.raises(FileNotFoundError):
             manifest_entries()
+
+
+class TestScanBoundBelowExhaustive:
+    # at bound 2 `dataset` wrote 24 positives instead of 144 and `oracle --all`
+    # reported 5 disagreements: pencils with no witness up to degree 2 became label 0
+    @pytest.mark.parametrize("argv", [
+        ["dataset", "--case", "five", "--scan-bound", "2", "--out", "x.txt"],
+        ["dataset", "--case", "six", "--scan-bound", "8", "--out", "x.txt"],
+        ["oracle", "--all", "--case", "five", "--scan-bound", "2"],
+        ["oracle", "--all", "--case", "six", "--scan-bound", "8"],
+    ])
+    def test_refused(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "below the exhaustive bound 9" in captured.err
+        assert captured.out == ""
+        assert not os.path.exists("x.txt")
+        with pytest.raises(FileNotFoundError):
+            manifest_entries()
+
+    def test_oracle_triple_ignores_scan_bound(self, capsys):
+        # a single-plane oracle report runs no labeling scan
+        assert main(["oracle", "--triple", CASE46, "--scan-bound", "2"]) == 0
+        assert "uncovered targets: 0" in capsys.readouterr().out
+
+    def test_exhaustive_bound_accepted(self, capsys):
+        assert main(["dataset", "--case", "six", "--scan-bound", "9", "--out", "six.txt"]) == 0
+        assert "wrote 336 records" in capsys.readouterr().out
 
 
 class TestOracle:

@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -74,13 +76,13 @@ class TestNarrowEncodings:
 
     @pytest.mark.parametrize("p, k", [(2, 3), (3, 2), (5, 1)])
     def test_chunks_cover_p2_in_scan_order(self, p, k):
+        # the chunks hold the first point of every Frobenius orbit of P^2, in scan order
         field = build_field(p, k)
         q = field.order
         chunks = list(_scan.iter_point_chunks(field, chunk=q))
         assert all(x.dtype == np.min_scalar_type(q - 1) for x, _, _ in chunks)
         points = [pt for x, y, z in chunks for pt in zip(x.tolist(), y.tolist(), z.tolist())]
-        affine = [(x, y, 1) for x in range(q) for y in range(q)]
-        assert points == affine + [(x, 1, 0) for x in range(q)] + [(1, 0, 0)]
+        assert points == _orbit_firsts(field)
 
 
 class TestPowerTable:
@@ -97,6 +99,45 @@ class TestPowerTable:
         else:
             assert t.pow_table.dtype == t.dtype
         assert got.tolist() == [(field.scalar(x) ** (p - 1)).encode() for x in range(field.order)]
+
+
+def _full_scan_order(q):
+    """Every point of P^2(GF(q)) as an encoded triple, in scan order."""
+    affine = [(x, y, 1) for x in range(q) for y in range(q)]
+    return affine + [(x, 1, 0) for x in range(q)] + [(1, 0, 0)]
+
+
+def _frobenius_encodings(field):
+    return [field.scalar(a).frobenius().encode() for a in range(field.order)]
+
+
+def _orbit(frob, k, pt):
+    x, y, z = pt
+    out = set()
+    for _ in range(k):
+        out.add((x, y, z))
+        x, y = frob[x], frob[y]
+    return out
+
+
+def _orbit_firsts(field):
+    """The first point of each Frobenius orbit, walking P^2 in scan order."""
+    frob = _frobenius_encodings(field)
+    seen, firsts = set(), []
+    for pt in _full_scan_order(field.order):
+        if pt not in seen:
+            firsts.append(pt)
+            seen |= _orbit(frob, field.k, pt)
+    return firsts
+
+
+class TestFrobeniusTable:
+    @pytest.mark.parametrize("p, k", FIELDS)
+    def test_matches_scalar_frobenius(self, p, k):
+        field = build_field(p, k)
+        t = _scan.tables(field)
+        assert t.frob_table.dtype == t.dtype
+        assert t.frob_table.tolist() == _frobenius_encodings(field)
 
 
 # levels small enough for the point-by-point Scalar reference (at most 1057 points)
@@ -165,3 +206,92 @@ class TestCoveredTargets:
         got = _scan.covered_target_encodings(forms3, ext)
         assert got == _reference_covered(forms3, ext)
         assert all(type(v) is int and 0 <= v < p for enc in got for v in enc)
+
+
+def _full_values(ext, forms):
+    """Every point of P^2(ext) in scan order, and each form's values there, shape (forms, points)."""
+    t = _scan.tables(ext)
+    xyz = np.array(_full_scan_order(ext.order), dtype=t.dtype).T
+    monos = _scan.monomial_values(t, *xyz)
+    return xyz, np.array([_scan._eval(t, f.coeffs, monos) for f in forms])
+
+
+def _encodings(xyz, mask):
+    return list(zip(*(c[mask].tolist() for c in xyz)))
+
+
+@st.composite
+def pencils_in_planes(draw):
+    """(p, k, plane, pair): three nonzero forms, dense, sparse or sharing a line, and two of them."""
+    p, k = draw(st.sampled_from(FIELDS))
+    base = build_field(p)
+    coeff = st.one_of(st.just(0), st.integers(0, p - 1))
+    nonzero = lambda n: st.lists(coeff, min_size=n, max_size=n).filter(any)  # noqa: E731
+    if draw(st.booleans()):
+        line = draw(nonzero(3))
+        plane = [_line_times_quadric(base, line, draw(nonzero(6))) for _ in range(3)]
+    else:
+        plane = [TernaryForm(base, draw(nonzero(10))) for _ in range(3)]
+    pair = draw(st.sampled_from([(0, 1), (0, 2), (1, 2)]))
+    return p, k, plane, pair
+
+
+# z*(x^2+xz+z^2), y*(x^2+xz+z^2), y^3 over GF(2): the pencil of the first
+# two vanishes on the conjugate lines x = w*z, x = w^2*z of GF(4)
+_CONJUGATE_LINES_PLANE = [
+    TernaryForm(build_field(2), c) for c in (
+        [0, 0, 1, 0, 0, 1, 0, 0, 0, 1],
+        [0, 1, 0, 0, 1, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0, 0, 1, 0, 0, 0],
+    )
+]
+
+
+@contextmanager
+def scan_path(path):
+    """Run the scans on the cached arrays, or on small uncached chunks."""
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "chunked":
+            mp.setattr(_scan, "_CACHE_POINT_LIMIT", 0)
+            mp.setattr(_scan, "_CHUNK", 40)
+        yield
+
+
+SCAN_PATHS = pytest.mark.parametrize("path", ["cached", "chunked"])
+
+
+def _scanned_points(field):
+    return [pt for x, y, z, _ in _scan._scan_chunks(field)
+            for pt in zip(x.tolist(), y.tolist(), z.tolist())]
+
+
+class TestOrbitScans:
+    @SCAN_PATHS
+    @pytest.mark.parametrize("p, k", FIELDS)
+    def test_one_point_per_orbit_first_in_scan_order(self, p, k, path):
+        field = build_field(p, k)
+        with scan_path(path):
+            points = _scanned_points(field)
+        assert points == _orbit_firsts(field)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pencils_in_planes())
+    # zeros at GF(4) points [w:y:1] whose Frobenius orbits have two points
+    @example((2, 2, _CONJUGATE_LINES_PLANE, (0, 1)))
+    @SCAN_PATHS
+    def test_scans_match_full_reference(self, path, case):
+        p, k, plane, pair = case
+        ext = build_field(p, k)
+        pencil = [plane[i] for i in pair]
+        xyz, values = _full_values(ext, plane)
+        on_pencil = (values[list(pair)] == 0).all(axis=0)
+        on_plane = (values == 0).all(axis=0)
+        zeros = _encodings(xyz, on_pencil)
+        plane_zeros = _encodings(xyz, on_plane)
+        witnesses = _encodings(xyz, on_pencil & ~on_plane)
+        with scan_path(path):
+            assert _scan.find_witness_encoding(pencil, plane, ext) == (witnesses[0] if witnesses else None)
+            assert _scan.common_zero_encodings(pencil, ext) == zeros
+            assert _scan.common_zero_encodings(plane, ext) == plane_zeros
+            assert _scan.count_common_zeros(pencil, ext) == len(zeros)
+            assert _scan.count_common_zeros(plane, ext) == len(plane_zeros)

@@ -113,6 +113,21 @@ class TestLabelPlane:
         assert len(label.unruly_pencils) == 12
         assert ((0, 0, 1), (0, 1, 0)) in label.unruly_pencils
 
+    def test_find_all_keeps_every_verdict_in_walk_order(self):
+        label = label_plane(six_plane(), find_all=True)
+        pairs = [(r1, r0) for r0, r1 in _pencil_subspaces(2)]
+        assert [pair for pair, _ in label.verdicts] == pairs
+        for (a, b), verdict in label.verdicts:
+            again = pencil_verdict(six_plane(), a, b)
+            assert (verdict.status, verdict.witness) == (again.status, again.witness)
+
+    def test_verdicts_stop_at_the_first_unruly_pencil(self):
+        label = label_plane(six_plane())
+        statuses = [verdict.status for _, verdict in label.verdicts]
+        assert statuses[-1] == UNRULY
+        assert UNRULY not in statuses[:-1]
+        assert label.verdicts[-1][0] == label.unruly_pencils[0]
+
     def test_labels_constant_on_the_plane_not_the_basis(self):
         # relabeling with a different spanning triple of the same plane
         # gives the same verdict
