@@ -51,7 +51,7 @@ from .network import (
     train,
     write_history,
 )
-from .surjectivity import NOT_UNRULY, UNRULY, forward_oracle, label_plane
+from .surjectivity import NOT_UNRULY, POSITIVE_DIMENSIONAL, UNRULY, forward_oracle, label_plane
 
 _CASES = {
     "five": FIVE_POINT,
@@ -168,8 +168,11 @@ def cmd_dataset(args):
     started = time.time()
     _require_exhaustive_scan(args)
     cfg = _resolve_config(args)
+    t0 = time.perf_counter()
     records = generate_dataset(cfg, jobs=args.jobs)
+    t1 = time.perf_counter()
     write_output(records, args.out)
+    t2 = time.perf_counter()
     summary = stats(records)
     print(f"wrote {summary['count']} records to {args.out}")
     print(f"positives: {summary['positives']}  negatives: {summary['negatives']}  "
@@ -183,15 +186,34 @@ def cmd_dataset(args):
         {"out": os.path.abspath(args.out)},
         args.out,
         started,
+        stages={"dataset_s": round(t1 - t0, 6), "write_s": round(t2 - t1, 6)},
+        counters={"records": summary["count"], "positives": summary["positives"]},
     )
     return 0
+
+
+def _verdict_counters(label):
+    """Pencils tested, a count per verdict status, and witnesses by extension degree."""
+    verdicts = [verdict for _, verdict in label.verdicts]
+    witness_degree = {}
+    for verdict in verdicts:
+        if verdict.witness is not None:
+            key = f"d{verdict.witness.field.k}"
+            witness_degree[key] = witness_degree.get(key, 0) + 1
+    counters = {"pencils": len(verdicts)}
+    for status in (UNRULY, NOT_UNRULY, POSITIVE_DIMENSIONAL):
+        counters[status] = sum(verdict.status == status for verdict in verdicts)
+    counters["witness_degree"] = witness_degree
+    return counters
 
 
 def cmd_check(args):
     started = time.time()
     cfg = _resolve_config(args)
     plane = _plane_for(cfg, args)
+    t0 = time.perf_counter()
     label = label_plane(plane, scan_bound=args.scan_bound, find_all=True)
+    label_s = time.perf_counter() - t0
     # label 1 rests on witnesses and algebra; label 0 rests on a scan that is
     # exhaustive only at the default bound
     conclusive = label.value == 1 or args.scan_bound >= DEFAULT_SCAN_BOUND
@@ -218,6 +240,8 @@ def cmd_check(args):
         {},
         None,
         started,
+        stages={"label_s": round(label_s, 6)},
+        counters=_verdict_counters(label),
     )
     return 0 if conclusive else 1
 

@@ -401,9 +401,22 @@ def gf_rref(p, rows):
 
 
 def gf_left_kernel(p, rows):
-    """A basis, in RREF, of the vectors k with sum(k[i] * rows[i]) = 0 over GF(p)."""
-    width = len(rows[0])
+    """A basis, in RREF, of the vectors k with sum(k[i] * rows[i]) = 0 over GF(p).
+
+    The left kernel is the null space of the transpose.  One gf_rref of the
+    transpose gives a null-space vector per free column j: 1 at j, minus
+    column j of the reduced rows at their pivots.  Those vectors span the
+    kernel, and a second gf_rref turns them into its canonical basis.
+    """
     n = len(rows)
-    tagged = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    reduced, pivots = gf_rref(p, tagged)
-    return [row[width:] for row, c in zip(reduced, pivots) if c >= width]
+    reduced, pivots = gf_rref(p, zip(*rows))
+    basis = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        vec = [0] * n
+        vec[j] = 1
+        for row, c in zip(reduced, pivots):
+            vec[c] = -row[j] % p
+        basis.append(vec)
+    return list(gf_rref(p, basis)[0])

@@ -26,7 +26,7 @@ import itertools
 
 from . import _scan
 from .finitefield import ProjPoint, build_field, gf_left_kernel, gf_rref, minimal_degree
-from .forms import MONOMIALS, TernaryForm, combine, common_factor_all
+from .forms import MONOMIALS, TernaryForm, combine, common_factor_all, quadric_syzygies
 
 FIVE_POINT = "five_point"
 SIX_POINT = "six_point"
@@ -217,14 +217,20 @@ def same_span(sys1, sys2):
 
 
 class Plane:
-    """A rank-3 subsystem of a cubic system with coprime spanning forms."""
+    """A rank-3 subsystem of a cubic system with coprime spanning forms.
 
-    __slots__ = ("system", "vectors", "forms")
+    syzygies, computed once here, is the RREF basis of the forms' quadric
+    syzygies (forms.quadric_syzygies); it decides every pencil's shared
+    factor.
+    """
+
+    __slots__ = ("system", "vectors", "forms", "syzygies")
 
     def __init__(self, system, vectors, forms):
         self.system = system
         self.vectors = vectors
         self.forms = forms
+        self.syzygies = quadric_syzygies(forms)
 
     @property
     def field(self):

@@ -22,7 +22,7 @@ certifies surjectivity onto GF(q)-rational targets.
 
 from . import _scan
 from .finitefield import build_field, enumerate_p2
-from .forms import MONOMIALS, combine, has_common_factor
+from .forms import MONOMIALS, pencil_shares_factor
 from .linsys import (
     DEFAULT_SCAN_BOUND,
     gf_rref,
@@ -107,10 +107,11 @@ def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
     """Verdict for the pencil of a plane spanned by coefficient vectors a, b.
 
     Dependent vectors or a shared factor of the two combined forms give
-    positive_dimensional.  Otherwise GF(q^d) is scanned for d ascending;
-    the first common zero of the pencil at which some plane form is
-    nonzero is returned as a not_unruly witness, and exhausting all levels
-    gives unruly.
+    positive_dimensional; the factor is decided from the plane's quadric
+    syzygies, before the pencil's forms are built.  Otherwise GF(q^d) is
+    scanned for d ascending; the first common zero of the pencil at which
+    some plane form is nonzero is returned as a not_unruly witness, and
+    exhausting all levels gives unruly.
     """
     field = plane.field
     p = field.p
@@ -119,10 +120,10 @@ def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
     require_bound("scan_bound", scan_bound)
     if len(gf_rref(p, (a, b))[0]) < 2:
         return UnrulyVerdict(POSITIVE_DIMENSIONAL)
-    spec = pencil(plane, a, b)
-    f, g = spec.forms
-    if f.is_zero() or g.is_zero() or has_common_factor(f, g):
+    normal = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+    if pencil_shares_factor(p, plane.syzygies, normal):
         return UnrulyVerdict(POSITIVE_DIMENSIONAL)
+    spec = pencil(plane, a, b)
     for d in range(1, scan_bound + 1):
         ext = build_field(p, d)
         enc = _scan.find_witness_encoding(spec.forms, plane.forms, ext)
@@ -161,31 +162,13 @@ def label_plane(plane, scan_bound=DEFAULT_SCAN_BOUND, find_all=False):
     return SurjectivityLabel(0 if unruly else 1, sorted(unruly), verdicts)
 
 
-def _annihilator_positive_dimensional(plane, target):
-    """Whether the pencil annihilating a target has a shared factor."""
-    coords = target.coords
-    field = plane.field
-    idx = max(i for i, c in enumerate(coords) if not c.is_zero())
-    basis = []
-    for j in range(3):
-        if j == idx:
-            continue
-        vec = [field.zero()] * 3
-        vec[j] = field.one()
-        vec[idx] = field.zero() - coords[j] / coords[idx]
-        basis.append(combine(vec, plane.forms))
-    f, g = basis
-    if f.is_zero() or g.is_zero():
-        return True
-    return has_common_factor(f, g)
-
-
 def forward_oracle(plane, source_bound=DEFAULT_SCAN_BOUND):
     """Targets of P^2(GF(q)) not reached by the map, as a sorted list.
 
-    A target is covered when its annihilator pencil is
-    positive-dimensional, or when a source point over GF(q^d) for some
-    d <= source_bound, outside the plane's base locus, maps onto it.
+    A target is covered when its annihilator pencil, whose normal is the
+    target, is positive-dimensional, or when a source point over GF(q^d)
+    for some d <= source_bound, outside the plane's base locus, maps onto
+    it.
     A plane labeled 1 must give an empty list at source_bound 9.
     """
     field = plane.field
@@ -195,8 +178,8 @@ def forward_oracle(plane, source_bound=DEFAULT_SCAN_BOUND):
     ext = build_field(p, 1)
     for enc in _scan.covered_target_encodings(plane.forms, ext):
         remaining.pop(enc, None)
-    for enc, target in list(remaining.items()):
-        if _annihilator_positive_dimensional(plane, target):
+    for enc in list(remaining):
+        if pencil_shares_factor(p, plane.syzygies, enc):
             del remaining[enc]
     for d in range(2, source_bound + 1):
         if not remaining:

@@ -66,6 +66,9 @@ class TestDataset:
         assert entry["config"]["jobs"] == 1
         assert len(entry["dataset_sha256"]) == 64
         assert entry["wall_time_s"] >= 0
+        assert set(entry["stages"]) == {"dataset_s", "write_s"}
+        assert all(seconds >= 0 for seconds in entry["stages"].values())
+        assert entry["counters"] == {"records": 336, "positives": 0}
 
     def test_manifest_accumulates(self):
         main(["dataset", "--case", "six", "--out", "six.txt"])
@@ -149,6 +152,24 @@ class TestCheck:
         assert ": unruly" not in out
         assert "pencil a=(0, 0, 1) b=(1, 0, 0): no witness up to degree 2" in out
         assert "pencil a=(0, 0, 1) b=(1, 1, 0): not_unruly witness [2:3:1] over GF(4)" in out
+
+    def test_manifest_counts_verdicts_and_witness_degrees(self):
+        main(["check", "--triple", CASE46])
+        main(["check", "--case", "six", "--triple", "0,1,0,0;0,0,1,0;0,0,0,1"])
+        five, six = manifest_entries()
+        for entry in (five, six):
+            assert entry["subcommand"] == "check"
+            assert set(entry["stages"]) == {"label_s"}
+            assert entry["stages"]["label_s"] >= 0
+        # the counts of CASE46_WITNESSES and SIX_PLANE_WITNESSES
+        assert five["counters"] == {
+            "pencils": 7, "unruly": 0, "not_unruly": 6, "positive_dimensional": 1,
+            "witness_degree": {"d1": 3, "d2": 1, "d3": 1, "d4": 1},
+        }
+        assert six["counters"] == {
+            "pencils": 7, "unruly": 2, "not_unruly": 4, "positive_dimensional": 1,
+            "witness_degree": {"d1": 3, "d2": 1},
+        }
 
     def test_without_witness_flag_no_pencil_lines(self, capsys):
         assert main(["check", "--triple", CASE46]) == 0

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicmaps.finitefield import (
     MAX_EXTENSION_DEGREE,
@@ -6,6 +8,8 @@ from cubicmaps.finitefield import (
     build_field,
     canonical_modulus,
     enumerate_p2,
+    gf_left_kernel,
+    gf_rref,
     minimal_degree,
 )
 
@@ -164,3 +168,70 @@ class TestProjPoint:
         for enc in (11, 23, 40, 57):
             pt = ProjPoint(field, (enc, 1, 1))
             assert 6 % minimal_degree(pt) == 0
+
+
+def tagged_left_kernel(p, rows):
+    """Left kernel by one gf_rref of [rows | I]: the tails of the rows that reduce to 0 on the left."""
+    width = len(rows[0])
+    n = len(rows)
+    tagged = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    reduced, pivots = gf_rref(p, tagged)
+    return [row[width:] for row, c in zip(reduced, pivots) if c >= width]
+
+
+@st.composite
+def matrices(draw):
+    """(p, rows): an n x m matrix over GF(p) of rank at most r, as a product n x r by r x m."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n, m = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    r = draw(st.integers(0, min(n, m)))
+    entries = st.integers(0, p - 1)
+    a = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=r, max_size=r))
+    return p, [[sum(a[i][k] * b[k][j] for k in range(r)) % p for j in range(m)] for i in range(n)]
+
+
+def is_rref(p, rows):
+    pivots = []
+    for row in rows:
+        nonzero = [j for j, c in enumerate(row) if c]
+        if not nonzero or row[nonzero[0]] != 1:
+            return False
+        pivots.append(nonzero[0])
+    return (
+        pivots == sorted(set(pivots))
+        and all(0 <= c < p for row in rows for c in row)
+        and all(other[c] == 0 for c, row in zip(pivots, rows) for other in rows if other is not row)
+    )
+
+
+class TestLeftKernel:
+    def check(self, p, rows):
+        kernel = gf_left_kernel(p, rows)
+        for k in kernel:
+            assert len(k) == len(rows)
+            assert all(sum(c * row[j] for c, row in zip(k, rows)) % p == 0 for j in range(len(rows[0])))
+        assert is_rref(p, kernel)
+        assert len(kernel) == len(rows) - len(gf_rref(p, rows)[0])
+        assert kernel == tagged_left_kernel(p, rows)
+        return kernel
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices())
+    def test_basis_annihilates_is_rref_and_matches_the_tagged_reduction(self, pm):
+        self.check(*pm)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_all_zero_matrix_has_the_identity_basis(self, p):
+        kernel = self.check(p, [[0] * 4 for _ in range(3)])
+        assert kernel == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_full_row_rank_has_an_empty_kernel(self, p):
+        rows = [[1, 0, 0, 1], [0, 1, 0, p - 1], [1, 1, 1, 0]]
+        assert self.check(p, rows) == []
+
+    def test_known_dependency(self):
+        # over GF(5): 2*r0 + r1 - r2 = 0, scaled to a leading 1 by 3
+        rows = [[1, 2, 3], [0, 1, 4], [2, 0, 0]]
+        assert self.check(5, rows) == [(1, 3, 2)]

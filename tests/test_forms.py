@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cubicmaps.finitefield import ProjPoint, build_field
+from cubicmaps.finitefield import ProjPoint, build_field, enumerate_p2, gf_left_kernel, gf_rref
 from cubicmaps.forms import (
     MONOMIAL_NAMES,
     MONOMIALS,
@@ -14,8 +14,11 @@ from cubicmaps.forms import (
     evaluate,
     has_common_factor,
     parse_form,
+    pencil_shares_factor,
+    quadric_syzygies,
     render_form,
 )
+from cubicmaps.linsys import FIVE_POINT, SIX_POINT, iter_subspaces, make_plane, reference_system
 from cubicmaps.ratpoly import RationalPoly, univariate_gcd
 
 X = RationalPoly.var("x")
@@ -294,6 +297,121 @@ class TestCommonFactorProperties:
     def test_mixed_fields_rejected(self):
         with pytest.raises(ValueError, match="mixed fields"):
             has_common_factor(parse_form("x^3", build_field(2)), parse_form("x^3", build_field(3)))
+
+
+def cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def pairwise_verdict(net, a, b):
+    """The Sylvester test on the pencil's two forms; a zero form counts as a shared factor."""
+    f, g = combine(a, net), combine(b, net)
+    return f.is_zero() or g.is_zero() or has_common_factor(f, g)
+
+
+def assert_syzygy_verdicts_match(net):
+    """pencil_shares_factor against the pairwise test on every pencil of a net; the verdicts."""
+    p = net[0].field.p
+    syzygies = quadric_syzygies(net)
+    verdicts = []
+    for r0, r1 in iter_subspaces(p, 3, 2):
+        expected = pairwise_verdict(net, r1, r0)
+        assert pencil_shares_factor(p, syzygies, cross(r1, r0)) == expected, (r1, r0)
+        verdicts.append(expected)
+    return verdicts
+
+
+def as_poly(degree, coeffs):
+    return {e: c for e, c in zip(monomials_of(degree), coeffs) if c}
+
+
+@st.composite
+def nets(draw, p):
+    """(kind, three nonzero cubics over GF(p)), mixed by a random invertible matrix.
+
+    Before mixing, "line" and "quadric" nets have two forms sharing a
+    factor of that degree, and "dependent" nets a third form in the span
+    of the first two.
+    """
+    kind = draw(st.sampled_from(["random", "line", "quadric", "dependent"]))
+    if kind == "random":
+        g = [draw(nonzero_poly(p, 3)) for _ in range(3)]
+    elif kind in ("line", "quadric"):
+        e = 1 if kind == "line" else 2
+        h = draw(nonzero_poly(p, e))
+        g = [multiply(p, h, draw(nonzero_poly(p, 3 - e))) for _ in range(2)]
+        g.append(draw(nonzero_poly(p, 3)))
+    else:
+        g = [draw(nonzero_poly(p, 3)) for _ in range(2)]
+        c0, c1 = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+        g.append({e: (c0 * g[0].get(e, 0) + c1 * g[1].get(e, 0)) % p for e in monomials_of(3)})
+    basis = [cubic(p, poly) for poly in g]
+    entries = st.integers(0, p - 1)
+    m = draw(st.lists(st.tuples(entries, entries, entries), min_size=3, max_size=3)
+             .filter(lambda rows: len(gf_rref(p, rows)[0]) == 3))
+    return kind, [combine(row, basis) for row in m]
+
+
+class TestQuadricSyzygies:
+    # the per-net criterion against the pairwise Sylvester test, pencil by pencil
+
+    def test_every_pencil_of_every_admissible_gf2_plane(self):
+        f2 = build_field(2)
+        pencils = planes = 0
+        verdicts = set()
+        for case in (FIVE_POINT, SIX_POINT):
+            system = reference_system(case, f2)
+            for rows in iter_subspaces(2, system.dim, 3):
+                plane = make_plane(system, *rows)
+                if plane is None:
+                    continue
+                planes += 1
+                assert plane.syzygies == quadric_syzygies(plane.forms)
+                found = assert_syzygy_verdicts_match(plane.forms)
+                pencils += len(found)
+                verdicts.update(found)
+                # the annihilator pencil of a target t has normal t
+                for target in enumerate_p2(f2):
+                    t = target.encode()
+                    a, b = gf_left_kernel(2, [[c] for c in t])
+                    assert pencil_shares_factor(2, plane.syzygies, t) == pairwise_verdict(plane.forms, a, b)
+        assert (planes, pencils) == (165, 1155)
+        assert verdicts == {False, True}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([3, 5]).flatmap(nets))
+    def test_sampled_nets_over_gf3_and_gf5(self, kind_net):
+        kind, net = kind_net
+        assume(not any(f.is_zero() for f in net))
+        p = net[0].field.p
+        for k in quadric_syzygies(net):
+            total = {}
+            for i, f in enumerate(net):
+                for e, c in multiply(p, as_poly(2, k[6 * i : 6 * i + 6]), as_poly(3, f.coeffs)).items():
+                    total[e] = (total.get(e, 0) + c) % p
+            assert not any(total.values())
+        verdicts = assert_syzygy_verdicts_match(net)
+        if kind != "random":
+            assert any(verdicts)
+
+    def test_net_sharing_a_line_in_two_mixed_forms(self):
+        # g0 = x*y^2 and g1 = x*z^2 share x; in the mixed net f = (g0 + g2, g1 + 2*g2, g2)
+        # their pencil is spanned by f0 - f2 and f1 - 2*f2
+        field = build_field(5)
+        g = [parse_form(t, field) for t in ("x*y^2", "x*z^2", "y^3 + z^3 + x^2*y")]
+        mixed = [combine(row, g) for row in ((1, 0, 1), (0, 1, 2), (0, 0, 1))]
+        verdicts = assert_syzygy_verdicts_match(mixed)
+        assert verdicts.count(True) == 1
+        syzygies = quadric_syzygies(mixed)
+        assert pencil_shares_factor(5, syzygies, cross((1, 0, 4), (0, 1, 3)))
+        assert not pencil_shares_factor(5, syzygies, cross((1, 0, 0), (0, 1, 0)))
+
+    def test_a_net_needs_three_nonzero_forms(self):
+        field = build_field(3)
+        with pytest.raises(ValueError, match="3 cubics"):
+            quadric_syzygies([parse_form("x^3", field), parse_form("y^3", field)])
+        with pytest.raises(ValueError, match="nonzero"):
+            quadric_syzygies([parse_form("x^3", field), parse_form("y^3", field), parse_form("0", field)])
 
 
 class TestRationalPoly:

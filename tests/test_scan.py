@@ -274,6 +274,42 @@ class TestOrbitScans:
             points = _scanned_points(field)
         assert points == _orbit_firsts(field)
 
+    @pytest.mark.parametrize("p, k", FIELDS)
+    def test_growing_chunks_keep_the_points_and_their_order(self, p, k):
+        field = build_field(p, k)
+
+        def points(grow):
+            return [pt for x, y, z in _scan.iter_point_chunks(field, 200, grow)
+                    for pt in zip(x.tolist(), y.tolist(), z.tolist())]
+
+        assert points(True) == points(False)
+
+    def test_growing_chunks_start_at_one_row_and_double(self):
+        field = build_field(2, 5)
+        rows = [len(set(x.tolist())) for x, _, z in _scan.iter_point_chunks(field, 96, grow=True)
+                if z.any()]
+        # 8 orbit-first x in GF(32): 0, 1 and one per 5-orbit; 96 // 32 = 3 rows a full chunk
+        assert rows == [1, 2, 3, 2]
+
+    def test_first_point_witness_reads_one_row_at_an_uncached_level(self, monkeypatch):
+        # x^3 and y^3 meet only at [0:0:1], the first point scanned, where z^3 is 1
+        ext = build_field(3, 7)
+        assert _scan.point_count(ext) > _scan._CACHE_POINT_LIMIT
+        f3 = build_field(3)
+        pencil = [TernaryForm(f3, [1] + [0] * 9), TernaryForm(f3, [0] * 6 + [1, 0, 0, 0])]
+        plane = pencil + [TernaryForm(f3, [0] * 9 + [1])]
+        read = []
+        monomial_values = _scan.monomial_values
+
+        def counted(t, x, y, z):
+            read.append(len(x))
+            return monomial_values(t, x, y, z)
+
+        monkeypatch.setattr(_scan, "monomial_values", counted)
+        assert _scan.find_witness_encoding(pencil, plane, ext) == (0, 0, 1)
+        # one chunk: the orbit-first points of the row [0:*:1], not 2^19 points
+        assert len(read) == 1 and 0 < read[0] <= ext.order
+
     @settings(max_examples=60, deadline=None)
     @given(pencils_in_planes())
     # zeros at GF(4) points [w:y:1] whose Frobenius orbits have two points
