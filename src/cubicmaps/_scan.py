@@ -168,14 +168,14 @@ def _orbit_first(t, x, y):
     return keep
 
 
-def iter_point_chunks(field, chunk=_CHUNK, grow=False):
+def iter_point_chunks(field, chunk=_CHUNK):
     """Yield (X, Y, Z) encoding arrays of one point per Frobenius orbit of P^2.
 
     The points are the first of their orbits, in scan order.  A row [x:*:1]
     holds such points only if x comes first among its own conjugates, so
-    the other rows are never built.  A chunk spans chunk // q such rows;
-    with grow the first chunk spans one row and each next one twice as
-    many, up to that size, so a scan that stops early reads little.
+    the other rows are never built.  The first chunk spans one such row and
+    each next one twice as many, up to chunk // q rows, so a scan that
+    stops early reads little.
     """
     q = field.order
     if point_count(field) > MAX_SCAN_POINTS:
@@ -188,7 +188,7 @@ def iter_point_chunks(field, chunk=_CHUNK, grow=False):
     a = np.arange(q, dtype=dt)
     xs_first = a[_orbit_first(t, a, np.zeros_like(a))]
     rows = max(1, chunk // q)
-    step = 1 if grow else rows
+    step = 1
     i = 0
     while i < len(xs_first):
         xs = xs_first[i : i + step]
@@ -263,20 +263,18 @@ def _eval(t, coeffs, monos):
     return acc
 
 
-def _scan_chunks(field, grow=False):
+def _scan_chunks(field):
     """Yield (x, y, z, monomials) chunks of orbit-first points, cached when the level is small.
 
     The cache limit counts every point of P^2, so the same levels are
-    cached whatever share of them a scan reads.  grow starts an uncached
-    level with one-row chunks that double up to _CHUNK (iter_point_chunks),
-    for scans that stop at their first hit.
+    cached whatever share of them a scan reads.
     """
     t = tables(field)
     if point_count(field) <= _CACHE_POINT_LIMIT:
         x, y, z, monos = _cached_chunks(field)
         yield x, y, z, monos
         return
-    for x, y, z in iter_point_chunks(field, _CHUNK, grow):
+    for x, y, z in iter_point_chunks(field, _CHUNK):
         yield x, y, z, monomial_values(t, x, y, z)
 
 
@@ -325,7 +323,7 @@ def find_witness_encoding(pencil_forms, plane_forms, ext):
     t = tables(ext)
     pencil = [_form_encodings(f, ext) for f in pencil_forms]
     plane = [_form_encodings(f, ext) for f in plane_forms]
-    for x, y, z, monos in _scan_chunks(ext, grow=True):
+    for x, y, z, monos in _scan_chunks(ext):
         mask = _zero_mask(t, pencil, monos)
         if not mask.any():
             continue

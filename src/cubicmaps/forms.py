@@ -280,8 +280,6 @@ def pencil_shares_factor(p, syzygies, n):
     (any nonzero multiple will do); the pencil of combinations orthogonal
     to a target t has normal t.
     """
-    if not syzygies:
-        return False
     n0, n1, n2 = n
     projected = [
         [n0 * u + n1 * v + n2 * w for u, v, w in zip(k[:6], k[6:12], k[12:])] for k in syzygies
