@@ -8,8 +8,8 @@ the resolved configuration, the tool version, wall time, input/output
 paths, and the SHA-256 of the dataset file it read or wrote.
 
 Exit codes: 0 success, 1 check or certificate failure (an inconclusive
-check label included), 2 usage error (a dataset or oracle --all scan bound
-below the exhaustive bound included).
+check label included), 2 usage error (a dataset or oracle --all scan bound,
+or an oracle source bound, below the exhaustive bound included).
 """
 
 import argparse
@@ -146,14 +146,11 @@ def _plane_for(cfg, args):
     return plane
 
 
-def _require_exhaustive_scan(args):
-    """Refuse a scan bound below the exhaustive one where labels are reported as proved."""
-    if args.scan_bound < DEFAULT_SCAN_BOUND:
-        raise UsageError(
-            f"--scan-bound {args.scan_bound} is below the exhaustive bound {DEFAULT_SCAN_BOUND}: "
-            "a pencil without a witness up to that degree may have one above it, so its "
-            "label 0 would be unproved"
-        )
+def _require_exhaustive(flag, bound, unproved):
+    """Refuse a bound below the exhaustive one where its result is reported as proved."""
+    if bound < DEFAULT_SCAN_BOUND:
+        raise UsageError(f"{flag} {bound} is below the exhaustive bound {DEFAULT_SCAN_BOUND}: "
+                         f"{unproved} up to that degree may have one above it")
 
 
 def _iter_admissible_planes(cfg):
@@ -166,9 +163,9 @@ def _iter_admissible_planes(cfg):
 
 def cmd_dataset(args):
     started = time.time()
-    _require_exhaustive_scan(args)
     cfg = _resolve_config(args)
     t0 = time.perf_counter()
+    # generate_dataset refuses a scan bound below the exhaustive one
     records = generate_dataset(cfg, jobs=args.jobs)
     t1 = time.perf_counter()
     write_output(records, args.out)
@@ -249,9 +246,10 @@ def cmd_check(args):
 def cmd_oracle(args):
     started = time.time()
     cfg = _resolve_config(args)
+    _require_exhaustive("--source-bound", args.source_bound, "a target without a preimage")
     code = 0
     if args.all:
-        _require_exhaustive_scan(args)
+        _require_exhaustive("--scan-bound", args.scan_bound, "a pencil without a witness")
         planes = disagreements = uncovered_targets = 0
         label_s = oracle_s = 0.0
         for plane in _iter_admissible_planes(cfg):

@@ -1,16 +1,11 @@
 """Exhaustive labeled enumeration of plane triples and the output.txt format.
 
-A dataset run fixes a cubic system (one of the built-in cases, or a custom
-system) and iterates all triples (v, u, t) of coefficient vectors over
-GF(p)^dim in lexicographic order, leftmost coordinate most significant.
-A triple survives when it passes make_plane (rank 3 and coprime forms)
-and the configured vector filter; each survivor is emitted with the label
-of its plane.
-
-Labels depend only on the spanned 3-subspace, so they are computed once
-per distinct subspace (canonical RREF representative) and shared.  With
-jobs > 1 the distinct subspaces are labeled by a process pool in a fixed
-order, which keeps the output byte-identical for any worker count.
+A dataset run fixes a cubic system (a built-in case or a custom one) and
+walks the 3-subspaces of GF(p)^dim once, by iter_subspaces.  It lists each
+subspace's spanning triples (v, u, t) that pass the vector filter, and
+labels a subspace that holds one once, by its plane (no records when
+make_plane rejects it), serially or in a process pool.  The records are
+sorted by (v, u, t), so the output is byte-identical for any worker count.
 
 File format, one record per line, newline-terminated:
 
@@ -27,7 +22,7 @@ from .linsys import (
     FIVE_POINT,
     SIX_POINT,
     CubicSystem,
-    gf_rref,
+    iter_subspaces,
     iter_vectors,
     make_plane,
     reference_system,
@@ -125,53 +120,56 @@ def passes_filter(mode, v, u, t, p):
 def _label_subspace(system, scan_bound, rows):
     """Label of the plane spanned by canonical rows; None when rejected by make_plane."""
     plane = make_plane(system, *rows)
-    if plane is None:
-        return None
-    return label_plane(plane, scan_bound).value
+    return None if plane is None else label_plane(plane, scan_bound).value
 
 
-def _surviving_triples(cfg):
-    """Lazily yield (v, u, t, subspace_key) for triples passing filter and rank.
+def _det3(a, b, c):
+    return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
 
-    The filter is applied per vector (and per pair under strict
-    orthonormality) before the triple loop; the filtered lists keep
-    lexicographic order, so the yield order is that of the full loop.
+
+def _filtered_subspaces(cfg):
+    """Yield (rows, triples) for each 3-subspace, in iter_subspaces order, that holds a triple.
+
+    The triples are those of the sorted span vectors c·rows, unit-norm unless
+    the filter is none, whose coordinates c have a nonzero determinant mod p.
     """
-    p = cfg.p
-    mode = cfg.filter_mode
-    vectors = list(iter_vectors(p, cfg.system.dim))
-    if mode != NO_FILTER:
-        vectors = [w for w in vectors if unit_norm(w, p)]
-    for v in vectors:
-        us = [u for u in vectors if _dot(v, u, p) == 0] if mode == STRICT_ORTHONORMAL else vectors
-        for u in us:
-            ts = [t for t in us if _dot(u, t, p) == 0] if mode == STRICT_ORTHONORMAL else us
-            for t in ts:
-                key, _ = gf_rref(p, (v, u, t))
-                if len(key) == 3:
-                    yield v, u, t, key
+    p, mode = cfg.p, cfg.filter_mode
+    coords = [c for c in iter_vectors(p, 3) if any(c)]
+    for rows in iter_subspaces(p, cfg.system.dim, 3):
+        span = sorted((tuple(sum(x * y for x, y in zip(c, col)) % p for col in zip(*rows)), c)
+                      for c in coords)
+        if mode != NO_FILTER:
+            span = [(w, c) for w, c in span if unit_norm(w, p)]
+        triples = [(v, u, t) for v, a in span for u, b in span for t, c in span
+                   if _det3(a, b, c) % p and passes_filter(mode, v, u, t, p)]
+        if triples:
+            yield rows, triples
 
 
 def generate_dataset(cfg, jobs=1):
-    """The full record list, in triple order; jobs > 1 labels subspaces in a process pool.
+    """The full record list, sorted by (v, u, t); jobs > 1 labels subspaces in a process pool.
 
-    One walk over the triples collects the distinct subspaces in
-    first-encounter order; each triple keeps its subspace's index.  The
-    subspaces are then labeled by map, or by an order-preserving pool map,
-    so the output is independent of the worker count.
+    The pool starts at most one worker per subspace to label.  A scan bound
+    below the exhaustive one is refused: its label 0 would be unproved.
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    keys = {}
-    triples = [(v, u, t, keys.setdefault(key, len(keys)))
-               for v, u, t, key in _surviving_triples(cfg)]
+    if cfg.scan_bound < DEFAULT_SCAN_BOUND:
+        raise ValueError(f"scan_bound {cfg.scan_bound} is below the exhaustive bound "
+                         f"{DEFAULT_SCAN_BOUND}: a label 0 would be unproved")
+    subspaces = list(_filtered_subspaces(cfg))
+    rows = [r for r, _ in subspaces]
     label = functools.partial(_label_subspace, cfg.system, cfg.scan_bound)
-    if jobs == 1:
-        labels = list(map(label, keys))
+    workers = min(jobs, len(rows))
+    if workers <= 1:
+        labels = list(map(label, rows))
     else:
-        with multiprocessing.Pool(jobs) as pool:
-            labels = pool.map(label, keys, chunksize=4)
-    return [DatasetRecord(v, u, t, labels[i]) for v, u, t, i in triples if labels[i] is not None]
+        with multiprocessing.Pool(workers) as pool:
+            labels = pool.map(label, rows, chunksize=4)
+    return [DatasetRecord(*rec) for rec in sorted(
+        (v, u, t, lab) for (_, triples), lab in zip(subspaces, labels) if lab is not None
+        for v, u, t in triples)]
 
 
 def write_output(records, path):

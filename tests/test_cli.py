@@ -234,12 +234,16 @@ class TestBoundsBelowOne:
 
 class TestScanBoundBelowExhaustive:
     # at bound 2 `dataset` wrote 24 positives instead of 144 and `oracle --all`
-    # reported 5 disagreements: pencils with no witness up to degree 2 became label 0
+    # reported 5 disagreements: pencils with no witness up to degree 2 became label 0.
+    # At source bound 1 the oracle listed 3 uncovered targets for case 46, which
+    # has none, and at source bound 2 `oracle --all` reported 5 disagreements.
     @pytest.mark.parametrize("argv", [
         ["dataset", "--case", "five", "--scan-bound", "2", "--out", "x.txt"],
         ["dataset", "--case", "six", "--scan-bound", "8", "--out", "x.txt"],
         ["oracle", "--all", "--case", "five", "--scan-bound", "2"],
         ["oracle", "--all", "--case", "six", "--scan-bound", "8"],
+        ["oracle", "--triple", CASE46, "--source-bound", "1"],
+        ["oracle", "--all", "--case", "five", "--source-bound", "2"],
     ])
     def test_refused(self, argv, capsys):
         assert main(argv) == 2

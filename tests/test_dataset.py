@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 import tempfile
 from pathlib import Path
@@ -20,14 +21,17 @@ from cubicmaps.dataset import (
     unit_norm,
     write_output,
 )
-from cubicmaps.dataset import _surviving_triples
+from cubicmaps import dataset
+from cubicmaps.dataset import _filtered_subspaces
 from cubicmaps.linsys import (
     FIVE_POINT,
     SIX_POINT,
     CubicSystem,
     PointConfig,
     gf_rref,
+    iter_subspaces,
     iter_vectors,
+    reduced_generator_system,
     reference_system,
     vanishing_cubics,
 )
@@ -92,6 +96,13 @@ class TestEnumConfig:
             EnumConfig(FIVE_POINT, filter_mode="bogus")
         with pytest.raises(ValueError, match="scan_bound must be at least 1"):
             EnumConfig(FIVE_POINT, scan_bound=0)
+
+    @pytest.mark.parametrize("bound", [1, 2, 8])
+    def test_generation_below_the_exhaustive_bound_is_refused(self, bound):
+        # at bound 2 the five-point dataset held 24 positives instead of 144
+        cfg = EnumConfig(FIVE_POINT, scan_bound=bound)
+        with pytest.raises(ValueError, match="below the exhaustive bound 9"):
+            generate_dataset(cfg)
 
 
 class TestGeneration:
@@ -163,12 +174,123 @@ class TestGeneration:
         assert all(len(labels) == 1 for labels in by_plane.values())
 
 
+# sha256 of write_output for each GF(2) case and filter; the norm pair is the
+# perfbench golden pair
+DATASET_SHA256 = {
+    (FIVE_POINT, NORM_ONLY): "761ae13cb89441362ba0ace22c7d54ba66646ad34462233a1465d1fdd4f30022",
+    (FIVE_POINT, STRICT_ORTHONORMAL):
+        "360635313ac94b0e340cad4eba09ff1aedf537c6496e1262f8bd6780b9f8f9f5",
+    (FIVE_POINT, NO_FILTER): "4da7ca3f571d9b205d9e1f5d92bdab3a74e671fdfe87c0b4c343d3ce382c78dc",
+    (SIX_POINT, NORM_ONLY): "c5ef0cca2b421410450b483583990450e87df4eae1475edea4ca71aac31030bf",
+    (SIX_POINT, STRICT_ORTHONORMAL):
+        "6b9bf6b8bad912a56a133a06c51dd8ecf5715e4f9400933de4f0a053068bab88",
+    (SIX_POINT, NO_FILTER): "abc84ae703bb3ac9ec5273869fee30896c786de9e1d14a4c2bf392d84d7861b9",
+}
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("case, mode", sorted(DATASET_SHA256))
+    def test_pinned_sha256(self, case, mode, tmp_path):
+        path = tmp_path / "data.txt"
+        write_output(generate_dataset(EnumConfig(case, filter_mode=mode)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == DATASET_SHA256[case, mode]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Sizes of the pools generate_dataset asks for; the stand-in pool maps serially."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(dataset.multiprocessing, "Pool", SerialPool)
+    return sizes
+
+
+class TestLabeledSubspaces:
+    @pytest.mark.parametrize("case, count", [(FIVE_POINT, 140), (SIX_POINT, 14)])
+    def test_only_subspaces_holding_a_triple_are_labeled(self, case, count, monkeypatch,
+                                                          five_records, six_records):
+        labeled = []
+        label = dataset._label_subspace
+
+        def counting_label(system, scan_bound, rows):
+            labeled.append(rows)
+            return label(system, scan_bound, rows)
+
+        monkeypatch.setattr(dataset, "_label_subspace", counting_label)
+        records = generate_dataset(EnumConfig(case))
+        assert records == (five_records if case == FIVE_POINT else six_records)
+        assert len(labeled) == len(set(labeled)) == count
+
+    @pytest.mark.parametrize("jobs, workers", [(64, 14), (3, 3)])
+    def test_pool_has_at_most_one_worker_per_subspace(self, jobs, workers, pool_sizes,
+                                                      six_records):
+        assert generate_dataset(EnumConfig(SIX_POINT), jobs=jobs) == six_records
+        assert pool_sizes == [workers]
+
+    def test_one_subspace_is_labeled_without_a_pool(self, pool_sizes):
+        f2 = build_field(2)
+        cfg = EnumConfig(CubicSystem(f2, reference_system(SIX_POINT, f2).basis[:3], "custom"))
+        assert len(list(_filtered_subspaces(cfg))) == 1
+        assert generate_dataset(cfg, jobs=4) == generate_dataset(cfg, jobs=1)
+        assert pool_sizes == []
+
+
 def brute_force_triples(cfg):
     vectors = list(iter_vectors(cfg.p, cfg.system.dim))
     for v, u, t in itertools.product(vectors, repeat=3):
         key, _ = gf_rref(cfg.p, (v, u, t))
         if len(key) == 3 and passes_filter(cfg.filter_mode, v, u, t, cfg.p):
             yield v, u, t, key
+
+
+def filter_first_triples(cfg):
+    """An independent triple walk: each vector filtered first, then pairs, then triples.
+
+    Fast enough over GF(3)^4, where brute force over GF(3)^12 is not; yields
+    the triples lexicographically with their gf_rref keys.
+    """
+    p = cfg.p
+    mode = cfg.filter_mode
+
+    def orthogonal(a, b):
+        return sum(x * y for x, y in zip(a, b)) % p == 0
+
+    vectors = list(iter_vectors(p, cfg.system.dim))
+    if mode != NO_FILTER:
+        vectors = [w for w in vectors if unit_norm(w, p)]
+    for v in vectors:
+        us = [u for u in vectors if orthogonal(v, u)] if mode == STRICT_ORTHONORMAL else vectors
+        for u in us:
+            ts = [t for t in us if orthogonal(u, t)] if mode == STRICT_ORTHONORMAL else us
+            for t in ts:
+                key, _ = gf_rref(p, (v, u, t))
+                if len(key) == 3:
+                    yield v, u, t, key
+
+
+def in_walk_order(cfg, reference):
+    """(rows, triple) pairs of (v, u, t, key) tuples, by the key's iter_subspaces position."""
+    position = {rows: i for i, rows in enumerate(iter_subspaces(cfg.p, cfg.system.dim, 3))}
+    return [(key, triple) for _, triple, key in
+            sorted((position[key], (v, u, t), key) for v, u, t, key in reference)]
+
+
+def walked(cfg):
+    """(rows, triple) pairs in the order _filtered_subspaces emits them."""
+    return [(rows, triple) for rows, triples in _filtered_subspaces(cfg) for triple in triples]
 
 
 def gf3_coordinate_system():
@@ -188,7 +310,14 @@ class TestFilterFirst:
         if mode != NO_FILTER:
             configs.append(EnumConfig(FIVE_POINT, filter_mode=mode))
         for cfg in configs:
-            assert list(_surviving_triples(cfg)) == list(brute_force_triples(cfg))
+            assert walked(cfg) == in_walk_order(cfg, brute_force_triples(cfg))
+
+    @pytest.mark.parametrize("mode", [NORM_ONLY, STRICT_ORTHONORMAL])
+    def test_six_point_fixture_mod_3(self, mode):
+        cfg = EnumConfig(reduced_generator_system(SIX_POINT, 3), p=3, filter_mode=mode)
+        assert cfg.system.dim == 4
+        want = in_walk_order(cfg, filter_first_triples(cfg))
+        assert want and walked(cfg) == want
 
 
 class TestRoundTrip:
