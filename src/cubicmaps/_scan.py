@@ -241,17 +241,8 @@ def _cached_chunks(field):
     return got
 
 
-def _form_encodings(form, ext):
-    """Coefficient encodings of a form over GF(p), valid in the extension field.
-
-    The residue coefficients embed as constants, whose encodings they are.
-    """
-    if form.field.p != ext.p:
-        raise ValueError(f"cannot evaluate a form over {form.field} at points of {ext}")
-    return form.coeffs
-
-
 def _eval(t, coeffs, monos):
+    """A form's values at the monomial arrays; its GF(p) residues are their own encodings in GF(p^d)."""
     acc = None
     for c, m in zip(coeffs, monos):
         if c == 0:
@@ -296,7 +287,7 @@ def _scan_key(enc):
 def common_zero_encodings(forms, ext):
     """Encoded coordinates of all points of P^2(ext) where every form vanishes, in scan order."""
     t = tables(ext)
-    encs = [_form_encodings(f, ext) for f in forms]
+    encs = [f.coeffs for f in forms]
     found = set()
     for x, y, z, monos in _scan_chunks(ext):
         mask = _zero_mask(t, encs, monos)
@@ -309,11 +300,6 @@ def common_zero_encodings(forms, ext):
     return sorted(found, key=_scan_key)
 
 
-def count_common_zeros(forms, ext):
-    """Number of points of P^2(ext) where every form vanishes."""
-    return len(common_zero_encodings(forms, ext))
-
-
 def find_witness_encoding(pencil_forms, plane_forms, ext):
     """First point (scan order) where the pencil vanishes but the plane does not.
 
@@ -321,8 +307,8 @@ def find_witness_encoding(pencil_forms, plane_forms, ext):
     costs about what the scan reads up to it.
     """
     t = tables(ext)
-    pencil = [_form_encodings(f, ext) for f in pencil_forms]
-    plane = [_form_encodings(f, ext) for f in plane_forms]
+    pencil = [f.coeffs for f in pencil_forms]
+    plane = [f.coeffs for f in plane_forms]
     for x, y, z, monos in _scan_chunks(ext):
         mask = _zero_mask(t, pencil, monos)
         if not mask.any():
@@ -352,7 +338,7 @@ def covered_target_encodings(forms3, ext):
     by dividing through by lambda.
     """
     t = tables(ext)
-    encs = [_form_encodings(f, ext) for f in forms3]
+    encs = [f.coeffs for f in forms3]
     covered = set()
     for _x, _y, _z, monos in _scan_chunks(ext):
         fs = [_eval(t, coeffs, monos) for coeffs in encs]

@@ -32,7 +32,7 @@ from .dataset import (
     stats,
     write_output,
 )
-from .finitefield import build_field
+from .finitefield import ProjPoint, build_field
 from .linsys import (
     DEFAULT_SCAN_BOUND,
     FIVE_POINT,
@@ -51,7 +51,14 @@ from .network import (
     train,
     write_history,
 )
-from .surjectivity import NOT_UNRULY, POSITIVE_DIMENSIONAL, UNRULY, forward_oracle, label_plane
+from .surjectivity import (
+    NOT_UNRULY,
+    POSITIVE_DIMENSIONAL,
+    UNRULY,
+    forward_oracle,
+    label_plane,
+    pencil_normal,
+)
 
 _CASES = {
     "five": FIVE_POINT,
@@ -211,16 +218,13 @@ def cmd_check(args):
     t0 = time.perf_counter()
     label = label_plane(plane, scan_bound=args.scan_bound, find_all=True)
     label_s = time.perf_counter() - t0
-    # label 1 rests on witnesses and algebra; label 0 rests on a scan that is
-    # exhaustive only at the default bound
-    conclusive = label.value == 1 or args.scan_bound >= DEFAULT_SCAN_BOUND
-    if conclusive:
-        print(f"label: {label.value}")
-        pencil_line = "unruly pencil"
-    else:
+    if label.value is None:
         print(f"label: inconclusive (scan bound {args.scan_bound} < {DEFAULT_SCAN_BOUND}: "
               f"a pencil without a witness up to degree {args.scan_bound} may have one above it)")
         pencil_line = f"no witness up to degree {args.scan_bound}"
+    else:
+        print(f"label: {label.value}")
+        pencil_line = "unruly pencil"
     for a, b in label.unruly_pencils:
         print(f"{pencil_line}: a={a} b={b}")
     if args.witness:
@@ -228,7 +232,7 @@ def cmd_check(args):
             status = verdict.status
             if status == NOT_UNRULY:
                 status += f" witness {verdict.witness} over {verdict.witness.field}"
-            elif status == UNRULY and not conclusive:
+            elif status == UNRULY and label.value is None:
                 status = pencil_line
             print(f"pencil a={a} b={b}: {status}")
     _write_manifest(
@@ -240,7 +244,7 @@ def cmd_check(args):
         stages={"label_s": round(label_s, 6)},
         counters=_verdict_counters(label),
     )
-    return 0 if conclusive else 1
+    return 1 if label.value is None else 0
 
 
 def cmd_oracle(args):
@@ -255,16 +259,22 @@ def cmd_oracle(args):
         for plane in _iter_admissible_planes(cfg):
             planes += 1
             t0 = time.perf_counter()
-            label = label_plane(plane, scan_bound=args.scan_bound).value
+            label = label_plane(plane, scan_bound=args.scan_bound)
             t1 = time.perf_counter()
             uncovered = forward_oracle(plane, source_bound=args.source_bound)
             t2 = time.perf_counter()
             label_s += t1 - t0
             oracle_s += t2 - t1
             uncovered_targets += len(uncovered)
-            if (label == 1) != (len(uncovered) == 0):
+            # an unruly pencil's normal is exactly a target without a preimage
+            if label.value == 1:
+                agrees = not uncovered
+            else:
+                normal = pencil_normal(*label.unruly_pencils[0])
+                agrees = ProjPoint(plane.field, normal) in uncovered
+            if not agrees:
                 disagreements += 1
-                print(f"DISAGREEMENT: plane {plane.vectors} label {label}, "
+                print(f"DISAGREEMENT: plane {plane.vectors} label {label.value}, "
                       f"{len(uncovered)} uncovered targets")
         print(f"planes checked: {planes}")
         print(f"{disagreements} disagreements")

@@ -133,6 +133,7 @@ def _filtered_subspaces(cfg):
 
     The triples are those of the sorted span vectors c·rows, unit-norm unless
     the filter is none, whose coordinates c have a nonzero determinant mod p.
+    Under strict a pair that is not orthogonal gets no third vector.
     """
     p, mode = cfg.p, cfg.filter_mode
     coords = [c for c in iter_vectors(p, 3) if any(c)]
@@ -141,8 +142,9 @@ def _filtered_subspaces(cfg):
                       for c in coords)
         if mode != NO_FILTER:
             span = [(w, c) for w, c in span if unit_norm(w, p)]
-        triples = [(v, u, t) for v, a in span for u, b in span for t, c in span
-                   if _det3(a, b, c) % p and passes_filter(mode, v, u, t, p)]
+        triples = [(v, u, t) for v, a in span for u, b in span
+                   if mode != STRICT_ORTHONORMAL or _dot(v, u, p) == 0
+                   for t, c in span if _det3(a, b, c) % p and passes_filter(mode, v, u, t, p)]
         if triples:
             yield rows, triples
 

@@ -309,14 +309,6 @@ class BaseLocus:
         return f"BaseLocus({counts})"
 
 
-def _require_prime_base(forms):
-    field = forms[0].field
-    for f in forms:
-        if f.field != field:
-            raise ValueError("mixed fields in base-locus scan")
-    return field
-
-
 def base_locus(forms, scan_bound=DEFAULT_SCAN_BOUND):
     """Common zeros of 1..3 nonzero forms over GF(p^d), d = 1..scan_bound.
 
@@ -328,16 +320,13 @@ def base_locus(forms, scan_bound=DEFAULT_SCAN_BOUND):
     forms = list(forms)
     if not 1 <= len(forms) <= 3:
         raise ValueError("base_locus expects 1..3 forms")
-    for f in forms:
-        if f.is_zero():
-            raise ValueError("base_locus needs nonzero forms")
-    field = _require_prime_base(forms)
     require_bound("scan_bound", scan_bound)
+    # refuses zero forms and mixed fields before any scan
     positive = common_factor_all(forms)
     points = {}
     if not positive:
         for d in range(1, scan_bound + 1):
-            ext = build_field(field.p, d)
+            ext = build_field(forms[0].field.p, d)
             found = []
             for enc in sorted(_scan.common_zero_encodings(forms, ext)):
                 pt = _scan.decode_point(ext, enc)

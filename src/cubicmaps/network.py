@@ -76,48 +76,24 @@ class TrainConfig:
         return cls(**data)
 
 
-class ScaledSample:
-    """A standardized 3 x w feature matrix with its per-column provenance."""
+def _features(triples):
+    """Raw (v, u, t) integer triples as an (N, 3, w, 1) tensor, standardized per triple and column.
 
-    __slots__ = ("matrix", "means", "stds")
-
-    def __init__(self, matrix, means, stds):
-        self.matrix = matrix
-        self.means = means
-        self.stds = stds
-
-
-def _standardize(m, axis):
-    """Population standardization along axis, with the zero-variance guard."""
-    means = m.mean(axis=axis, keepdims=True)
-    var = m.var(axis=axis, keepdims=True)
-    stds = np.sqrt(var)
-    divisor = np.where(var < _VAR_GUARD, 1.0, stds)
-    return (m - means) / divisor, means, stds
-
-
-def scale_features(raw):
-    """Standardize a 3 x w integer matrix per column (population statistics)."""
-    m = np.asarray(raw, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != 3:
-        raise ValueError(f"expected a 3 x w matrix, got shape {m.shape}")
-    matrix, means, stds = _standardize(m, 0)
-    return ScaledSample(matrix, means[0], stds[0])
-
-
-def record_matrix(record):
-    """The raw 3 x w matrix of a dataset record (rows v, u, t)."""
-    return np.array([record.v, record.u, record.t], dtype=np.float64)
+    Population statistics; a column of variance below the guard is only centered.
+    """
+    m = np.array(triples, dtype=np.float64)
+    means = m.mean(axis=1, keepdims=True)
+    var = m.var(axis=1, keepdims=True)
+    x = (m - means) / np.where(var < _VAR_GUARD, 1.0, np.sqrt(var))
+    return x[..., np.newaxis]
 
 
 def features_and_labels(records):
     """Scaled feature tensor (N, 3, w, 1) and float label vector (N, 1)."""
     if not records:
         raise ValueError("no records")
-    raw = np.array([(r.v, r.u, r.t) for r in records], dtype=np.float64)
-    x, _, _ = _standardize(raw, 1)
     y = np.array([[float(r.label)] for r in records])
-    return x[..., np.newaxis], y
+    return _features([(r.v, r.u, r.t) for r in records]), y
 
 
 class TargetScaler:
@@ -333,9 +309,7 @@ class TrainedModel:
 
     def predict_raw(self, triple):
         """Prediction for one raw (v, u, t) integer triple, on the label scale."""
-        sample = scale_features(np.array(triple, dtype=np.float64))
-        x = sample.matrix[np.newaxis, :, :, np.newaxis]
-        out = forward(self.params, x)
+        out = forward(self.params, _features([triple]))
         return float(self.scaler.inverse_transform(out)[0, 0])
 
 

@@ -4,8 +4,9 @@ A plane of cubics defines the rational map f = [f0:f1:f2].  A pencil
 inside the plane is *unruly* when its base locus is 0-dimensional and
 adds no geometric point to the base locus of the plane: scanning levels
 GF(q^d) for d = 1..scan_bound finds no common zero of the pencil at which
-some plane form is nonzero.  The plane's label is 0 exactly when some
-rational pencil is unruly, and 1 otherwise.
+some plane form is nonzero.  The plane's label is 1 when no rational
+pencil is unruly, and 0 when some is at the exhaustive scan_bound 9;
+below it such a label is inconclusive.
 
 The forward oracle checks the same property from the image side: a target
 point of P^2(GF(q)) is covered iff its annihilator pencil (combinations
@@ -27,7 +28,6 @@ from .linsys import (
     DEFAULT_SCAN_BOUND,
     gf_rref,
     iter_subspaces,
-    iter_vectors,
     make_plane,
     pencil,
     require_bound,
@@ -55,17 +55,31 @@ class UnrulyVerdict:
 
 
 class SurjectivityLabel:
-    """Label of a plane: 0 iff unruly_pencils is nonempty.
+    """A plane's label, read off the verdicts of the pencils its walk tested.
 
-    verdicts holds ((a, b), UnrulyVerdict) for every pencil tested, in walk order.
+    verdicts holds ((a, b), UnrulyVerdict) for every pencil tested, in walk
+    order, each pencil by the pair it was tested on.  value is 1 when no
+    verdict is unruly; otherwise it is 0 when scan_bound is exhaustive and
+    None (inconclusive) below it, where a pencil without a witness up to the
+    bound may have one above it.
     """
 
-    __slots__ = ("value", "unruly_pencils", "verdicts")
+    __slots__ = ("verdicts", "scan_bound")
 
-    def __init__(self, value, unruly_pencils, verdicts):
-        self.value = value
-        self.unruly_pencils = tuple(unruly_pencils)
+    def __init__(self, verdicts, scan_bound):
         self.verdicts = tuple(verdicts)
+        self.scan_bound = scan_bound
+
+    @property
+    def unruly_pencils(self):
+        """The tested pairs without a witness up to scan_bound, in walk order."""
+        return tuple(pair for pair, verdict in self.verdicts if verdict.status == UNRULY)
+
+    @property
+    def value(self):
+        if not self.unruly_pencils:
+            return 1
+        return 0 if self.scan_bound >= DEFAULT_SCAN_BOUND else None
 
     def __repr__(self):
         return f"SurjectivityLabel({self.value}, unruly={list(self.unruly_pencils)})"
@@ -77,11 +91,9 @@ def _pencil_subspaces(p):
     return sorted(iter_subspaces(p, 3, 2), key=lambda r: (r[1], r[0]))
 
 
-def _spanning_pairs(p, r0, r1):
-    """Every ordered pair of independent vectors of the span of r0 and r1."""
-    xs = list(iter_vectors(p, 2))
-    vec = {(x, y): tuple((x * a + y * b) % p for a, b in zip(r0, r1)) for x, y in xs}
-    return [(vec[c], vec[d]) for c in xs for d in xs if (c[0] * d[1] - c[1] * d[0]) % p]
+def pencil_normal(a, b):
+    """The normal a x b of the pencil spanned by a and b: the target whose annihilator it is."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def _monomial_coords(pt):
@@ -120,8 +132,7 @@ def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
     require_bound("scan_bound", scan_bound)
     if len(gf_rref(p, (a, b))[0]) < 2:
         return UnrulyVerdict(POSITIVE_DIMENSIONAL)
-    normal = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-    if pencil_shares_factor(p, plane.syzygies, normal):
+    if pencil_shares_factor(p, plane.syzygies, pencil_normal(a, b)):
         return UnrulyVerdict(POSITIVE_DIMENSIONAL)
     spec = pencil(plane, a, b)
     for d in range(1, scan_bound + 1):
@@ -142,24 +153,17 @@ def label_plane(plane, scan_bound=DEFAULT_SCAN_BOUND, find_all=False):
     """Label a plane by testing each rational pencil once, in deterministic order.
 
     The pencils are the 2-subspaces of GF(p)^3, each tested on its first
-    spanning pair (a, b) in lexicographic order; the first unruly one is
-    reported as that pair.  With find_all the walk continues past the first
-    unruly pencil and reports every ordered spanning pair of every unruly
-    pencil, sorted.  The label keeps the verdict of every pencil it tests,
-    in walk order; without find_all they end at the first unruly pencil.
+    spanning pair (a, b) in lexicographic order.  The walk stops at the
+    first unruly pencil unless find_all, which tests every pencil.
     """
     require_bound("scan_bound", scan_bound)
-    p = plane.field.p
-    unruly = []
     verdicts = []
-    for r0, r1 in _pencil_subspaces(p):
+    for r0, r1 in _pencil_subspaces(plane.field.p):
         verdict = test_pencil(plane, r1, r0, scan_bound)
         verdicts.append(((r1, r0), verdict))
-        if verdict.status == UNRULY:
-            if not find_all:
-                return SurjectivityLabel(0, [(r1, r0)], verdicts)
-            unruly.extend(_spanning_pairs(p, r0, r1))
-    return SurjectivityLabel(0 if unruly else 1, sorted(unruly), verdicts)
+        if verdict.status == UNRULY and not find_all:
+            break
+    return SurjectivityLabel(verdicts, scan_bound)
 
 
 def forward_oracle(plane, source_bound=DEFAULT_SCAN_BOUND):
@@ -190,12 +194,12 @@ def forward_oracle(plane, source_bound=DEFAULT_SCAN_BOUND):
     return [remaining[enc] for enc in sorted(remaining)]
 
 
-def find_unruly_seven_points(cfg, field, scan_bound=2):
+def find_unruly_seven_points(cfg, field):
     """First unruly pencil of the net of cubics through 7 points, or None.
 
     The system of cubics vanishing on the configuration must be
     3-dimensional (general position); it is then itself treated as the
-    plane and all rational pencils are scanned.  scan_bound = 2 is
+    plane and all rational pencils are scanned up to GF(q^2), which is
     exhaustive here: a 0-dimensional pencil of cubics has at most 9
     geometric base points, at least 7 of which are the rational
     configuration points, so any witness lies in an orbit of size at most
@@ -211,7 +215,6 @@ def find_unruly_seven_points(cfg, field, scan_bound=2):
     plane = make_plane(system, (1, 0, 0), (0, 1, 0), (0, 0, 1))
     if plane is None:
         raise ValueError("configuration is too special: the system has a fixed component")
-    label = label_plane(plane, scan_bound)
-    if label.value == 0:
-        return pencil(plane, *label.unruly_pencils[0])
-    return None
+    # the label's value is inconclusive below bound 9, but bound 2 is exhaustive here
+    unruly = label_plane(plane, scan_bound=2).unruly_pencils
+    return pencil(plane, *unruly[0]) if unruly else None

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cubicmaps._scan import count_common_zeros
+from cubicmaps._scan import common_zero_encodings
 from cubicmaps.certify import (
     check_point_image,
     explicit_map,
@@ -256,11 +256,11 @@ def test_07_base_locus_bounds_and_gcd_oracle(five_records, tmp_path):
             mask = x_divisible if i % 5 == 4 else None
             f, g = random_form(field, mask), random_form(field, mask)
             shared = has_common_factor(f, g)
-            count = count_common_zeros((f, g), ext)
+            count = len(common_zero_encodings((f, g), ext))
             if shared and count <= 9 and level < 6:
                 # a shared factor that is a triple of conjugate lines has
                 # its points at levels divisible by 3; recount at level 6
-                count = count_common_zeros((f, g), build_field(p, 6))
+                count = len(common_zero_encodings((f, g), build_field(p, 6)))
                 escalations += 1
             if shared != (count > 9):
                 mismatches += 1

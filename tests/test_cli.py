@@ -8,7 +8,9 @@ import pytest
 import cubicmaps
 from cubicmaps.cli import UsageError, _iter_admissible_planes, main, parse_triple
 from cubicmaps.dataset import EnumConfig
+from cubicmaps.finitefield import ProjPoint
 from cubicmaps.linsys import FIVE_POINT, SIX_POINT
+from cubicmaps.surjectivity import label_plane, pencil_normal
 
 CASE46 = "1,0,0,0,0;0,0,0,1,0;1,1,0,0,1"
 SIX_IDENTITY = "1,0,0,0;0,1,0,0;0,0,1,0"
@@ -93,16 +95,21 @@ class TestCheck:
         assert main(["check", "--case", "six", "--triple", SIX_IDENTITY]) == 0
         out = capsys.readouterr().out
         assert "label: 0" in out
-        assert "unruly pencil: a=(0, 0, 1) b=(0, 1, 0)" in out
+        # one line per unruly pencil, by the pair it was tested on
+        assert [line for line in out.splitlines() if line.startswith("unruly pencil")] == [
+            "unruly pencil: a=(0, 0, 1) b=(0, 1, 0)",
+            "unruly pencil: a=(0, 0, 1) b=(1, 0, 0)",
+            "unruly pencil: a=(0, 1, 0) b=(1, 0, 0)",
+        ]
 
     def test_bound_below_exhaustive_is_inconclusive(self, capsys):
-        # at bound 2 twelve pencils of case 46 show no witness, yet its label is 1
+        # at bound 2 two pencils of case 46 show no witness, yet its label is 1
         assert main(["check", "--triple", CASE46, "--scan-bound", "2"]) == 1
         out = capsys.readouterr().out
         assert "label: 0" not in out
         assert "label: inconclusive (scan bound 2 < 9" in out
         assert "no witness up to degree 2: a=(0, 0, 1) b=(1, 1, 0)" in out
-        assert out.count("no witness up to degree 2:") == 12
+        assert out.count("no witness up to degree 2:") == 2
 
     def test_six_point_plane_label_zero_at_exhaustive_bound(self, capsys):
         argv = ["check", "--case", "six", "--triple", "0,1,0,0;0,0,1,0;0,0,0,1", "--scan-bound", "9"]
@@ -141,8 +148,9 @@ class TestCheck:
         assert main(argv) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "label: 0"
-        assert out[-7:] == self.SIX_PLANE_WITNESSES
-        assert len(out) == 1 + 12 + 7
+        assert out[1:3] == ["unruly pencil: a=(0, 0, 1) b=(1, 0, 0)",
+                            "unruly pencil: a=(0, 1, 0) b=(1, 0, 1)"]
+        assert out[3:] == self.SIX_PLANE_WITNESSES
 
     def test_witness_below_exhaustive_bound_claims_no_unruly_pencil(self, capsys):
         argv = ["check", "--case", "six", "--triple", "0,1,0,0;0,0,1,0;0,0,0,1",
@@ -290,6 +298,24 @@ class TestOracle:
         assert all(seconds >= 0 for seconds in entry["stages"].values())
         # all 15 six-point planes are labeled 0; together they miss 30 targets
         assert entry["counters"] == {"planes": 15, "disagreements": 0, "uncovered_targets": 30}
+
+    def test_full_sweep_flags_a_label_0_whose_pencil_normal_is_covered(self, capsys, monkeypatch):
+        # a stand-in oracle leaves only [1:1:1] uncovered on every plane, so every
+        # six-point plane has some uncovered target, yet only the planes whose
+        # first unruly pencil has normal [1:1:1] agree with it
+        def only_one_uncovered(plane, source_bound):
+            return [ProjPoint(plane.field, (1, 1, 1))]
+
+        want = 0
+        for plane in _iter_admissible_planes(EnumConfig(SIX_POINT)):
+            normal = ProjPoint(plane.field, pencil_normal(*label_plane(plane).unruly_pencils[0]))
+            want += normal != only_one_uncovered(plane, 9)[0]
+        assert 0 < want <= 15
+        monkeypatch.setattr("cubicmaps.cli.forward_oracle", only_one_uncovered)
+        assert main(["oracle", "--case", "six", "--all"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("DISAGREEMENT: plane") == want
+        assert f"{want} disagreements" in out
 
     def test_full_sweep_custom_with_all_pencils_positive_dimensional(self, capsys):
         argv = ["oracle", "--all", "--case", "custom", "--p", "2", "--points", GF2_SIX_POINTS]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicmaps.finitefield import ProjPoint, build_field, enumerate_p2
-from cubicmaps.forms import MONOMIALS, evaluate, parse_form
+from cubicmaps.forms import MONOMIALS, TernaryForm, evaluate, parse_form
 from cubicmaps.linsys import (
     _INTEGER_GENERATORS,
     FIVE_POINT,
@@ -243,6 +243,13 @@ class TestBaseLocus:
         f2 = build_field(2)
         with pytest.raises(ValueError):
             base_locus((), scan_bound=2)
+
+    def test_zero_form_and_mixed_fields_rejected(self):
+        f2, f3 = build_field(2), build_field(3)
+        with pytest.raises(ValueError, match="nonzero forms"):
+            base_locus((parse_form("x^3", f2), TernaryForm(f2, [0] * 10)), scan_bound=2)
+        with pytest.raises(ValueError, match="mixed fields"):
+            base_locus((parse_form("x^3", f2), parse_form("y^3", f3)), scan_bound=2)
 
 
 class TestIterVectors:

@@ -25,9 +25,7 @@ from cubicmaps.network import (
     load_checkpoint,
     loss_and_grad,
     mean_prediction,
-    record_matrix,
     save_checkpoint,
-    scale_features,
     split_indices,
     train,
     write_history,
@@ -82,29 +80,33 @@ def small_instance(seed=5, n=6, w=5, filters=3, hidden=4):
     return params, x, y
 
 
+def scaled(*rows):
+    """The feature matrix features_and_labels gives one record with these rows (v, u, t)."""
+    x, _ = features_and_labels([DatasetRecord(*rows, 0)])
+    return x[0, :, :, 0]
+
+
 class TestScaling:
     def test_per_column_standardization(self):
-        raw = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
-        sample = scale_features(raw)
+        rows = ((0, 1, 0), (1, 1, 0), (1, 1, 1))
+        raw = np.array(rows, dtype=np.float64)
+        matrix = scaled(*rows)
         for j in range(3):
             col = raw[:, j]
             if col.std() < 1e-6:
-                assert np.allclose(sample.matrix[:, j], col - col.mean())
+                assert np.allclose(matrix[:, j], col - col.mean())
             else:
-                assert np.allclose(sample.matrix[:, j], (col - col.mean()) / col.std())
+                assert np.allclose(matrix[:, j], (col - col.mean()) / col.std())
 
     def test_constant_columns_collapse_to_zero(self):
-        all_zero = np.zeros((3, 5))
-        all_one = np.ones((3, 5))
-        assert np.array_equal(scale_features(all_zero).matrix, np.zeros((3, 5)))
-        assert np.array_equal(scale_features(all_one).matrix, np.zeros((3, 5)))
+        assert np.array_equal(scaled(*[(0,) * 5] * 3), np.zeros((3, 5)))
+        assert np.array_equal(scaled(*[(1,) * 5] * 3), np.zeros((3, 5)))
 
-    def test_record_matrix_rows_are_v_u_t(self):
-        rec = DatasetRecord((1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (1, 1, 0, 0, 1), 1)
-        mat = record_matrix(rec)
-        assert mat.shape == (3, 5)
-        assert list(mat[0]) == [1, 0, 0, 0, 0]
-        assert list(mat[2]) == [1, 1, 0, 0, 1]
+    def test_feature_rows_are_v_u_t(self):
+        rows = ((1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (1, 1, 0, 0, 1))
+        want = frozen_scale(np.array(rows, dtype=np.float64))
+        assert scaled(*rows).tobytes() == want.tobytes()
+        assert not np.array_equal(want, want[::-1])
 
     def test_features_and_labels_shapes(self, five_records):
         x, y = features_and_labels(five_records[:10])
@@ -114,10 +116,9 @@ class TestScaling:
     def test_features_and_labels_match_per_record_scaling(self, five_records):
         # the five-point records have zero-variance columns, so the guard runs too
         x, _ = features_and_labels(five_records)
-        per_record = np.stack([scale_features(record_matrix(r)).matrix for r in five_records])
-        assert x[..., 0].tobytes() == per_record.tobytes()
-        frozen = np.stack([frozen_scale(record_matrix(r)) for r in five_records])
-        assert per_record.tobytes() == frozen.tobytes()
+        frozen = np.stack([frozen_scale(np.array([r.v, r.u, r.t], dtype=np.float64))
+                           for r in five_records])
+        assert x[..., 0].tobytes() == frozen.tobytes()
 
     def test_target_scaler_round_trip(self):
         y = np.array([[0.0], [1.0], [0.0], [0.0]])
@@ -272,8 +273,11 @@ class TestTraining:
 
     def test_predict_raw(self, quick_model):
         model, _, _ = quick_model
-        value = model.predict_raw(((1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (1, 1, 0, 0, 1)))
+        triple = ((1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (1, 1, 0, 0, 1))
+        value = model.predict_raw(triple)
         assert np.isfinite(value)
+        x = frozen_scale(np.array(triple, dtype=np.float64))[np.newaxis, :, :, np.newaxis]
+        assert value == float(model.scaler.inverse_transform(forward(model.params, x))[0, 0])
 
     def test_rerun_is_bitwise_identical(self, five_records, tmp_path, quick_model):
         model, _, _ = quick_model

@@ -320,5 +320,3 @@ class TestOrbitScans:
             assert _scan.find_witness_encoding(pencil, plane, ext) == (witnesses[0] if witnesses else None)
             assert _scan.common_zero_encodings(pencil, ext) == zeros
             assert _scan.common_zero_encodings(plane, ext) == plane_zeros
-            assert _scan.count_common_zeros(pencil, ext) == len(zeros)
-            assert _scan.count_common_zeros(plane, ext) == len(plane_zeros)

@@ -24,11 +24,14 @@ from cubicmaps.surjectivity import (
     NOT_UNRULY,
     POSITIVE_DIMENSIONAL,
     UNRULY,
+    SurjectivityLabel,
+    UnrulyVerdict,
     find_unruly_seven_points,
     forward_oracle,
     label_plane,
+    pencil_normal,
 )
-from cubicmaps.surjectivity import _monomial_coords, _pencil_subspaces, _spanning_pairs, _vanishes_at
+from cubicmaps.surjectivity import _monomial_coords, _pencil_subspaces, _vanishes_at
 from cubicmaps.surjectivity import test_pencil as pencil_verdict
 
 CASE46 = ((1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (1, 1, 0, 0, 1))
@@ -106,12 +109,11 @@ class TestLabelPlane:
         assert label.value == 0
         assert len(label.unruly_pencils) >= 1
 
-    def test_find_all_collects_every_unruly_pair(self):
+    def test_find_all_reports_each_unruly_pencil_once(self):
         label = label_plane(six_plane(), find_all=True)
         assert label.value == 0
-        # two unruly pencil subspaces, each with 6 ordered spanning pairs
-        assert len(label.unruly_pencils) == 12
-        assert ((0, 0, 1), (0, 1, 0)) in label.unruly_pencils
+        # two unruly pencil subspaces, each by the pair it was tested on
+        assert label.unruly_pencils == (((0, 0, 1), (0, 1, 0)), ((0, 0, 1), (1, 0, 0)))
 
     def test_find_all_keeps_every_verdict_in_walk_order(self):
         label = label_plane(six_plane(), find_all=True)
@@ -127,6 +129,35 @@ class TestLabelPlane:
         assert statuses[-1] == UNRULY
         assert UNRULY not in statuses[:-1]
         assert label.verdicts[-1][0] == label.unruly_pencils[0]
+
+    def test_no_label_0_below_the_exhaustive_bound(self):
+        # case 46 is surjective, but two of its pencils have no witness up to degree 2
+        label = label_plane(five_plane(), scan_bound=2)
+        assert label.value is None
+        assert label.scan_bound == 2
+        assert len(label.unruly_pencils) == 1
+        assert label_plane(five_plane(), scan_bound=2, find_all=True).value is None
+
+    def test_six_identity_is_proved_only_at_bound_9(self):
+        assert label_plane(six_plane(), scan_bound=8).value is None
+        assert label_plane(six_plane(), scan_bound=8, find_all=True).value is None
+        assert label_plane(six_plane(), scan_bound=9).value == 0
+
+    def test_label_1_at_any_bound_that_finds_every_witness(self):
+        # case 46's deepest witness lies over GF(16)
+        assert label_plane(five_plane(), scan_bound=3).value is None
+        label = label_plane(five_plane(), scan_bound=4)
+        assert label.value == 1
+        assert label.scan_bound == 4
+
+    @pytest.mark.parametrize("bound, value", [(1, None), (8, None), (9, 0), (10, 0)])
+    def test_value_is_read_off_verdicts_and_bound(self, bound, value):
+        shared = (((0, 0, 1), (0, 1, 0)), UnrulyVerdict(POSITIVE_DIMENSIONAL))
+        unruly = (((0, 0, 1), (1, 0, 0)), UnrulyVerdict(UNRULY))
+        assert SurjectivityLabel([shared], bound).value == 1
+        label = SurjectivityLabel([shared, unruly, unruly], bound)
+        assert label.value is value
+        assert label.unruly_pencils == (unruly[0], unruly[0])
 
     def test_labels_constant_on_the_plane_not_the_basis(self):
         # relabeling with a different spanning triple of the same plane
@@ -166,28 +197,23 @@ def old_pencil_pairs(p):
 class TestPencilWalkOrder:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_subspace_walk_matches_the_old_pair_walk(self, p):
-        old = list(old_pencil_pairs(p))
-        first, pairs = {}, {}
-        for a, b, key in old:
+        first = {}
+        for a, b, key in old_pencil_pairs(p):
             first.setdefault(key, (a, b))
-            pairs.setdefault(key, []).append((a, b))
         walk = _pencil_subspaces(p)
         # the same subspaces in the order the pair walk first meets them
         assert walk == list(first)
         # each tested on the pair the old walk tested it on
         assert [(r1, r0) for r0, r1 in walk] == list(first.values())
-        # find_all's expansion gives the old pairs, and their sorted union the old order
-        for r0, r1 in walk:
-            assert sorted(_spanning_pairs(p, r0, r1)) == pairs[(r0, r1)]
-        some = walk[::3]
-        union = sorted(pair for r0, r1 in some for pair in _spanning_pairs(p, r0, r1))
-        assert union == [(a, b) for a, b, key in old if key in some]
 
     @pytest.mark.parametrize("make", [six_plane, five_plane])
     def test_label_reports_the_old_walks_pairs(self, make):
+        # the old walk's first pair of each unruly subspace, in walk order
         plane = make()
-        want = [(a, b) for a, b, _ in old_pencil_pairs(2)
-                if pencil_verdict(plane, a, b).status == UNRULY]
+        first = {}
+        for a, b, key in old_pencil_pairs(2):
+            first.setdefault(key, (a, b))
+        want = [pair for pair in first.values() if pencil_verdict(plane, *pair).status == UNRULY]
         assert label_plane(plane).unruly_pencils == tuple(want[:1])
         assert label_plane(plane, find_all=True).unruly_pencils == tuple(want)
 
@@ -278,6 +304,22 @@ class TestForwardOracle:
                 if seen >= 12:
                     return
         raise AssertionError("no admissible planes sampled")
+
+    @pytest.mark.parametrize("case, planes", [(FIVE_POINT, 150), (SIX_POINT, 15)])
+    def test_unruly_normals_are_the_uncovered_targets(self, case, planes):
+        # a target is uncovered iff the pencil it annihilates, whose normal it is, is unruly
+        f2 = build_field(2)
+        system = reference_system(case, f2)
+        seen = 0
+        for rows in iter_subspaces(2, system.dim, 3):
+            plane = make_plane(system, *rows)
+            if plane is None:
+                continue
+            seen += 1
+            normals = {ProjPoint(f2, pencil_normal(a, b))
+                       for a, b in label_plane(plane, find_all=True).unruly_pencils}
+            assert normals == set(forward_oracle(plane))
+        assert seen == planes
 
     def test_prime_base_field_required(self):
         # no GF(4) form, hence no GF(4) system or plane, can be built
