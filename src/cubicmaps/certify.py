@@ -27,10 +27,11 @@ a(a+1), which the certificate records; both agree at the special value
 x = 1 + a, so the case analysis is common to them.
 """
 
-import cmath
 import functools
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 from .linsys import FIVE_POINT, SIX_POINT
 from .ratpoly import RationalPoly, univariate_gcd
@@ -423,7 +424,7 @@ def check_special_cases(case):
 
 
 class RootSolveError(RuntimeError):
-    """Raised when simultaneous iteration fails the residual criterion."""
+    """Raised when a computed root or every candidate preimage fails its residual bound."""
 
     def __init__(self, message, partial):
         super().__init__(message)
@@ -437,61 +438,25 @@ def _poly_val(coeffs_desc, z):
     return acc
 
 
-def solve_roots(coeffs, tol=1e-8, max_iter=500, cluster_tol=1e-8):
-    """All complex roots of sum(coeffs[i] * x^i) by simultaneous iteration.
+def solve_roots(coeffs):
+    """All complex roots of sum(coeffs[i] * x^i), as companion-matrix eigenvalues.
 
-    Deterministic circular initialization on the Cauchy bound circle with
-    a fixed angular offset; Gauss-Seidel updates; stops on step stagnation
-    below 1e-14 or the iteration cap.  Each root must satisfy
-    |p(root)| <= tol * (1 + sum|coeffs|); roots closer than cluster_tol
-    (relative to the radius) are averaged into multiple roots.
+    Zero top-degree coefficients are dropped first.  Every root must satisfy
+    |p(root)| <= 1e-8 * (1 + sum|coeffs|); otherwise RootSolveError carries
+    all of them.
     """
     c = [complex(v) for v in coeffs]
     while c and c[-1] == 0:
         c.pop()
     if len(c) < 2:
         raise ValueError("the polynomial must have degree at least 1")
-    n = len(c) - 1
-    monic = [v / c[-1] for v in c]
-    desc = monic[::-1]
-    radius = 1.0 + max(abs(v) for v in monic[:-1])
-    roots = [radius * cmath.exp(1j * (2 * cmath.pi * k / n + 0.4)) for k in range(n)]
-    for _ in range(max_iter):
-        worst = 0.0
-        for k in range(n):
-            zk = roots[k]
-            denom = complex(1.0)
-            for j in range(n):
-                if j != k:
-                    denom *= zk - roots[j]
-            if denom == 0:
-                roots[k] = zk + (1e-8 + 1e-8j) * (1.0 + abs(zk))
-                worst = max(worst, 1.0)
-                continue
-            step = _poly_val(desc, zk) / denom
-            roots[k] = zk - step
-            worst = max(worst, abs(step))
-        if worst < 1e-14 * (1.0 + max(abs(z) for z in roots)):
-            break
-    bound = tol * (1.0 + sum(abs(v) for v in c))
-    bad = [z for z in roots if abs(_poly_val([v for v in reversed(c)], z)) > bound]
+    desc = c[::-1]
+    roots = [complex(z) for z in np.roots(desc)]
+    bound = 1e-8 * (1.0 + sum(abs(v) for v in c))
+    bad = [z for z in roots if abs(_poly_val(desc, z)) > bound]
     if bad:
         raise RootSolveError(f"{len(bad)} roots failed the residual bound {bound:g}", roots)
-    ordered = sorted(roots, key=lambda z: (z.real, z.imag))
-    clustered = []
-    group = [ordered[0]]
-    for z in ordered[1:]:
-        if abs(z - group[-1]) <= cluster_tol * max(1.0, radius):
-            group.append(z)
-        else:
-            clustered.append(group)
-            group = [z]
-    clustered.append(group)
-    out = []
-    for group in clustered:
-        mean = sum(group) / len(group)
-        out.extend([mean] * len(group))
-    return out
+    return roots
 
 
 def projective_residual(u, v):

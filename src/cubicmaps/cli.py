@@ -197,15 +197,20 @@ def cmd_dataset(args):
 
 
 def _verdict_counters(label):
-    """Pencils tested, a count per verdict status, and witnesses by extension degree."""
+    """Pencils tested, a count per verdict status, and witnesses by extension degree.
+
+    Below the exhaustive bound a pencil without a witness is counted as
+    no_witness, not unruly, as check prints it.
+    """
     verdicts = [verdict for _, verdict in label.verdicts]
     witness_degree = {}
     for verdict in verdicts:
         if verdict.witness is not None:
             key = f"d{verdict.witness.field.k}"
             witness_degree[key] = witness_degree.get(key, 0) + 1
-    counters = {"pencils": len(verdicts)}
-    for status in (UNRULY, NOT_UNRULY, POSITIVE_DIMENSIONAL):
+    unruly_key = UNRULY if label.scan_bound >= DEFAULT_SCAN_BOUND else "no_witness"
+    counters = {"pencils": len(verdicts), unruly_key: len(label.unruly_pencils)}
+    for status in (NOT_UNRULY, POSITIVE_DIMENSIONAL):
         counters[status] = sum(verdict.status == status for verdict in verdicts)
     counters["witness_degree"] = witness_degree
     return counters
@@ -243,6 +248,7 @@ def cmd_check(args):
         started,
         stages={"label_s": round(label_s, 6)},
         counters=_verdict_counters(label),
+        label=label.value,
     )
     return 1 if label.value is None else 0
 

@@ -148,12 +148,6 @@ class NetworkParams:
         """Parameter arrays in the frozen checkpoint/update order."""
         return (self.conv_w, self.conv_b, self.w1, self.b1, self.w2, self.b2)
 
-    def copy(self):
-        return NetworkParams(
-            self.w, self.filters, self.hidden,
-            *(a.copy() for a in self.arrays()),
-        )
-
 
 def init_params(w, rng, filters=256, hidden=256):
     """Glorot-uniform weights, zero biases; draw order conv, dense1, dense2."""

@@ -26,7 +26,6 @@ from .finitefield import build_field, enumerate_p2
 from .forms import MONOMIALS, pencil_shares_factor
 from .linsys import (
     DEFAULT_SCAN_BOUND,
-    gf_rref,
     iter_subspaces,
     make_plane,
     pencil,
@@ -130,9 +129,9 @@ def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
     if len(a) != 3 or len(b) != 3:
         raise ValueError("pencil coefficient vectors have length 3")
     require_bound("scan_bound", scan_bound)
-    if len(gf_rref(p, (a, b))[0]) < 2:
-        return UnrulyVerdict(POSITIVE_DIMENSIONAL)
-    if pencil_shares_factor(p, plane.syzygies, pencil_normal(a, b)):
+    # over GF(p), a x b is zero exactly when a and b are dependent
+    normal = tuple(c % p for c in pencil_normal(a, b))
+    if not any(normal) or pencil_shares_factor(p, plane.syzygies, normal):
         return UnrulyVerdict(POSITIVE_DIMENSIONAL)
     spec = pencil(plane, a, b)
     for d in range(1, scan_bound + 1):

@@ -165,11 +165,8 @@ class TestSolveRoots:
         assert all(abs(a - b) < 1e-10 for a, b in zip(roots, want))
 
     def test_quadruple_root(self):
-        roots = solve_roots([0, 0, 0, 0, 1])
-        assert len(roots) == 4
-        assert all(abs(z) < 1e-6 for z in roots)
-        # clustering collapses them to one mean value repeated
-        assert len({(z.real, z.imag) for z in roots}) == 1
+        # x^4 has no constant, linear, quadratic or cubic term: every root is exactly 0
+        assert solve_roots([0, 0, 0, 0, 1]) == [0j] * 4
 
     def test_product_of_roots_identity(self):
         for coeffs in ([6, -5, 1], [1, 0, 0, 1], [-2, 0, 1, 5, 3], [4, 0, 0, 0, 0, 2]):
@@ -192,10 +189,12 @@ class TestSolveRoots:
         with pytest.raises(ValueError):
             solve_roots([0, 0])
 
-    def test_failure_carries_partial_roots(self):
+    def test_failure_carries_partial_roots(self, monkeypatch):
+        exact = np.roots([1, 1, 1, 1, 1])
+        monkeypatch.setattr(np, "roots", lambda desc: exact + 1e-3)
         with pytest.raises(RootSolveError) as info:
-            solve_roots([1, 1, 1, 1, 1], max_iter=0)
-        assert len(info.value.partial) == 4
+            solve_roots([1, 1, 1, 1, 1])
+        assert info.value.partial == [complex(z) for z in exact + 1e-3]
 
     def test_deterministic(self):
         assert solve_roots([1, 2, 3, 4]) == solve_roots([1, 2, 3, 4])
@@ -205,7 +204,7 @@ class TestNumericPreimage:
     def test_random_targets_five(self):
         rng = np.random.Generator(np.random.PCG64(11))
         emap = explicit_map(FIVE_POINT)
-        for _ in range(25):
+        for _ in range(2000):
             a = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
             b = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
             source, residual = numeric_preimage(FIVE_POINT, (a, 1.0, b))
@@ -215,7 +214,7 @@ class TestNumericPreimage:
 
     def test_random_targets_six(self):
         rng = np.random.Generator(np.random.PCG64(12))
-        for _ in range(25):
+        for _ in range(2000):
             a = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
             b = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
             _, residual = numeric_preimage(SIX_POINT, (a, 1.0, b))

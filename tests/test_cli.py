@@ -13,7 +13,7 @@ from cubicmaps.linsys import FIVE_POINT, SIX_POINT
 from cubicmaps.surjectivity import label_plane, pencil_normal
 
 CASE46 = "1,0,0,0,0;0,0,0,1,0;1,1,0,0,1"
-SIX_IDENTITY = "1,0,0,0;0,1,0,0;0,0,1,0"
+SIX_E1_E2_E3 = "1,0,0,0;0,1,0,0;0,0,1,0"
 # six points over GF(2) whose cubics include a plane with no 0-dimensional pencil
 GF2_SIX_POINTS = "1,0,0;0,1,0;0,0,1;1,1,1;2,3,1;3,2,1"
 
@@ -92,7 +92,7 @@ class TestCheck:
         assert "unruly pencil" not in out
 
     def test_negative_plane_lists_pencils(self, capsys):
-        assert main(["check", "--case", "six", "--triple", SIX_IDENTITY]) == 0
+        assert main(["check", "--case", "six", "--triple", SIX_E1_E2_E3]) == 0
         out = capsys.readouterr().out
         assert "label: 0" in out
         # one line per unruly pencil, by the pair it was tested on
@@ -163,7 +163,7 @@ class TestCheck:
 
     def test_manifest_counts_verdicts_and_witness_degrees(self):
         main(["check", "--triple", CASE46])
-        main(["check", "--case", "six", "--triple", "0,1,0,0;0,0,1,0;0,0,0,1"])
+        main(["check", "--case", "six", "--triple", "0,1,0,0;0,0,1,0;0,0,0,1", "--scan-bound", "9"])
         five, six = manifest_entries()
         for entry in (five, six):
             assert entry["subcommand"] == "check"
@@ -176,6 +176,17 @@ class TestCheck:
         }
         assert six["counters"] == {
             "pencils": 7, "unruly": 2, "not_unruly": 4, "positive_dimensional": 1,
+            "witness_degree": {"d1": 3, "d2": 1},
+        }
+        assert (five["label"], six["label"]) == (1, 0)
+
+    def test_manifest_of_an_inconclusive_check_claims_no_unruly_pencil(self):
+        # case 46 is label 1, but at bound 2 two of its pencils show no witness
+        assert main(["check", "--triple", CASE46, "--scan-bound", "2"]) == 1
+        entry = manifest_entries()[-1]
+        assert entry["label"] is None
+        assert entry["counters"] == {
+            "pencils": 7, "no_witness": 2, "not_unruly": 4, "positive_dimensional": 1,
             "witness_degree": {"d1": 3, "d2": 1},
         }
 
@@ -278,7 +289,7 @@ class TestOracle:
         assert "uncovered targets: 0" in capsys.readouterr().out
 
     def test_uncovered_targets_listed(self, capsys):
-        assert main(["oracle", "--case", "six", "--triple", SIX_IDENTITY]) == 0
+        assert main(["oracle", "--case", "six", "--triple", SIX_E1_E2_E3]) == 0
         out = capsys.readouterr().out
         assert "uncovered targets: 3" in out
         assert "[0:0:1]" in out and "[0:1:0]" in out and "[1:0:0]" in out
@@ -354,7 +365,7 @@ class TestTrainPredict:
         # 268 training records in batches of 32 take 9 Adam steps per epoch
         assert entry["counters"] == {"epochs": 1, "adam_steps": 9, "train_records": 268}
 
-        assert main(["predict", "--model", "model.ckpt", "--triple", SIX_IDENTITY]) == 0
+        assert main(["predict", "--model", "model.ckpt", "--triple", SIX_E1_E2_E3]) == 0
         value = float(capsys.readouterr().out.strip())
         assert value == value  # finite, parseable
 
@@ -366,7 +377,7 @@ class TestTrainPredict:
         assert "length 4" in capsys.readouterr().err
 
     def test_predict_missing_model(self, capsys):
-        assert main(["predict", "--model", "nope.ckpt", "--triple", SIX_IDENTITY]) == 2
+        assert main(["predict", "--model", "nope.ckpt", "--triple", SIX_E1_E2_E3]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_train_rejects_bad_epochs(self, capsys):

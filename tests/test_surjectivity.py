@@ -35,7 +35,7 @@ from cubicmaps.surjectivity import _monomial_coords, _pencil_subspaces, _vanishe
 from cubicmaps.surjectivity import test_pencil as pencil_verdict
 
 CASE46 = ((1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (1, 1, 0, 0, 1))
-SIX_IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))
+SIX_E1_E2_E4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))
 GL3_GF2 = [m for m in itertools.product(iter_vectors(2, 3), repeat=3) if len(gf_rref(2, m)[0]) == 3]
 
 
@@ -44,7 +44,7 @@ def five_plane():
 
 
 def six_plane():
-    return make_plane(reference_system(SIX_POINT, build_field(2)), *SIX_IDENTITY)
+    return make_plane(reference_system(SIX_POINT, build_field(2)), *SIX_E1_E2_E4)
 
 
 class TestPencilVerdicts:
@@ -64,6 +64,21 @@ class TestPencilVerdicts:
         plane = five_plane()
         assert pencil_verdict(plane, (1, 0, 1), (1, 0, 1)).status == POSITIVE_DIMENSIONAL
         assert pencil_verdict(plane, (0, 0, 0), (1, 0, 0)).status == POSITIVE_DIMENSIONAL
+        # over GF(3), on a plane whose shared-factor test cannot catch a dependent
+        # pair because it has no quadric syzygies, dependence is decided mod 3
+        f3 = build_field(3)
+        system = CubicSystem(
+            f3, tuple(parse_form(t, f3) for t in ("x^3 + y^2*z", "y^3 + x*z^2", "z^3 + x*y*z")), "custom",
+        )
+        plane = make_plane(system, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert plane.syzygies == []
+        for b in ((2, 1, 0), (0, 0, 0), (2, 4, 0), (-2, -1, 0), (4, 5, 3)):
+            assert pencil_verdict(plane, (1, 2, 0), b).status == POSITIVE_DIMENSIONAL, b
+        # a x b = (0, 0, -3) is nonzero over the integers but zero mod 3
+        assert pencil_verdict(plane, (1, 1, 0), (4, 1, 0)).status == POSITIVE_DIMENSIONAL
+        # an independent pair with unreduced entries is tested as its residues
+        assert pencil_verdict(plane, (1, 0, 0), (0, 1, 0)).status == NOT_UNRULY
+        assert pencil_verdict(plane, (4, 0, 0), (0, -2, 0)).status == NOT_UNRULY
 
     def test_shared_factor_pencil_positive_dimensional(self):
         f2 = build_field(2)
