@@ -18,6 +18,18 @@ Points are scanned in a fixed documented order: the affine chart [x:y:1]
 lexicographically by (x, y), then the line [x:1:0] by x, then [1:0:0].
 Scans are chunked so that even very large levels stay within memory.
 
+A plane's witness and covering scans read its forms' values V =
+(f0, f1, f2) from a PlaneValues, which evaluates a level with the mask of
+its non-base points and keeps the levels small enough to cache.  At a
+cached level a pencil member a.F takes the values a.V = a0*f0 + a1*f1 +
+a2*f2, so a pencil scan is two 3-term combinations and two compares per
+point, and no pencil form is built.  An uncached level is evaluated again
+on every scan, so there the witness scan evaluates only the two members,
+whose coefficients it combines from the plane forms', and the plane forms
+only at the members' common zeros.  The two scans keep their own
+predicates: the witness scan asks where a.V = b.V = 0 off the base locus,
+the covering scan which images are GF(p)-rational.
+
 Every scan reads one point per Frobenius orbit.  The forms have GF(p)
 coefficients, so they commute with the Frobenius F: a -> a^p, and
 f(F P) = F f(P).  F fixes z and with it the chart, so the conjugates of
@@ -254,14 +266,19 @@ def _eval(t, coeffs, monos):
     return acc
 
 
-def _scan_chunks(field):
-    """Yield (x, y, z, monomials) chunks of orbit-first points, cached when the level is small.
+def _is_cached(field):
+    """Whether a level is small enough to keep its scanned points and values.
 
     The cache limit counts every point of P^2, so the same levels are
     cached whatever share of them a scan reads.
     """
+    return point_count(field) <= _CACHE_POINT_LIMIT
+
+
+def _scan_chunks(field):
+    """Yield (x, y, z, monomials) chunks of orbit-first points, one cached chunk when _is_cached."""
     t = tables(field)
-    if point_count(field) <= _CACHE_POINT_LIMIT:
+    if _is_cached(field):
         x, y, z, monos = _cached_chunks(field)
         yield x, y, z, monos
         return
@@ -276,6 +293,43 @@ def _zero_mask(t, encs, monos):
         zero = _eval(t, coeffs, monos) == 0
         mask = zero if mask is None else (mask & zero)
     return mask
+
+
+class PlaneValues:
+    """The values V = (f0, f1, f2) of a plane's forms at the scanned points of each level.
+
+    A level is evaluated on its first scan, with the mask of its non-base
+    points (some f_i nonzero).  A cached level (_is_cached) is kept in
+    levels, so every later scan of the plane at that level, for any pencil
+    or for the covering scan, reads the same arrays; a larger level is
+    evaluated again chunk by chunk on every scan.  The arrays are shared: a
+    scan must not write to them.
+    """
+
+    __slots__ = ("coeffs", "levels")
+
+    def __init__(self, forms):
+        self.coeffs = [f.coeffs for f in forms]
+        self.levels = {}
+
+    def chunks(self, ext):
+        """Yield (x, y, z, values, outside) per chunk of _scan_chunks(ext)."""
+        key = (ext.p, ext.k)
+        got = self.levels.get(key)
+        if got is not None:
+            yield got
+            return
+        t = tables(ext)
+        keep = _is_cached(ext)
+        for x, y, z, monos in _scan_chunks(ext):
+            vals = [_eval(t, coeffs, monos) for coeffs in self.coeffs]
+            outside = vals[0] != 0
+            for v in vals[1:]:
+                outside |= v != 0
+            got = (x, y, z, vals, outside)
+            if keep:
+                self.levels[key] = got
+            yield got
 
 
 def _scan_key(enc):
@@ -300,17 +354,38 @@ def common_zero_encodings(forms, ext):
     return sorted(found, key=_scan_key)
 
 
-def find_witness_encoding(pencil_forms, plane_forms, ext):
+def find_witness_encoding(values, pencil, ext):
     """First point (scan order) where the pencil vanishes but the plane does not.
 
-    At uncached levels the chunks grow from one row, so an early witness
-    costs about what the scan reads up to it.
+    values is the plane's PlaneValues and pencil a pair (a, b) of
+    coefficient vectors over GF(p): the member a.F has the values a.V.  At
+    uncached levels the chunks grow from one row, so an early witness costs
+    about what the scan reads up to it.
     """
     t = tables(ext)
-    pencil = [f.coeffs for f in pencil_forms]
-    plane = [f.coeffs for f in plane_forms]
+    if not _is_cached(ext):
+        return _find_witness_chunked(t, values.coeffs, pencil, ext)
+    a, b = pencil
+    for x, y, z, vals, outside in values.chunks(ext):
+        hit = outside & (_eval(t, a, vals) == 0)
+        hit &= _eval(t, b, vals) == 0
+        j = int(hit.argmax())
+        if hit[j]:
+            return int(x[j]), int(y[j]), int(z[j])
+    return None
+
+
+def _find_witness_chunked(t, plane, pencil, ext):
+    """find_witness_encoding at an uncached level, from the plane forms' coefficients.
+
+    The members' coefficients are the combinations sum(a_i * f_i.coeffs)
+    mod p, so each chunk evaluates two forms, and the three plane forms
+    only at the members' common zeros.
+    """
+    p = ext.p
+    members = [[sum(c * v for c, v in zip(w, column)) % p for column in zip(*plane)] for w in pencil]
     for x, y, z, monos in _scan_chunks(ext):
-        mask = _zero_mask(t, pencil, monos)
+        mask = _zero_mask(t, members, monos)
         if not mask.any():
             continue
         idx = np.nonzero(mask)[0]
@@ -325,12 +400,13 @@ def find_witness_encoding(pencil_forms, plane_forms, ext):
     return None
 
 
-def covered_target_encodings(forms3, ext):
+def covered_target_encodings(values, ext):
     """Normalized images in P^2(GF(p)) of all non-base points of P^2(ext), p = ext.p.
 
     Returns a set of (a, b, c) integer triples with entries < p: the
-    prime-subfield targets hit by the map [f0:f1:f2] on points of the
-    extension level, excluding common zeros of all three forms.
+    prime-subfield targets hit by the map [f0:f1:f2], whose values at the
+    scanned points values (a PlaneValues) holds, on points of the extension
+    level, excluding common zeros of all three forms.
 
     An image is GF(p)-rational iff its last nonzero coordinate lambda
     exists (the point is not a base point) and every coordinate f has
@@ -338,14 +414,13 @@ def covered_target_encodings(forms3, ext):
     by dividing through by lambda.
     """
     t = tables(ext)
-    encs = [f.coeffs for f in forms3]
     covered = set()
-    for _x, _y, _z, monos in _scan_chunks(ext):
-        fs = [_eval(t, coeffs, monos) for coeffs in encs]
+    for _x, _y, _z, fs, outside in values.chunks(ext):
         f0, f1, f2 = fs
         lam = np.where(f2 != 0, f2, np.where(f1 != 0, f1, f0))
         lam_pow = t.pow_p1(lam)
-        rational = lam != 0
+        # lambda is nonzero exactly off the base locus; outside is shared, so copy it
+        rational = outside.copy()
         for f in fs:
             rational &= (f == 0) | (t.pow_p1(f) == lam_pow)
         idx = np.nonzero(rational)[0]

@@ -33,6 +33,12 @@ iff the dim K projections of a basis of K onto n have rank below dim K:
 
 A zero form a.F counts as a shared factor on both sides (k = mu*a).  K is
 built once per net; each pencil then costs one rank of at most 6 columns.
+
+K also admits the net.  A factor shared by f0, f1, f2 divides every member
+of every pencil, so a single pencil that shares no factor proves that the
+three forms share none.  linsys.make_plane tries the rational pencils in
+walk order and calls common_factor_all only when every one of them shares
+a factor: a pencil can share a factor without the net having one.
 """
 
 from functools import lru_cache

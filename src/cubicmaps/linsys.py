@@ -17,16 +17,29 @@ when p = 7; mod 2 they span the fixture.
 
 A plane is a 3-dimensional subsystem spanned by three combinations of the
 basis whose coefficient vectors have rank 3 and whose forms share no
-common factor; a pencil is a 2-dimensional subsystem of a plane.  The base
+common factor; a pencil is a 2-dimensional subsystem of a plane.  A
+plane is admitted from its quadric-syzygy kernel K, which it keeps for
+its pencils: a factor shared by all three forms divides every member of
+every pencil, so one rational pencil that shares no factor by K proves
+that the forms share none.  Only when every rational pencil shares a
+factor is the common factor decided by common_factor_all.  The base
 locus of a set of forms is computed by scanning P^2(GF(p^d)) for
 d = 1..scan_bound and keeping the common zeros of minimal degree exactly d.
 """
 
 import itertools
+from functools import lru_cache
 
 from . import _scan
 from .finitefield import ProjPoint, build_field, gf_left_kernel, gf_rref, minimal_degree
-from .forms import MONOMIALS, TernaryForm, combine, common_factor_all, quadric_syzygies
+from .forms import (
+    MONOMIALS,
+    TernaryForm,
+    combine,
+    common_factor_all,
+    pencil_shares_factor,
+    quadric_syzygies,
+)
 
 FIVE_POINT = "five_point"
 SIX_POINT = "six_point"
@@ -216,21 +229,40 @@ def same_span(sys1, sys2):
     return rref_of(sys1) == rref_of(sys2)
 
 
+@lru_cache(maxsize=None)
+def pencil_subspaces(p):
+    """The 2-subspaces of GF(p)^3 as gf_rref rows (r0, r1); (r1, r0) is each one's first spanning pair.
+
+    Sorted once per p into the order a lexicographic walk over pairs meets
+    them in: it reaches unruly pencils sooner.
+    """
+    return tuple(sorted(iter_subspaces(p, 3, 2), key=lambda r: (r[1], r[0])))
+
+
+def pencil_normal(a, b):
+    """The normal a x b of the pencil spanned by a and b: the target whose annihilator it is."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
 class Plane:
     """A rank-3 subsystem of a cubic system with coprime spanning forms.
 
     syzygies, computed once here, is the RREF basis of the forms' quadric
-    syzygies (forms.quadric_syzygies); it decides every pencil's shared
-    factor.
+    syzygies (forms.quadric_syzygies); make_plane admits the plane by it,
+    and it decides every pencil's shared factor.  values holds the forms'
+    values at the scanned points (_scan.PlaneValues), evaluated on first
+    use per level and read by every pencil's witness scan and by the
+    covering scan.
     """
 
-    __slots__ = ("system", "vectors", "forms", "syzygies")
+    __slots__ = ("system", "vectors", "forms", "syzygies", "values")
 
     def __init__(self, system, vectors, forms):
         self.system = system
         self.vectors = vectors
         self.forms = forms
         self.syzygies = quadric_syzygies(forms)
+        self.values = _scan.PlaneValues(forms)
 
     @property
     def field(self):
@@ -259,7 +291,12 @@ def make_plane(system, v, u, t):
     """Build a plane from three coefficient vectors, or None if rejected.
 
     Rejection reasons: the stacked vectors have rank < 3 over the system
-    field, or the three combined forms share a nonconstant factor.
+    field, or the three combined forms share a nonconstant factor.  The
+    Plane is built first, with its quadric syzygies K.  A pencil with
+    normal n that shares no factor by K (forms.pencil_shares_factor) proves
+    the forms share none; the rational pencils are tried in walk order
+    (pencil_subspaces), and only when all of them share a factor does
+    common_factor_all decide.
     """
     field = system.field
     vecs = []
@@ -273,9 +310,12 @@ def make_plane(system, v, u, t):
     forms = [combine(w, system.basis) for w in vecs]
     if any(f.is_zero() for f in forms):
         return None
-    if common_factor_all(forms):
+    plane = Plane(system, tuple(vecs), tuple(forms))
+    p = field.p
+    normals = (pencil_normal(r1, r0) for r0, r1 in pencil_subspaces(p))
+    if all(pencil_shares_factor(p, plane.syzygies, n) for n in normals) and common_factor_all(forms):
         return None
-    return Plane(system, tuple(vecs), tuple(forms))
+    return plane
 
 
 def pencil(plane, a, b):

@@ -26,9 +26,10 @@ from .finitefield import build_field, enumerate_p2
 from .forms import MONOMIALS, pencil_shares_factor
 from .linsys import (
     DEFAULT_SCAN_BOUND,
-    iter_subspaces,
     make_plane,
     pencil,
+    pencil_normal,
+    pencil_subspaces,
     require_bound,
     vanishing_cubics,
 )
@@ -84,34 +85,28 @@ class SurjectivityLabel:
         return f"SurjectivityLabel({self.value}, unruly={list(self.unruly_pencils)})"
 
 
-def _pencil_subspaces(p):
-    """The 2-subspaces of GF(p)^3 as gf_rref rows (r0, r1); (r1, r0) is each one's first spanning pair."""
-    # the order a lexicographic walk over pairs meets them in: it reaches unruly pencils sooner
-    return sorted(iter_subspaces(p, 3, 2), key=lambda r: (r[1], r[0]))
-
-
-def pencil_normal(a, b):
-    """The normal a x b of the pencil spanned by a and b: the target whose annihilator it is."""
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
 def _monomial_coords(pt):
-    """Coordinate tuples over GF(p) of the 10 cubic monomials at a point, in MONOMIALS order."""
-    one = pt.field.one()
+    """Coordinate tuples over GF(p) of the 10 cubic monomials at a point, in MONOMIALS order.
+
+    Each monomial is the product of its coordinates' nonzero powers only.
+    """
     powers = []
     for v in pt.coords:
         square = v * v
-        powers.append((one, v, square, square * v))
-    xs, ys, zs = powers
-    return [(xs[i] * ys[j] * zs[k]).coords for i, j, k in MONOMIALS]
+        powers.append((None, v, square, square * v))
+    coords = []
+    for exponents in MONOMIALS:
+        value = None
+        for power, e in zip(powers, exponents):
+            if e:
+                value = power[e] if value is None else value * power[e]
+        coords.append(value.coords)
+    return coords
 
 
-def _vanishes_at(form, monomials):
-    """Whether a cubic over GF(p) vanishes where its monomials have the given coordinates."""
-    p = form.field.p
-    return not any(
-        sum(c * v for c, v in zip(form.coeffs, column)) % p for column in zip(*monomials)
-    )
+def _combination(coeffs, vectors, p):
+    """Coordinates over GF(p) of sum(coeffs[i] * vectors[i]), each vector given by its coordinates."""
+    return tuple(sum(c * v for c, v in zip(coeffs, column)) % p for column in zip(*vectors))
 
 
 def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
@@ -119,30 +114,34 @@ def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
 
     Dependent vectors or a shared factor of the two combined forms give
     positive_dimensional; the factor is decided from the plane's quadric
-    syzygies, before the pencil's forms are built.  Otherwise GF(q^d) is
-    scanned for d ascending; the first common zero of the pencil at which
-    some plane form is nonzero is returned as a not_unruly witness, and
-    exhausting all levels gives unruly.
+    syzygies.  Otherwise GF(q^d) is scanned for d ascending, on the plane's
+    values at each level (no pencil form is built); the first common zero
+    of the pencil at which some plane form is nonzero is returned as a
+    not_unruly witness, and exhausting all levels gives unruly.  The
+    witness is rechecked exactly: the plane forms' values V there, in
+    Scalar arithmetic, must have a.V = b.V = 0 and V nonzero.
     """
     field = plane.field
     p = field.p
     if len(a) != 3 or len(b) != 3:
         raise ValueError("pencil coefficient vectors have length 3")
     require_bound("scan_bound", scan_bound)
+    a = tuple(c % p for c in a)
+    b = tuple(c % p for c in b)
     # over GF(p), a x b is zero exactly when a and b are dependent
     normal = tuple(c % p for c in pencil_normal(a, b))
     if not any(normal) or pencil_shares_factor(p, plane.syzygies, normal):
         return UnrulyVerdict(POSITIVE_DIMENSIONAL)
-    spec = pencil(plane, a, b)
     for d in range(1, scan_bound + 1):
         ext = build_field(p, d)
-        enc = _scan.find_witness_encoding(spec.forms, plane.forms, ext)
+        enc = _scan.find_witness_encoding(plane.values, (a, b), ext)
         if enc is not None:
             pt = _scan.decode_point(ext, enc)
             monomials = _monomial_coords(pt)
-            if not all(_vanishes_at(h, monomials) for h in spec.forms):
+            values = [_combination(h.coeffs, monomials, p) for h in plane.forms]
+            if any(_combination(a, values, p)) or any(_combination(b, values, p)):
                 raise AssertionError("witness fails pencil-vanishing recheck")
-            if all(_vanishes_at(h, monomials) for h in plane.forms):
+            if not any(map(any, values)):
                 raise AssertionError("witness fails plane-nonvanishing recheck")
             return UnrulyVerdict(NOT_UNRULY, pt)
     return UnrulyVerdict(UNRULY)
@@ -157,7 +156,7 @@ def label_plane(plane, scan_bound=DEFAULT_SCAN_BOUND, find_all=False):
     """
     require_bound("scan_bound", scan_bound)
     verdicts = []
-    for r0, r1 in _pencil_subspaces(plane.field.p):
+    for r0, r1 in pencil_subspaces(plane.field.p):
         verdict = test_pencil(plane, r1, r0, scan_bound)
         verdicts.append(((r1, r0), verdict))
         if verdict.status == UNRULY and not find_all:
@@ -179,7 +178,7 @@ def forward_oracle(plane, source_bound=DEFAULT_SCAN_BOUND):
     p = field.p
     remaining = {t.encode(): t for t in enumerate_p2(field)}
     ext = build_field(p, 1)
-    for enc in _scan.covered_target_encodings(plane.forms, ext):
+    for enc in _scan.covered_target_encodings(plane.values, ext):
         remaining.pop(enc, None)
     for enc in list(remaining):
         if pencil_shares_factor(p, plane.syzygies, enc):
@@ -188,7 +187,7 @@ def forward_oracle(plane, source_bound=DEFAULT_SCAN_BOUND):
         if not remaining:
             break
         ext = build_field(p, d)
-        for enc in _scan.covered_target_encodings(plane.forms, ext):
+        for enc in _scan.covered_target_encodings(plane.values, ext):
             remaining.pop(enc, None)
     return [remaining[enc] for enc in sorted(remaining)]
 

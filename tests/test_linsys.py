@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from functools import reduce
 from math import gcd
 
@@ -7,7 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicmaps.finitefield import ProjPoint, build_field, enumerate_p2
-from cubicmaps.forms import MONOMIALS, TernaryForm, evaluate, parse_form
+from cubicmaps.forms import (
+    MONOMIALS,
+    TernaryForm,
+    combine,
+    common_factor_all,
+    evaluate,
+    parse_form,
+    pencil_shares_factor,
+    quadric_syzygies,
+)
 from cubicmaps.linsys import (
     _INTEGER_GENERATORS,
     FIVE_POINT,
@@ -20,6 +30,8 @@ from cubicmaps.linsys import (
     iter_vectors,
     make_plane,
     pencil,
+    pencil_normal,
+    pencil_subspaces,
     reduced_generator_system,
     reference_points,
     reference_system,
@@ -169,6 +181,35 @@ class TestPlanes:
         f2 = build_field(2)
         system = CubicSystem(f2, tuple(parse_form(t, f2) for t in ("x^2*y", "x*y^2", "y^3")), "custom")
         assert make_plane(system, (1, 0, 0), (0, 1, 0), (0, 0, 1)) is None
+
+    def test_net_with_a_common_linear_factor_rejected(self):
+        # x*(x^2 + y*z), x*(y^2 + 2*z^2), x*(x*y + y^2 + z^2) over GF(3): every
+        # rational pencil shares x, so common_factor_all has the last word
+        f3 = build_field(3)
+        texts = ("x^3 + x*y*z", "x*y^2 + 2*x*z^2", "x^2*y + x*y^2 + x*z^2")
+        system = CubicSystem(f3, tuple(parse_form(t, f3) for t in texts), "custom")
+        syzygies = quadric_syzygies(system.basis)
+        assert all(pencil_shares_factor(3, syzygies, pencil_normal(r1, r0))
+                   for r0, r1 in pencil_subspaces(3))
+        assert make_plane(system, (1, 0, 0), (0, 1, 0), (0, 0, 1)) is None
+
+    @pytest.mark.parametrize("case, p, subspaces, rejected", [
+        (FIVE_POINT, 2, 155, 5), (SIX_POINT, 2, 15, 0), (FIVE_POINT, 3, 1210, 4), (SIX_POINT, 3, 40, 0)])
+    def test_admits_exactly_the_planes_without_a_common_factor(self, case, p, subspaces, rejected):
+        # make_plane admits from the syzygy kernel; common_factor_all is the reference
+        system = reference_system(case, build_field(p))
+        seen = Counter()
+        for rows in iter_subspaces(p, system.dim, 3):
+            forms = [combine(r, system.basis) for r in rows]
+            coprime = not any(f.is_zero() for f in forms) and not common_factor_all(forms)
+            plane = make_plane(system, *rows)
+            assert (plane is not None) == coprime, rows
+            if plane is not None:
+                assert plane.syzygies == quadric_syzygies(plane.forms)
+            seen[coprime] += 1
+        assert sum(seen.values()) == subspaces
+        # every pencil of a rejected plane shares its factor: these reach common_factor_all
+        assert seen[False] == rejected
 
     def test_zero_form_triple_rejected(self):
         f2 = build_field(2)

@@ -204,7 +204,7 @@ class TestCoveredTargets:
     def test_matches_pointwise_reference(self, case):
         p, k, forms3 = case
         ext = build_field(p, k)
-        got = _scan.covered_target_encodings(forms3, ext)
+        got = _scan.covered_target_encodings(_scan.PlaneValues(forms3), ext)
         assert got == _reference_covered(forms3, ext)
         assert all(type(v) is int and 0 <= v < p for enc in got for v in enc)
 
@@ -287,8 +287,8 @@ class TestOrbitScans:
         ext = build_field(3, 7)
         assert _scan.point_count(ext) > _scan._CACHE_POINT_LIMIT
         f3 = build_field(3)
-        pencil = [TernaryForm(f3, [1] + [0] * 9), TernaryForm(f3, [0] * 6 + [1, 0, 0, 0])]
-        plane = pencil + [TernaryForm(f3, [0] * 9 + [1])]
+        plane = [TernaryForm(f3, [1] + [0] * 9), TernaryForm(f3, [0] * 6 + [1, 0, 0, 0]),
+                 TernaryForm(f3, [0] * 9 + [1])]
         read = []
         monomial_values = _scan.monomial_values
 
@@ -297,7 +297,8 @@ class TestOrbitScans:
             return monomial_values(t, x, y, z)
 
         monkeypatch.setattr(_scan, "monomial_values", counted)
-        assert _scan.find_witness_encoding(pencil, plane, ext) == (0, 0, 1)
+        pencil = ((1, 0, 0), (0, 1, 0))
+        assert _scan.find_witness_encoding(_scan.PlaneValues(plane), pencil, ext) == (0, 0, 1)
         # one chunk: the orbit-first points of the row [0:*:1], not 2^19 points
         assert len(read) == 1 and 0 < read[0] <= ext.order
 
@@ -316,7 +317,9 @@ class TestOrbitScans:
         zeros = _encodings(xyz, on_pencil)
         plane_zeros = _encodings(xyz, on_plane)
         witnesses = _encodings(xyz, on_pencil & ~on_plane)
+        a, b = ([int(i == j) for j in range(3)] for i in pair)
         with scan_path(path):
-            assert _scan.find_witness_encoding(pencil, plane, ext) == (witnesses[0] if witnesses else None)
+            values = _scan.PlaneValues(plane)
+            assert _scan.find_witness_encoding(values, (a, b), ext) == (witnesses[0] if witnesses else None)
             assert _scan.common_zero_encodings(pencil, ext) == zeros
             assert _scan.common_zero_encodings(plane, ext) == plane_zeros

@@ -1,22 +1,25 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubicmaps import _scan
-from cubicmaps.finitefield import ProjPoint, build_field, enumerate_p2
-from cubicmaps.forms import TernaryForm, evaluate, parse_form
+from cubicmaps.finitefield import ProjPoint, Scalar, build_field, enumerate_p2
+from cubicmaps.forms import TernaryForm, _monomials, _multiples, evaluate, has_common_factor, parse_form
 from cubicmaps.linsys import (
     FIVE_POINT,
     SIX_POINT,
     CubicSystem,
     PointConfig,
+    base_locus,
     gf_rref,
     iter_subspaces,
     iter_vectors,
     make_plane,
     pencil,
+    pencil_subspaces,
     reference_system,
     vanishing_cubics,
 )
@@ -31,7 +34,7 @@ from cubicmaps.surjectivity import (
     label_plane,
     pencil_normal,
 )
-from cubicmaps.surjectivity import _monomial_coords, _pencil_subspaces, _vanishes_at
+from cubicmaps.surjectivity import _combination, _monomial_coords
 from cubicmaps.surjectivity import test_pencil as pencil_verdict
 
 CASE46 = ((1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (1, 1, 0, 0, 1))
@@ -132,7 +135,7 @@ class TestLabelPlane:
 
     def test_find_all_keeps_every_verdict_in_walk_order(self):
         label = label_plane(six_plane(), find_all=True)
-        pairs = [(r1, r0) for r0, r1 in _pencil_subspaces(2)]
+        pairs = [(r1, r0) for r0, r1 in pencil_subspaces(2)]
         assert [pair for pair, _ in label.verdicts] == pairs
         for (a, b), verdict in label.verdicts:
             again = pencil_verdict(six_plane(), a, b)
@@ -215,9 +218,9 @@ class TestPencilWalkOrder:
         first = {}
         for a, b, key in old_pencil_pairs(p):
             first.setdefault(key, (a, b))
-        walk = _pencil_subspaces(p)
+        walk = pencil_subspaces(p)
         # the same subspaces in the order the pair walk first meets them
-        assert walk == list(first)
+        assert list(walk) == list(first)
         # each tested on the pair the old walk tested it on
         assert [(r1, r0) for r0, r1 in walk] == list(first.values())
 
@@ -244,7 +247,7 @@ class TestWitnessRecheck:
                                                               min_size=10, max_size=10)))
         coords = data.draw(st.tuples(*[st.integers(0, ext.order - 1)] * 3).filter(any))
         pt = ProjPoint(ext, coords)
-        assert _vanishes_at(form, _monomial_coords(pt)) == evaluate(form, pt).is_zero()
+        assert _combination(form.coeffs, _monomial_coords(pt), p) == evaluate(form, pt).coords
 
     @staticmethod
     def zero_dimensional_pencil(plane):
@@ -260,6 +263,31 @@ class TestWitnessRecheck:
         with pytest.raises(AssertionError, match="pencil-vanishing"):
             pencil_verdict(plane, a, b)
 
+    def test_a_point_off_the_second_spanning_form_is_rejected(self, monkeypatch):
+        # the point kills a.F but not b.F: checking a.V alone would pass it
+        plane = five_plane()
+        a, b = self.zero_dimensional_pencil(plane)
+        f, g = pencil(plane, a, b).forms
+        off = next(pt for pt in enumerate_p2(build_field(2))
+                   if evaluate(f, pt).is_zero() and not evaluate(g, pt).is_zero())
+        monkeypatch.setattr(_scan, "find_witness_encoding", lambda *args: off.encode())
+        with pytest.raises(AssertionError, match="pencil-vanishing"):
+            pencil_verdict(plane, a, b)
+
+    def test_monomials_multiply_only_nonzero_powers(self, monkeypatch):
+        # 3 squares, 3 cubes, 6 products of two powers and 2 for x*y*z: no factor 1 for a zero exponent
+        pt = ProjPoint(build_field(2, 3), (3, 5, 6))
+        calls = []
+        mul = Scalar.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(Scalar, "__mul__", counted)
+        _monomial_coords(pt)
+        assert len(calls) == 14
+
     def test_a_base_point_of_the_plane_is_rejected(self, monkeypatch):
         plane = five_plane()
         a, b = self.zero_dimensional_pencil(plane)
@@ -267,6 +295,93 @@ class TestWitnessRecheck:
         monkeypatch.setattr(_scan, "find_witness_encoding", lambda *args: (1, 0, 0))
         with pytest.raises(AssertionError, match="plane-nonvanishing"):
             pencil_verdict(plane, a, b)
+
+
+def reference_verdict(plane, a, b, scan_bound, plane_zeros):
+    """(status, witness encoding) from the pencil forms themselves.
+
+    The witness is the first common zero of the two forms, by level and then
+    scan order, that is not a common zero of the plane's forms.
+    """
+    forms = pencil(plane, a, b).forms
+    if has_common_factor(*forms):
+        return POSITIVE_DIMENSIONAL, None
+    p = plane.field.p
+    for d in range(1, scan_bound + 1):
+        ext = build_field(p, d)
+        if d not in plane_zeros:
+            plane_zeros[d] = set(_scan.common_zero_encodings(plane.forms, ext))
+        for enc in _scan.common_zero_encodings(forms, ext):
+            if enc not in plane_zeros[d]:
+                return NOT_UNRULY, _scan.decode_point(ext, enc).encode()
+    return UNRULY, None
+
+
+class TestWitnessesAgainstPencilForms:
+    # the scans read a.V and b.V off the plane's values; the reference builds a.F and b.F
+
+    @pytest.mark.parametrize("case, p, scan_bound, planes", [
+        (FIVE_POINT, 2, 9, 150), (SIX_POINT, 2, 9, 15), (SIX_POINT, 3, 5, 40)])
+    def test_every_verdict_and_witness(self, case, p, scan_bound, planes):
+        system = reference_system(case, build_field(p))
+        seen = Counter()
+        for rows in iter_subspaces(p, system.dim, 3):
+            plane = make_plane(system, *rows)
+            if plane is None:
+                continue
+            plane_zeros = {}
+            for (a, b), verdict in label_plane(plane, scan_bound, find_all=True).verdicts:
+                witness = None if verdict.witness is None else verdict.witness.encode()
+                want = reference_verdict(plane, a, b, scan_bound, plane_zeros)
+                assert (verdict.status, witness) == want, (rows, a, b)
+                seen[verdict.status] += 1
+            seen["planes"] += 1
+        assert seen["planes"] == planes
+        assert seen[NOT_UNRULY] and seen[POSITIVE_DIMENSIONAL]
+
+    def test_plane_forms_are_evaluated_once_per_level(self, monkeypatch):
+        # every pencil and the covering scan read one evaluation of the plane per level
+        plane = six_plane()
+        levels = Counter()
+        evaluate_values = _scan._eval
+
+        def counted(t, coeffs, monos):
+            if len(monos) == 10:
+                levels[t.k] += 1
+            return evaluate_values(t, coeffs, monos)
+
+        monkeypatch.setattr(_scan, "_eval", counted)
+        label = label_plane(plane, find_all=True)
+        uncovered = forward_oracle(plane)
+        assert label.unruly_pencils and uncovered
+        assert levels == {d: 3 for d in range(1, 10)}
+        assert sorted(plane.values.levels) == [(2, d) for d in range(1, 10)]
+
+
+class TestBaseLociOfGF2Planes:
+    """The paper's |I_f| claim over GF(2), at the exhaustive bound 9."""
+
+    def test_base_point_counts_by_label(self):
+        want = {
+            FIVE_POINT: {(0, 3): 81, (0, 4): 44, (0, 5): 14, (0, 6): 5, (1, 3): 6},
+            SIX_POINT: {(0, 3): 10, (0, 4): 4, (0, 5): 1},
+        }
+        for case, table in want.items():
+            system = reference_system(case, build_field(2))
+            got = Counter()
+            for rows in iter_subspaces(2, system.dim, 3):
+                plane = make_plane(system, *rows)
+                if plane is not None:
+                    got[label_plane(plane).value, base_locus(plane.forms, 9).total_points()] += 1
+            assert got == table, case
+
+    @pytest.mark.parametrize("case, rows", [(FIVE_POINT, 275), (SIX_POINT, 220)])
+    def test_fixed_base_schemes_have_length_4(self, case, rows):
+        # length = dim R_12 - rank(basis * R_9): every plane of the fixture lies on it
+        system = reference_system(case, build_field(2))
+        matrix = [row for f in system.basis for row in _multiples(f.coeffs, 3, 9)]
+        assert len(matrix) == rows
+        assert len(_monomials(12)) - len(gf_rref(2, matrix)[0]) == 4
 
 
 class TestAllPencilsPositiveDimensional:
@@ -281,7 +396,7 @@ class TestAllPencilsPositiveDimensional:
     def test_every_pencil_is_positive_dimensional(self):
         plane = self.plane()
         assert plane is not None
-        for r0, r1 in _pencil_subspaces(2):
+        for r0, r1 in pencil_subspaces(2):
             assert pencil_verdict(plane, r1, r0).status == POSITIVE_DIMENSIONAL
 
     def test_no_unruly_pencil_gives_label_1(self):
