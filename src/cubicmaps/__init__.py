@@ -39,6 +39,7 @@ from .linsys import (
     CubicSystem,
     Plane,
     PointConfig,
+    SystemPencils,
     base_locus,
     make_plane,
     pencil,
@@ -83,6 +84,7 @@ __all__ = [
     "SIX_POINT",
     "Scalar",
     "SurjectivityLabel",
+    "SystemPencils",
     "TernaryForm",
     "TrainConfig",
     "TrainedModel",

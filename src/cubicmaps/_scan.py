@@ -18,17 +18,19 @@ Points are scanned in a fixed documented order: the affine chart [x:y:1]
 lexicographically by (x, y), then the line [x:1:0] by x, then [1:0:0].
 Scans are chunked so that even very large levels stay within memory.
 
-A plane's witness and covering scans read its forms' values V =
-(f0, f1, f2) from a PlaneValues, which evaluates a level with the mask of
-its non-base points and keeps the levels small enough to cache.  At a
-cached level a pencil member a.F takes the values a.V = a0*f0 + a1*f1 +
-a2*f2, so a pencil scan is two 3-term combinations and two compares per
-point, and no pencil form is built.  An uncached level is evaluated again
-on every scan, so there the witness scan evaluates only the two members,
-whose coefficients it combines from the plane forms', and the plane forms
-only at the members' common zeros.  The two scans keep their own
-predicates: the witness scan asks where a.V = b.V = 0 off the base locus,
-the covering scan which images are GF(p)-rational.
+Pencils are decided from zero sets.  zero_set scans one form, a member
+of a cubic system, and keeps the positions in scan order of the points
+where it vanishes; a walk keeps each member's zero set per level
+(linsys.SystemPencils), so the base points of a pencil are the
+intersection of its two spanning members' zero sets, and a witness is
+the first of them where a third plane form is nonzero.  At a cached
+level a position indexes the cached points; at an uncached level the
+zero set also keeps the encodings of its points, which are few next to
+the level.
+
+The covering scan reads a plane's values V = (f0, f1, f2) from a
+PlaneValues, which evaluates a level with the mask of its non-base points
+and keeps the levels small enough to cache.
 
 Every scan reads one point per Frobenius orbit.  The forms have GF(p)
 coefficients, so they commute with the Frobenius F: a -> a^p, and
@@ -40,11 +42,11 @@ smaller.  Only those points are scanned, about 1/k of P^2(GF(p^k)):
 * covering scan: a conjugate point maps to the conjugate image, and a
   GF(p)-rational image is fixed by F, so every point of an orbit has the
   same rational image, or none;
-* witness scan: the conjugates of a common zero of the pencil are common
-  zeros, and a plane form that is nonzero at a point is nonzero at its
-  conjugates, so the conjugates of a witness are witnesses.  The first
-  witness in full scan order is therefore the first point of its orbit,
-  and the first witness among the scanned points is that same point;
+* zero sets: a conjugate of a zero of a form is a zero, and a form that
+  is nonzero at a point is nonzero at its conjugates, so the conjugates
+  of a witness are witnesses.  The first witness in full scan order is
+  therefore the first point of its orbit, and the first witness among
+  the scanned points, which the zero sets hold, is that same point;
 * base loci: each common zero found is expanded to its orbit, so the
   points and counts are those of the full plane.
 
@@ -300,10 +302,9 @@ class PlaneValues:
 
     A level is evaluated on its first scan, with the mask of its non-base
     points (some f_i nonzero).  A cached level (_is_cached) is kept in
-    levels, so every later scan of the plane at that level, for any pencil
-    or for the covering scan, reads the same arrays; a larger level is
-    evaluated again chunk by chunk on every scan.  The arrays are shared: a
-    scan must not write to them.
+    levels, so every later covering scan of the plane at that level reads
+    the same arrays; a larger level is evaluated again chunk by chunk on
+    every scan.  The arrays are shared: a scan must not write to them.
     """
 
     __slots__ = ("coeffs", "levels")
@@ -354,50 +355,33 @@ def common_zero_encodings(forms, ext):
     return sorted(found, key=_scan_key)
 
 
-def find_witness_encoding(values, pencil, ext):
-    """First point (scan order) where the pencil vanishes but the plane does not.
+def zero_set(coeffs, ext):
+    """The scanned points of P^2(ext) where one form vanishes, keyed by scan position.
 
-    values is the plane's PlaneValues and pencil a pair (a, b) of
-    coefficient vectors over GF(p): the member a.F has the values a.V.  At
-    uncached levels the chunks grow from one row, so an early witness costs
-    about what the scan reads up to it.
+    The keys are the positions, in scan order, of the orbit-first points
+    where the form with these GF(p) coefficients is zero.  At an uncached
+    level each maps to its encoded (x, y, z); a cached level keeps its
+    points (cached_point), so there each maps to None.
     """
     t = tables(ext)
-    if not _is_cached(ext):
-        return _find_witness_chunked(t, values.coeffs, pencil, ext)
-    a, b = pencil
-    for x, y, z, vals, outside in values.chunks(ext):
-        hit = outside & (_eval(t, a, vals) == 0)
-        hit &= _eval(t, b, vals) == 0
-        j = int(hit.argmax())
-        if hit[j]:
-            return int(x[j]), int(y[j]), int(z[j])
-    return None
-
-
-def _find_witness_chunked(t, plane, pencil, ext):
-    """find_witness_encoding at an uncached level, from the plane forms' coefficients.
-
-    The members' coefficients are the combinations sum(a_i * f_i.coeffs)
-    mod p, so each chunk evaluates two forms, and the three plane forms
-    only at the members' common zeros.
-    """
-    p = ext.p
-    members = [[sum(c * v for c, v in zip(w, column)) % p for column in zip(*plane)] for w in pencil]
+    keep = not _is_cached(ext)
+    zeros = {}
+    start = 0
     for x, y, z, monos in _scan_chunks(ext):
-        mask = _zero_mask(t, members, monos)
-        if not mask.any():
-            continue
-        idx = np.nonzero(mask)[0]
-        sub = tuple(m[idx] for m in monos)
-        outside = None
-        for coeffs in plane:
-            nz = _eval(t, coeffs, sub) != 0
-            outside = nz if outside is None else (outside | nz)
-        if outside.any():
-            j = idx[np.nonzero(outside)[0][0]]
-            return int(x[j]), int(y[j]), int(z[j])
-    return None
+        idx = np.flatnonzero(_eval(t, coeffs, monos) == 0)
+        positions = (idx + start).tolist()
+        if keep:
+            zeros.update(zip(positions, zip(x[idx].tolist(), y[idx].tolist(), z[idx].tolist())))
+        else:
+            zeros.update(dict.fromkeys(positions))
+        start += len(x)
+    return zeros
+
+
+def cached_point(ext, position):
+    """The encoded (x, y, z) of the scanned point at a position of a cached level."""
+    x, y, z, _ = _cached_chunks(ext)
+    return int(x[position]), int(y[position]), int(z[position])
 
 
 def covered_target_encodings(values, ext):

@@ -9,7 +9,8 @@ paths, and the SHA-256 of the dataset file it read or wrote.
 
 Exit codes: 0 success, 1 check or certificate failure (an inconclusive
 check label included), 2 usage error (a dataset or oracle --all scan bound,
-or an oracle source bound, below the exhaustive bound included).
+or an oracle source bound, below the exhaustive bound included, and a
+reference case over a prime other than 2).
 """
 
 import argparse
@@ -38,6 +39,7 @@ from .linsys import (
     FIVE_POINT,
     SIX_POINT,
     PointConfig,
+    SystemPencils,
     iter_subspaces,
     make_plane,
     vanishing_cubics,
@@ -102,6 +104,10 @@ def _parse_points(text):
 
 
 def _resolve_config(args):
+    if args.case != "custom" and args.p != 2:
+        raise UsageError(f"--case {args.case} is a fixture pinned over GF(2); reduced mod {args.p} "
+                         "it is not the system of cubics through its points: use "
+                         "--case custom --points \"x,y,z;...\" over other primes")
     if args.case == "custom":
         if not getattr(args, "points", None):
             raise UsageError("--case custom requires --points \"x,y,z;x,y,z;...\"")
@@ -160,10 +166,15 @@ def _require_exhaustive(flag, bound, unproved):
                          f"{unproved} up to that degree may have one above it")
 
 
-def _iter_admissible_planes(cfg):
-    """Distinct admissible planes of a system, one per coefficient 3-subspace."""
+def _iter_admissible_planes(cfg, pencils=None):
+    """Distinct admissible planes of a system, one per coefficient 3-subspace, through one memo.
+
+    pencils is the walk's SystemPencils; without one the walk makes its own.
+    """
+    if pencils is None:
+        pencils = SystemPencils(cfg.system)
     for rows in iter_subspaces(cfg.p, cfg.system.dim, 3):
-        plane = make_plane(cfg.system, *rows)
+        plane = make_plane(cfg.system, *rows, pencils=pencils)
         if plane is not None:
             yield plane
 
@@ -173,7 +184,8 @@ def cmd_dataset(args):
     cfg = _resolve_config(args)
     t0 = time.perf_counter()
     # generate_dataset refuses a scan bound below the exhaustive one
-    records = generate_dataset(cfg, jobs=args.jobs)
+    pencil_counters = {}
+    records = generate_dataset(cfg, jobs=args.jobs, counters=pencil_counters)
     t1 = time.perf_counter()
     write_output(records, args.out)
     t2 = time.perf_counter()
@@ -191,7 +203,8 @@ def cmd_dataset(args):
         args.out,
         started,
         stages={"dataset_s": round(t1 - t0, 6), "write_s": round(t2 - t1, 6)},
-        counters={"records": summary["count"], "positives": summary["positives"]},
+        counters={"records": summary["count"], "positives": summary["positives"],
+                  **pencil_counters},
     )
     return 0
 
@@ -262,7 +275,8 @@ def cmd_oracle(args):
         _require_exhaustive("--scan-bound", args.scan_bound, "a pencil without a witness")
         planes = disagreements = uncovered_targets = 0
         label_s = oracle_s = 0.0
-        for plane in _iter_admissible_planes(cfg):
+        pencils = SystemPencils(cfg.system)
+        for plane in _iter_admissible_planes(cfg, pencils):
             planes += 1
             t0 = time.perf_counter()
             label = label_plane(plane, scan_bound=args.scan_bound)
@@ -287,7 +301,7 @@ def cmd_oracle(args):
         code = 1 if disagreements else 0
         stages = {"label_s": round(label_s, 6), "oracle_s": round(oracle_s, 6)}
         counters = {"planes": planes, "disagreements": disagreements,
-                    "uncovered_targets": uncovered_targets}
+                    "uncovered_targets": uncovered_targets, **pencils.counters()}
     else:
         if not args.triple:
             raise UsageError("oracle requires --triple or --all")

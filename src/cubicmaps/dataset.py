@@ -4,8 +4,10 @@ A dataset run fixes a cubic system (a built-in case or a custom one) and
 walks the 3-subspaces of GF(p)^dim once, by iter_subspaces.  It lists each
 subspace's spanning triples (v, u, t) that pass the vector filter, and
 labels a subspace that holds one once, by its plane (no records when
-make_plane rejects it), serially or in a process pool.  The records are
-sorted by (v, u, t), so the output is byte-identical for any worker count.
+make_plane rejects it), serially or in a process pool.  The planes share
+their pencils, so the subspaces are labeled in contiguous blocks, one
+per worker, each through one SystemPencils memo.  The records are sorted
+by (v, u, t), so the output is byte-identical for any worker count.
 
 File format, one record per line, newline-terminated:
 
@@ -22,6 +24,7 @@ from .linsys import (
     FIVE_POINT,
     SIX_POINT,
     CubicSystem,
+    SystemPencils,
     iter_subspaces,
     iter_vectors,
     make_plane,
@@ -117,10 +120,16 @@ def passes_filter(mode, v, u, t, p):
     return True
 
 
-def _label_subspace(system, scan_bound, rows):
-    """Label of the plane spanned by canonical rows; None when rejected by make_plane."""
-    plane = make_plane(system, *rows)
+def _label_subspace(pencils, scan_bound, rows):
+    """Label of the plane spanned by canonical rows, through the walk's memo; None when rejected."""
+    plane = make_plane(pencils.system, *rows, pencils=pencils)
     return None if plane is None else label_plane(plane, scan_bound).value
+
+
+def _label_block(system, scan_bound, block):
+    """Labels of a block of subspaces through one SystemPencils, and its counters."""
+    pencils = SystemPencils(system)
+    return [_label_subspace(pencils, scan_bound, rows) for rows in block], pencils.counters()
 
 
 def _det3(a, b, c):
@@ -149,11 +158,14 @@ def _filtered_subspaces(cfg):
             yield rows, triples
 
 
-def generate_dataset(cfg, jobs=1):
+def generate_dataset(cfg, jobs=1, counters=None):
     """The full record list, sorted by (v, u, t); jobs > 1 labels subspaces in a process pool.
 
-    The pool starts at most one worker per subspace to label.  A scan bound
-    below the exhaustive one is refused: its label 0 would be unproved.
+    The pool starts at most one worker per subspace to label, and hands
+    each worker one contiguous block of subspaces.  When counters is a
+    dict, the SystemPencils counters of the blocks are added to it.  A
+    scan bound below the exhaustive one is refused: its label 0 would be
+    unproved.
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")
@@ -162,13 +174,19 @@ def generate_dataset(cfg, jobs=1):
                          f"{DEFAULT_SCAN_BOUND}: a label 0 would be unproved")
     subspaces = list(_filtered_subspaces(cfg))
     rows = [r for r, _ in subspaces]
-    label = functools.partial(_label_subspace, cfg.system, cfg.scan_bound)
+    label = functools.partial(_label_block, cfg.system, cfg.scan_bound)
     workers = min(jobs, len(rows))
     if workers <= 1:
-        labels = list(map(label, rows))
+        blocks = [label(rows)]
     else:
+        cuts = [len(rows) * i // workers for i in range(workers + 1)]
         with multiprocessing.Pool(workers) as pool:
-            labels = pool.map(label, rows, chunksize=4)
+            blocks = pool.map(label, [rows[i:j] for i, j in zip(cuts, cuts[1:])], chunksize=1)
+    labels = [lab for block, _ in blocks for lab in block]
+    if counters is not None:
+        for _, block_counters in blocks:
+            for name, count in block_counters.items():
+                counters[name] = counters.get(name, 0) + count
     return [DatasetRecord(*rec) for rec in sorted(
         (v, u, t, lab) for (_, triples), lab in zip(subspaces, labels) if lab is not None
         for v, u, t in triples)]

@@ -18,27 +18,9 @@ the first two is needed only when they share a factor; it is read off a
 one-dimensional kernel of the same kind of matrix and tested against the
 third form with the same rank criterion.
 
-The pencils of one net <f0, f1, f2> are decided together, from the net's
-quadric syzygies: the left kernel K of the 18 rows mu*f_i, the triples
-(q0, q1, q2) of quadrics with q0*f0 + q1*f1 + q2*f2 = 0.  The pencil
-spanned by a.F and b.F, a and b independent, with normal n = a x b, shares
-a factor iff some nonzero k in K has n0*k0 + n1*k1 + n2*k2 = 0, that is
-iff the dim K projections of a basis of K onto n have rank below dim K:
-
-* if a.F = h*f' and b.F = h*g' for a nonconstant h, then k = mu*(g'*a - f'*b)
-  is such a syzygy, with mu a monomial of degree deg h - 1, nonzero
-  because a and b are independent;
-* every k orthogonal to n is a quadric combination A*a + B*b, so
-  A*(a.F) + B*(b.F) = 0 with (A, B) nonzero: the Sylvester test above.
-
-A zero form a.F counts as a shared factor on both sides (k = mu*a).  K is
-built once per net; each pencil then costs one rank of at most 6 columns.
-
-K also admits the net.  A factor shared by f0, f1, f2 divides every member
-of every pencil, so a single pencil that shares no factor proves that the
-three forms share none.  linsys.make_plane tries the rational pencils in
-walk order and calls common_factor_all only when every one of them shares
-a factor: a pencil can share a factor without the net having one.
+The pencils of a cubic system are decided with the same test, once per
+pencil of the system: linsys.SystemPencils keys a pencil by the RREF of
+its two spanning members and calls has_common_factor on those two forms.
 """
 
 from functools import lru_cache
@@ -264,33 +246,6 @@ def has_common_factor(f, g):
     """True iff two nonzero cubics over a prime field share a nonconstant factor."""
     p, (f, g) = _prime_coeffs([f, g])
     return _shares_factor(p, f, 3, g, 3)
-
-
-def quadric_syzygies(forms):
-    """A basis, in RREF, of the quadric syzygies of three cubics over one prime field.
-
-    A syzygy (q0, q1, q2), q0*f0 + q1*f1 + q2*f2 = 0 with quadrics q_i, is
-    an 18-vector: the coefficients of q_i over the quadric monomials sit at
-    entries 6*i .. 6*i + 5.
-    """
-    p, coeffs = _prime_coeffs(forms)
-    if len(coeffs) != 3:
-        raise ValueError(f"quadric syzygies are taken of a net of 3 cubics, got {len(coeffs)}")
-    return gf_left_kernel(p, [row for f in coeffs for row in _multiples(f, 3, 2)])
-
-
-def pencil_shares_factor(p, syzygies, n):
-    """Whether the pencil with normal n in a net with these quadric syzygies shares a factor.
-
-    n = a x b for a pencil spanned by independent coefficient vectors a, b
-    (any nonzero multiple will do); the pencil of combinations orthogonal
-    to a target t has normal t.
-    """
-    n0, n1, n2 = n
-    projected = [
-        [n0 * u + n1 * v + n2 * w for u, v, w in zip(k[:6], k[6:12], k[12:])] for k in syzygies
-    ]
-    return len(gf_rref(p, projected)[0]) < len(syzygies)
 
 
 def common_factor_all(forms):

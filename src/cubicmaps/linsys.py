@@ -17,10 +17,12 @@ when p = 7; mod 2 they span the fixture.
 
 A plane is a 3-dimensional subsystem spanned by three combinations of the
 basis whose coefficient vectors have rank 3 and whose forms share no
-common factor; a pencil is a 2-dimensional subsystem of a plane.  A
-plane is admitted from its quadric-syzygy kernel K, which it keeps for
-its pencils: a factor shared by all three forms divides every member of
-every pencil, so one rational pencil that shares no factor by K proves
+common factor; a pencil is a 2-dimensional subsystem of a plane.  The
+planes of a walk share their pencils, so a walk decides each pencil of
+the system once, in one SystemPencils memo: whether it shares a factor,
+and its base points, read off its members' zero sets.  The memo also
+admits a plane: a factor shared by all three forms divides every member
+of every pencil, so one rational pencil that shares no factor proves
 that the forms share none.  Only when every rational pencil shares a
 factor is the common factor decided by common_factor_all.  The base
 locus of a set of forms is computed by scanning P^2(GF(p^d)) for
@@ -32,14 +34,7 @@ from functools import lru_cache
 
 from . import _scan
 from .finitefield import ProjPoint, build_field, gf_left_kernel, gf_rref, minimal_degree
-from .forms import (
-    MONOMIALS,
-    TernaryForm,
-    combine,
-    common_factor_all,
-    pencil_shares_factor,
-    quadric_syzygies,
-)
+from .forms import MONOMIALS, TernaryForm, combine, common_factor_all, has_common_factor
 
 FIVE_POINT = "five_point"
 SIX_POINT = "six_point"
@@ -244,24 +239,116 @@ def pencil_normal(a, b):
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
+@lru_cache(maxsize=None)
+def annihilator(p, target):
+    """A spanning pair (a, b) of the pencil with normal target: the complement of target in GF(p)^3."""
+    return tuple(gf_left_kernel(p, [[c] for c in target]))
+
+
+class SystemPencils:
+    """A walk's memo of the pencils of one cubic system, each decided once.
+
+    The pencil of a plane with coefficient vectors V spanned by a.F and b.F
+    is the subspace of the system spanned by the members a.V and b.V, so
+    its key, the gf_rref rows of those two members, is the same for every
+    plane and every spanning pair that holds it.  Per key the memo decides
+    once whether the pencil shares a factor (has_common_factor on the two
+    rows' forms) and, per level, its base points: the intersection of the
+    two rows' zero sets.  A member's zero set (_scan.zero_set) is taken
+    once per level with the member scaled to a leading 1.
+
+    Build one per walk, never per system: every walk pays for its own
+    decisions, and the memo lives as long as the planes that share it.
+    pencil_tests counts the pencils test_pencil decides through it.
+    """
+
+    __slots__ = ("system", "_forms", "_keys", "_shares", "_base", "_zeros", "pencil_tests")
+
+    def __init__(self, system):
+        self.system = system
+        self._forms = {}
+        self._keys = {}
+        self._shares = {}
+        self._base = {}
+        self._zeros = {}
+        self.pencil_tests = 0
+
+    def form(self, member):
+        """The cubic form of a member, a coefficient vector over the system basis."""
+        form = self._forms.get(member)
+        if form is None:
+            form = self._forms[member] = combine(member, self.system.basis)
+        return form
+
+    def key(self, vectors, a, b):
+        """The gf_rref rows of the members a.V and b.V of a plane with coefficient vectors V."""
+        p = self.system.field.p
+        members = tuple(tuple(sum(c * v for c, v in zip(w, column)) % p for column in zip(*vectors))
+                        for w in (a, b))
+        key = self._keys.get(members)
+        if key is None:
+            key = self._keys[members] = gf_rref(p, members)[0]
+        return key
+
+    def shares_factor(self, key):
+        """Whether the pencil's two spanning forms share a factor; a zero form counts as one."""
+        shares = self._shares.get(key)
+        if shares is None:
+            f, g = map(self.form, key)
+            shares = self._shares[key] = f.is_zero() or g.is_zero() or has_common_factor(f, g)
+        return shares
+
+    def zero_set(self, member, ext):
+        """_scan.zero_set of a member, scaled to a leading 1, at level ext."""
+        zeros = self._zeros.get((member, ext.k))
+        if zeros is None:
+            p = ext.p
+            inv = pow(next(c for c in member if c), p - 2, p)
+            monic = tuple(c * inv % p for c in member)
+            if monic != member:
+                return self.zero_set(monic, ext)
+            zeros = self._zeros[member, ext.k] = _scan.zero_set(self.form(member).coeffs, ext)
+        return zeros
+
+    def base_points(self, key, ext):
+        """The pencil's base points at level ext, as a zero set in scan order."""
+        base = self._base.get((key, ext.k))
+        if base is None:
+            first, second = (self.zero_set(row, ext) for row in key)
+            base = self._base[key, ext.k] = {pos: first[pos] for pos in sorted(first.keys() & second)}
+        return base
+
+    def witness_encoding(self, key, third, ext):
+        """The first base point of the pencil at level ext, in scan order, where the member third is nonzero."""
+        base = self.base_points(key, ext)
+        if base:
+            zeros = self.zero_set(third, ext)
+            for pos, enc in base.items():
+                if pos not in zeros:
+                    return _scan.cached_point(ext, pos) if enc is None else enc
+        return None
+
+    def counters(self):
+        """Shared-factor decisions, member zero-set scans (one per member and level) and pencil tests."""
+        return {"system_pencils": len(self._shares), "member_zero_sets": len(self._zeros),
+                "pencil_tests": self.pencil_tests}
+
+
 class Plane:
     """A rank-3 subsystem of a cubic system with coprime spanning forms.
 
-    syzygies, computed once here, is the RREF basis of the forms' quadric
-    syzygies (forms.quadric_syzygies); make_plane admits the plane by it,
-    and it decides every pencil's shared factor.  values holds the forms'
-    values at the scanned points (_scan.PlaneValues), evaluated on first
-    use per level and read by every pencil's witness scan and by the
-    covering scan.
+    pencils is the walk's SystemPencils, which decides the plane's pencils.
+    values holds the forms' values at the scanned points (_scan.PlaneValues),
+    evaluated on first use per level and read by the covering scan.
     """
 
-    __slots__ = ("system", "vectors", "forms", "syzygies", "values")
+    __slots__ = ("system", "vectors", "forms", "pencils", "values")
 
-    def __init__(self, system, vectors, forms):
+    def __init__(self, system, vectors, forms, pencils):
         self.system = system
         self.vectors = vectors
         self.forms = forms
-        self.syzygies = quadric_syzygies(forms)
+        self.pencils = pencils
         self.values = _scan.PlaneValues(forms)
 
     @property
@@ -287,17 +374,20 @@ class PencilSpec:
         return f"PencilSpec(a={self.a}, b={self.b})"
 
 
-def make_plane(system, v, u, t):
+def make_plane(system, v, u, t, pencils=None):
     """Build a plane from three coefficient vectors, or None if rejected.
 
     Rejection reasons: the stacked vectors have rank < 3 over the system
-    field, or the three combined forms share a nonconstant factor.  The
-    Plane is built first, with its quadric syzygies K.  A pencil with
-    normal n that shares no factor by K (forms.pencil_shares_factor) proves
-    the forms share none; the rational pencils are tried in walk order
-    (pencil_subspaces), and only when all of them share a factor does
-    common_factor_all decide.
+    field, or the three combined forms share a nonconstant factor.  pencils
+    is the walk's SystemPencils; a lone plane gets a memo of its own.  A
+    pencil that shares no factor proves the forms share none; the
+    rational pencils are tried in walk order (pencil_subspaces), and only
+    when all of them share a factor does common_factor_all decide.
     """
+    if pencils is None:
+        pencils = SystemPencils(system)
+    elif pencils.system is not system:
+        raise ValueError("the pencil memo belongs to another cubic system")
     field = system.field
     vecs = []
     for w in (v, u, t):
@@ -307,15 +397,14 @@ def make_plane(system, v, u, t):
         vecs.append(w)
     if len(gf_rref(field.p, vecs)[0]) < 3:
         return None
-    forms = [combine(w, system.basis) for w in vecs]
+    forms = [pencils.form(w) for w in vecs]
     if any(f.is_zero() for f in forms):
         return None
-    plane = Plane(system, tuple(vecs), tuple(forms))
-    p = field.p
-    normals = (pencil_normal(r1, r0) for r0, r1 in pencil_subspaces(p))
-    if all(pencil_shares_factor(p, plane.syzygies, n) for n in normals) and common_factor_all(forms):
+    vecs = tuple(vecs)
+    keys = (pencils.key(vecs, r1, r0) for r0, r1 in pencil_subspaces(field.p))
+    if all(map(pencils.shares_factor, keys)) and common_factor_all(forms):
         return None
-    return plane
+    return Plane(system, vecs, tuple(forms), pencils)
 
 
 def pencil(plane, a, b):

@@ -8,11 +8,21 @@ some plane form is nonzero.  The plane's label is 1 when no rational
 pencil is unruly, and 0 when some is at the exhaustive scan_bound 9;
 below it such a label is inconclusive.
 
+The planes of one walk share their pencils, so a pencil's shared factor
+and its base points are decided once per walk, by the SystemPencils memo
+the planes hold (linsys): its base points are the common zeros of its two
+spanning members, each member's zero set scanned once per level.  Only
+the witness test, which base point lies off the plane's base locus, is
+made per plane.
+
 The forward oracle checks the same property from the image side: a target
 point of P^2(GF(q)) is covered iff its annihilator pencil (combinations
 c0*f0 + c1*f1 + c2*f2 with c orthogonal to the target) is
 positive-dimensional, or some source point over GF(q^d), d <= source_bound,
-outside the plane's base locus maps onto it.  For coprime cubics the
+outside the plane's base locus maps onto it.  It takes the annihilator
+pencils' verdicts from the memo, but finds its source points by its own
+covering scan of the plane's values, so it cross-checks the zero-set
+verdicts independently.  For coprime cubics the
 geometric base points of a pencil have degree at most 9 (Bezout), so
 scan_bound = 9 is exhaustive and label 1 must coincide with an empty
 uncovered set.
@@ -23,9 +33,10 @@ certifies surjectivity onto GF(q)-rational targets.
 
 from . import _scan
 from .finitefield import build_field, enumerate_p2
-from .forms import MONOMIALS, pencil_shares_factor
+from .forms import MONOMIALS
 from .linsys import (
     DEFAULT_SCAN_BOUND,
+    annihilator,
     make_plane,
     pencil,
     pencil_normal,
@@ -113,13 +124,15 @@ def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
     """Verdict for the pencil of a plane spanned by coefficient vectors a, b.
 
     Dependent vectors or a shared factor of the two combined forms give
-    positive_dimensional; the factor is decided from the plane's quadric
-    syzygies.  Otherwise GF(q^d) is scanned for d ascending, on the plane's
-    values at each level (no pencil form is built); the first common zero
-    of the pencil at which some plane form is nonzero is returned as a
-    not_unruly witness, and exhausting all levels gives unruly.  The
-    witness is rechecked exactly: the plane forms' values V there, in
-    Scalar arithmetic, must have a.V = b.V = 0 and V nonzero.
+    positive_dimensional; the factor is decided once per system pencil by
+    the plane's SystemPencils.  Otherwise the pencil's base points are
+    read level by level, d ascending, from the memo, and the first one
+    where plane form i is nonzero is returned as a not_unruly witness, for
+    any i with (a x b)_i != 0: then a, b and e_i span GF(p)^3, so f_i is
+    nonzero exactly off the plane's base locus among the pencil's base
+    points.  Exhausting all levels gives unruly.  The witness is rechecked
+    exactly: the plane forms' values V there, in Scalar arithmetic, must
+    have a.V = b.V = 0 and V nonzero.
     """
     field = plane.field
     p = field.p
@@ -130,11 +143,17 @@ def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
     b = tuple(c % p for c in b)
     # over GF(p), a x b is zero exactly when a and b are dependent
     normal = tuple(c % p for c in pencil_normal(a, b))
-    if not any(normal) or pencil_shares_factor(p, plane.syzygies, normal):
+    if not any(normal):
         return UnrulyVerdict(POSITIVE_DIMENSIONAL)
+    pencils = plane.pencils
+    pencils.pencil_tests += 1
+    key = pencils.key(plane.vectors, a, b)
+    if pencils.shares_factor(key):
+        return UnrulyVerdict(POSITIVE_DIMENSIONAL)
+    third = plane.vectors[next(i for i, c in enumerate(normal) if c)]
     for d in range(1, scan_bound + 1):
         ext = build_field(p, d)
-        enc = _scan.find_witness_encoding(plane.values, (a, b), ext)
+        enc = pencils.witness_encoding(key, third, ext)
         if enc is not None:
             pt = _scan.decode_point(ext, enc)
             monomials = _monomial_coords(pt)
@@ -170,7 +189,9 @@ def forward_oracle(plane, source_bound=DEFAULT_SCAN_BOUND):
     A target is covered when its annihilator pencil, whose normal is the
     target, is positive-dimensional, or when a source point over GF(q^d)
     for some d <= source_bound, outside the plane's base locus, maps onto
-    it.
+    it.  The pencils are decided by the plane's SystemPencils; the points
+    are found by the covering scan on the plane's values, which shares
+    nothing with the pencil verdicts' zero sets.
     A plane labeled 1 must give an empty list at source_bound 9.
     """
     field = plane.field
@@ -180,8 +201,10 @@ def forward_oracle(plane, source_bound=DEFAULT_SCAN_BOUND):
     ext = build_field(p, 1)
     for enc in _scan.covered_target_encodings(plane.values, ext):
         remaining.pop(enc, None)
+    pencils = plane.pencils
     for enc in list(remaining):
-        if pencil_shares_factor(p, plane.syzygies, enc):
+        a, b = annihilator(p, enc)
+        if pencils.shares_factor(pencils.key(plane.vectors, a, b)):
             del remaining[enc]
     for d in range(2, source_bound + 1):
         if not remaining:

@@ -70,7 +70,10 @@ class TestDataset:
         assert entry["wall_time_s"] >= 0
         assert set(entry["stages"]) == {"dataset_s", "write_s"}
         assert all(seconds >= 0 for seconds in entry["stages"].values())
-        assert entry["counters"] == {"records": 336, "positives": 0}
+        # 14 subspaces labeled through one memo: 25 pencil tests, 15 system pencils
+        # decided, and 12 members of GF(2)^4 scanned at each level 1..9
+        assert entry["counters"] == {"records": 336, "positives": 0, "system_pencils": 15,
+                                     "member_zero_sets": 108, "pencil_tests": 25}
 
     def test_manifest_accumulates(self):
         main(["dataset", "--case", "six", "--out", "six.txt"])
@@ -82,6 +85,17 @@ class TestDataset:
     def test_bad_prime(self, capsys):
         assert main(["dataset", "--case", "six", "--p", "4", "--out", "x.txt"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["dataset", "--case", "five", "--p", "3", "--out", "x.txt"],
+        ["check", "--case", "six", "--p", "3", "--triple", SIX_E1_E2_E3],
+        ["oracle", "--case", "six", "--p", "5", "--all"],
+    ])
+    def test_reference_cases_are_refused_over_other_primes(self, argv, capsys):
+        # the fixture reduced mod q is not the system of cubics through the reference points
+        assert main(argv) == 2
+        assert "--case custom --points" in capsys.readouterr().err
+        assert not os.path.exists("x.txt") and not os.path.exists("cubicmaps-runs.jsonl")
 
 
 class TestCheck:
@@ -308,7 +322,10 @@ class TestOracle:
         assert set(entry["stages"]) == {"label_s", "oracle_s"}
         assert all(seconds >= 0 for seconds in entry["stages"].values())
         # all 15 six-point planes are labeled 0; together they miss 30 targets
-        assert entry["counters"] == {"planes": 15, "disagreements": 0, "uncovered_targets": 30}
+        # the walk's memo also decides the uncovered targets' annihilator pencils
+        assert entry["counters"] == {"planes": 15, "disagreements": 0, "uncovered_targets": 30,
+                                     "system_pencils": 31, "member_zero_sets": 108,
+                                     "pencil_tests": 30}
 
     def test_full_sweep_flags_a_label_0_whose_pencil_normal_is_covered(self, capsys, monkeypatch):
         # a stand-in oracle leaves only [1:1:1] uncovered on every plane, so every

@@ -225,9 +225,9 @@ class TestLabeledSubspaces:
         labeled = []
         label = dataset._label_subspace
 
-        def counting_label(system, scan_bound, rows):
+        def counting_label(pencils, scan_bound, rows):
             labeled.append(rows)
-            return label(system, scan_bound, rows)
+            return label(pencils, scan_bound, rows)
 
         monkeypatch.setattr(dataset, "_label_subspace", counting_label)
         records = generate_dataset(EnumConfig(case))
@@ -239,6 +239,42 @@ class TestLabeledSubspaces:
                                                       six_records):
         assert generate_dataset(EnumConfig(SIX_POINT), jobs=jobs) == six_records
         assert pool_sizes == [workers]
+
+    def test_each_worker_labels_one_contiguous_block_through_one_memo(self, monkeypatch):
+        blocks, memos = [], []
+
+        class BlockPool:
+            def __init__(self, processes):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                blocks.extend(items)
+                return list(map(fn, items))
+
+        memo = dataset.SystemPencils
+
+        def recorded(system):
+            memos.append(memo(system))
+            return memos[-1]
+
+        monkeypatch.setattr(dataset.multiprocessing, "Pool", BlockPool)
+        monkeypatch.setattr(dataset, "SystemPencils", recorded)
+        cfg = EnumConfig(FIVE_POINT)
+        serial, pooled = {}, {}
+        assert generate_dataset(cfg, jobs=3, counters=pooled) == generate_dataset(cfg, counters=serial)
+        rows = [r for r, _ in _filtered_subspaces(cfg)]
+        assert [len(block) for block in blocks] == [46, 47, 47]
+        assert [r for block in blocks for r in block] == rows
+        # three block memos, then the serial run's one
+        assert len(memos) == 4
+        assert pooled["pencil_tests"] == serial["pencil_tests"]
+        assert pooled["system_pencils"] > serial["system_pencils"]
 
     def test_one_subspace_is_labeled_without_a_pool(self, pool_sizes):
         f2 = build_field(2)

@@ -14,11 +14,17 @@ from cubicmaps.forms import (
     evaluate,
     has_common_factor,
     parse_form,
-    pencil_shares_factor,
-    quadric_syzygies,
     render_form,
 )
-from cubicmaps.linsys import FIVE_POINT, SIX_POINT, iter_subspaces, make_plane, reference_system
+from cubicmaps.linsys import (
+    FIVE_POINT,
+    SIX_POINT,
+    CubicSystem,
+    SystemPencils,
+    iter_subspaces,
+    make_plane,
+    reference_system,
+)
 from cubicmaps.ratpoly import RationalPoly, univariate_gcd
 
 X = RationalPoly.var("x")
@@ -299,30 +305,29 @@ class TestCommonFactorProperties:
             has_common_factor(parse_form("x^3", build_field(2)), parse_form("x^3", build_field(3)))
 
 
-def cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
 def pairwise_verdict(net, a, b):
     """The Sylvester test on the pencil's two forms; a zero form counts as a shared factor."""
     f, g = combine(a, net), combine(b, net)
     return f.is_zero() or g.is_zero() or has_common_factor(f, g)
 
 
-def assert_syzygy_verdicts_match(net):
-    """pencil_shares_factor against the pairwise test on every pencil of a net; the verdicts."""
+IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def assert_memo_verdicts_match(pencils, vectors, net):
+    """The memo's shared-factor verdict against the pairwise test on every pencil of a net; the verdicts."""
     p = net[0].field.p
-    syzygies = quadric_syzygies(net)
     verdicts = []
     for r0, r1 in iter_subspaces(p, 3, 2):
         expected = pairwise_verdict(net, r1, r0)
-        assert pencil_shares_factor(p, syzygies, cross(r1, r0)) == expected, (r1, r0)
+        assert pencils.shares_factor(pencils.key(vectors, r1, r0)) == expected, (r1, r0)
         verdicts.append(expected)
     return verdicts
 
 
-def as_poly(degree, coeffs):
-    return {e: c for e, c in zip(monomials_of(degree), coeffs) if c}
+def net_pencils(net):
+    """A SystemPencils of the system whose basis is the net, and the net's coefficient vectors."""
+    return SystemPencils(CubicSystem(net[0].field, net, "custom")), IDENTITY
 
 
 @st.composite
@@ -353,29 +358,31 @@ def nets(draw, p):
 
 
 class TestQuadricSyzygies:
-    # the per-net criterion against the pairwise Sylvester test, pencil by pencil
+    # a pencil shares a factor iff its two forms have a quadric syzygy: the
+    # memo decides it once per system pencil, checked here pencil by pencil
+    # against the pairwise Sylvester test on the pencil's two combined forms
 
     def test_every_pencil_of_every_admissible_gf2_plane(self):
         f2 = build_field(2)
-        pencils = planes = 0
+        pencils_seen = planes = 0
         verdicts = set()
         for case in (FIVE_POINT, SIX_POINT):
             system = reference_system(case, f2)
+            pencils = SystemPencils(system)
             for rows in iter_subspaces(2, system.dim, 3):
-                plane = make_plane(system, *rows)
+                plane = make_plane(system, *rows, pencils=pencils)
                 if plane is None:
                     continue
                 planes += 1
-                assert plane.syzygies == quadric_syzygies(plane.forms)
-                found = assert_syzygy_verdicts_match(plane.forms)
-                pencils += len(found)
+                found = assert_memo_verdicts_match(pencils, plane.vectors, plane.forms)
+                pencils_seen += len(found)
                 verdicts.update(found)
                 # the annihilator pencil of a target t has normal t
                 for target in enumerate_p2(f2):
-                    t = target.encode()
-                    a, b = gf_left_kernel(2, [[c] for c in t])
-                    assert pencil_shares_factor(2, plane.syzygies, t) == pairwise_verdict(plane.forms, a, b)
-        assert (planes, pencils) == (165, 1155)
+                    a, b = gf_left_kernel(2, [[c] for c in target.encode()])
+                    key = pencils.key(plane.vectors, a, b)
+                    assert pencils.shares_factor(key) == pairwise_verdict(plane.forms, a, b)
+        assert (planes, pencils_seen) == (165, 1155)
         assert verdicts == {False, True}
 
     @settings(max_examples=60, deadline=None)
@@ -383,14 +390,7 @@ class TestQuadricSyzygies:
     def test_sampled_nets_over_gf3_and_gf5(self, kind_net):
         kind, net = kind_net
         assume(not any(f.is_zero() for f in net))
-        p = net[0].field.p
-        for k in quadric_syzygies(net):
-            total = {}
-            for i, f in enumerate(net):
-                for e, c in multiply(p, as_poly(2, k[6 * i : 6 * i + 6]), as_poly(3, f.coeffs)).items():
-                    total[e] = (total.get(e, 0) + c) % p
-            assert not any(total.values())
-        verdicts = assert_syzygy_verdicts_match(net)
+        verdicts = assert_memo_verdicts_match(*net_pencils(net), net)
         if kind != "random":
             assert any(verdicts)
 
@@ -400,18 +400,11 @@ class TestQuadricSyzygies:
         field = build_field(5)
         g = [parse_form(t, field) for t in ("x*y^2", "x*z^2", "y^3 + z^3 + x^2*y")]
         mixed = [combine(row, g) for row in ((1, 0, 1), (0, 1, 2), (0, 0, 1))]
-        verdicts = assert_syzygy_verdicts_match(mixed)
+        pencils, vectors = net_pencils(mixed)
+        verdicts = assert_memo_verdicts_match(pencils, vectors, mixed)
         assert verdicts.count(True) == 1
-        syzygies = quadric_syzygies(mixed)
-        assert pencil_shares_factor(5, syzygies, cross((1, 0, 4), (0, 1, 3)))
-        assert not pencil_shares_factor(5, syzygies, cross((1, 0, 0), (0, 1, 0)))
-
-    def test_a_net_needs_three_nonzero_forms(self):
-        field = build_field(3)
-        with pytest.raises(ValueError, match="3 cubics"):
-            quadric_syzygies([parse_form("x^3", field), parse_form("y^3", field)])
-        with pytest.raises(ValueError, match="nonzero"):
-            quadric_syzygies([parse_form("x^3", field), parse_form("y^3", field), parse_form("0", field)])
+        assert pencils.shares_factor(pencils.key(vectors, (1, 0, 4), (0, 1, 3)))
+        assert not pencils.shares_factor(pencils.key(vectors, (1, 0, 0), (0, 1, 0)))
 
 
 class TestRationalPoly:

@@ -15,8 +15,6 @@ from cubicmaps.forms import (
     common_factor_all,
     evaluate,
     parse_form,
-    pencil_shares_factor,
-    quadric_syzygies,
 )
 from cubicmaps.linsys import (
     _INTEGER_GENERATORS,
@@ -24,13 +22,13 @@ from cubicmaps.linsys import (
     SIX_POINT,
     CubicSystem,
     PointConfig,
+    SystemPencils,
     base_locus,
     gf_rref,
     iter_subspaces,
     iter_vectors,
     make_plane,
     pencil,
-    pencil_normal,
     pencil_subspaces,
     reduced_generator_system,
     reference_points,
@@ -188,28 +186,40 @@ class TestPlanes:
         f3 = build_field(3)
         texts = ("x^3 + x*y*z", "x*y^2 + 2*x*z^2", "x^2*y + x*y^2 + x*z^2")
         system = CubicSystem(f3, tuple(parse_form(t, f3) for t in texts), "custom")
-        syzygies = quadric_syzygies(system.basis)
-        assert all(pencil_shares_factor(3, syzygies, pencil_normal(r1, r0))
+        pencils = SystemPencils(system)
+        identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert all(pencils.shares_factor(pencils.key(identity, r1, r0))
                    for r0, r1 in pencil_subspaces(3))
-        assert make_plane(system, (1, 0, 0), (0, 1, 0), (0, 0, 1)) is None
+        assert make_plane(system, *identity, pencils=pencils) is None
 
     @pytest.mark.parametrize("case, p, subspaces, rejected", [
         (FIVE_POINT, 2, 155, 5), (SIX_POINT, 2, 15, 0), (FIVE_POINT, 3, 1210, 4), (SIX_POINT, 3, 40, 0)])
     def test_admits_exactly_the_planes_without_a_common_factor(self, case, p, subspaces, rejected):
-        # make_plane admits from the syzygy kernel; common_factor_all is the reference
+        # make_plane admits from the walk's pencil verdicts; common_factor_all is the reference
         system = reference_system(case, build_field(p))
+        pencils = SystemPencils(system)
         seen = Counter()
         for rows in iter_subspaces(p, system.dim, 3):
             forms = [combine(r, system.basis) for r in rows]
             coprime = not any(f.is_zero() for f in forms) and not common_factor_all(forms)
-            plane = make_plane(system, *rows)
+            plane = make_plane(system, *rows, pencils=pencils)
             assert (plane is not None) == coprime, rows
-            if plane is not None:
-                assert plane.syzygies == quadric_syzygies(plane.forms)
             seen[coprime] += 1
         assert sum(seen.values()) == subspaces
         # every pencil of a rejected plane shares its factor: these reach common_factor_all
         assert seen[False] == rejected
+
+    def test_a_walk_memo_serves_only_its_own_system(self):
+        f2 = build_field(2)
+        system = reference_system(FIVE_POINT, f2)
+        pencils = SystemPencils(system)
+        plane = make_plane(system, *CASE46, pencils=pencils)
+        assert plane.pencils is pencils
+        # a lone plane gets a memo of its own
+        assert make_plane(system, *CASE46).pencils is not pencils
+        # equal systems are still two systems: a memo keys members by one basis
+        with pytest.raises(ValueError, match="another cubic system"):
+            make_plane(reference_system(FIVE_POINT, f2), *CASE46, pencils=pencils)
 
     def test_zero_form_triple_rejected(self):
         f2 = build_field(2)

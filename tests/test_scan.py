@@ -282,25 +282,19 @@ class TestOrbitScans:
         # 8 orbit-first x in GF(32): 0, 1 and one per 5-orbit; 96 // 32 = 3 rows a full chunk
         assert rows == [1, 2, 3, 2]
 
-    def test_first_point_witness_reads_one_row_at_an_uncached_level(self, monkeypatch):
-        # x^3 and y^3 meet only at [0:0:1], the first point scanned, where z^3 is 1
-        ext = build_field(3, 7)
-        assert _scan.point_count(ext) > _scan._CACHE_POINT_LIMIT
-        f3 = build_field(3)
-        plane = [TernaryForm(f3, [1] + [0] * 9), TernaryForm(f3, [0] * 6 + [1, 0, 0, 0]),
-                 TernaryForm(f3, [0] * 9 + [1])]
-        read = []
-        monomial_values = _scan.monomial_values
-
-        def counted(t, x, y, z):
-            read.append(len(x))
-            return monomial_values(t, x, y, z)
-
-        monkeypatch.setattr(_scan, "monomial_values", counted)
-        pencil = ((1, 0, 0), (0, 1, 0))
-        assert _scan.find_witness_encoding(_scan.PlaneValues(plane), pencil, ext) == (0, 0, 1)
-        # one chunk: the orbit-first points of the row [0:*:1], not 2^19 points
-        assert len(read) == 1 and 0 < read[0] <= ext.order
+    def test_zero_set_keeps_encodings_only_at_uncached_levels(self):
+        # x^3 vanishes on the line x = 0: the points [0:y:1], then [0:1:0]
+        ext = build_field(3, 2)
+        x3 = [1] + [0] * 9
+        points = _scanned_points(ext)
+        want = [pos for pos, pt in enumerate(points) if pt[0] == 0]
+        cached = _scan.zero_set(x3, ext)
+        assert list(cached) == want and set(cached.values()) == {None}
+        assert [_scan.cached_point(ext, pos) for pos in cached] == [points[pos] for pos in want]
+        with scan_path("chunked"):
+            uncached = _scan.zero_set(x3, ext)
+        assert uncached == {pos: points[pos] for pos in want}
+        assert uncached[want[-1]] == (0, 1, 0)
 
     @settings(max_examples=60, deadline=None)
     @given(pencils_in_planes())
@@ -317,9 +311,19 @@ class TestOrbitScans:
         zeros = _encodings(xyz, on_pencil)
         plane_zeros = _encodings(xyz, on_plane)
         witnesses = _encodings(xyz, on_pencil & ~on_plane)
-        a, b = ([int(i == j) for j in range(3)] for i in pair)
         with scan_path(path):
-            values = _scan.PlaneValues(plane)
-            assert _scan.find_witness_encoding(values, (a, b), ext) == (witnesses[0] if witnesses else None)
+            points = _scanned_points(ext)
+            scanned = set(points)
+            zero_sets = [_scan.zero_set(f.coeffs, ext) for f in plane]
+            for zero_set, form_values in zip(zero_sets, values):
+                assert [points[pos] for pos in zero_set] == [
+                    pt for pt in _encodings(xyz, form_values == 0) if pt in scanned]
+                assert all(enc == (points[pos] if path == "chunked" else None)
+                           for pos, enc in zero_set.items())
+            # a common zero of the pair is off the plane's base locus iff the third form is nonzero there
+            first, second, third = (zero_sets[i] for i in (*pair, 3 - sum(pair)))
+            base = sorted(first.keys() & second)
+            witness = next((points[pos] for pos in base if pos not in third), None)
+            assert witness == (witnesses[0] if witnesses else None)
             assert _scan.common_zero_encodings(pencil, ext) == zeros
             assert _scan.common_zero_encodings(plane, ext) == plane_zeros

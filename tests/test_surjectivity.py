@@ -13,6 +13,7 @@ from cubicmaps.linsys import (
     SIX_POINT,
     CubicSystem,
     PointConfig,
+    SystemPencils,
     base_locus,
     gf_rref,
     iter_subspaces,
@@ -20,6 +21,7 @@ from cubicmaps.linsys import (
     make_plane,
     pencil,
     pencil_subspaces,
+    reference_points,
     reference_system,
     vanishing_cubics,
 )
@@ -67,14 +69,15 @@ class TestPencilVerdicts:
         plane = five_plane()
         assert pencil_verdict(plane, (1, 0, 1), (1, 0, 1)).status == POSITIVE_DIMENSIONAL
         assert pencil_verdict(plane, (0, 0, 0), (1, 0, 0)).status == POSITIVE_DIMENSIONAL
-        # over GF(3), on a plane whose shared-factor test cannot catch a dependent
-        # pair because it has no quadric syzygies, dependence is decided mod 3
+        # over GF(3), on a plane none of whose pencils shares a factor, so that
+        # only the zero test on a x b can catch a dependent pair, dependence is decided mod 3
         f3 = build_field(3)
         system = CubicSystem(
             f3, tuple(parse_form(t, f3) for t in ("x^3 + y^2*z", "y^3 + x*z^2", "z^3 + x*y*z")), "custom",
         )
         plane = make_plane(system, (1, 0, 0), (0, 1, 0), (0, 0, 1))
-        assert plane.syzygies == []
+        for r0, r1 in pencil_subspaces(3):
+            assert not has_common_factor(*pencil(plane, r1, r0).forms)
         for b in ((2, 1, 0), (0, 0, 0), (2, 4, 0), (-2, -1, 0), (4, 5, 3)):
             assert pencil_verdict(plane, (1, 2, 0), b).status == POSITIVE_DIMENSIONAL, b
         # a x b = (0, 0, -3) is nonzero over the integers but zero mod 3
@@ -259,7 +262,7 @@ class TestWitnessRecheck:
         a, b = self.zero_dimensional_pencil(plane)
         f, _ = pencil(plane, a, b).forms
         off = next(pt for pt in enumerate_p2(build_field(2)) if not evaluate(f, pt).is_zero())
-        monkeypatch.setattr(_scan, "find_witness_encoding", lambda *args: off.encode())
+        monkeypatch.setattr(SystemPencils, "witness_encoding", lambda *args: off.encode())
         with pytest.raises(AssertionError, match="pencil-vanishing"):
             pencil_verdict(plane, a, b)
 
@@ -270,7 +273,7 @@ class TestWitnessRecheck:
         f, g = pencil(plane, a, b).forms
         off = next(pt for pt in enumerate_p2(build_field(2))
                    if evaluate(f, pt).is_zero() and not evaluate(g, pt).is_zero())
-        monkeypatch.setattr(_scan, "find_witness_encoding", lambda *args: off.encode())
+        monkeypatch.setattr(SystemPencils, "witness_encoding", lambda *args: off.encode())
         with pytest.raises(AssertionError, match="pencil-vanishing"):
             pencil_verdict(plane, a, b)
 
@@ -292,7 +295,7 @@ class TestWitnessRecheck:
         plane = five_plane()
         a, b = self.zero_dimensional_pencil(plane)
         # [1:0:0] is one of the five points every form of the system passes through
-        monkeypatch.setattr(_scan, "find_witness_encoding", lambda *args: (1, 0, 0))
+        monkeypatch.setattr(SystemPencils, "witness_encoding", lambda *args: (1, 0, 0))
         with pytest.raises(AssertionError, match="plane-nonvanishing"):
             pencil_verdict(plane, a, b)
 
@@ -340,22 +343,97 @@ class TestWitnessesAgainstPencilForms:
         assert seen[NOT_UNRULY] and seen[POSITIVE_DIMENSIONAL]
 
     def test_plane_forms_are_evaluated_once_per_level(self, monkeypatch):
-        # every pencil and the covering scan read one evaluation of the plane per level
-        plane = six_plane()
-        levels = Counter()
-        evaluate_values = _scan._eval
+        # a walk evaluates each member's zero set once per level, however many
+        # planes hold it, and the covering scan evaluates a plane's 3 forms once per level
+        system = reference_system(SIX_POINT, build_field(2))
+        pencils = SystemPencils(system)
+        planes = [plane for plane in (make_plane(system, *rows, pencils=pencils)
+                                      for rows in iter_subspaces(2, system.dim, 3)) if plane]
+        members, levels = Counter(), Counter()
+        zero_set, evaluate_values = _scan.zero_set, _scan._eval
+
+        def counted_zero_set(coeffs, ext):
+            members[tuple(coeffs), ext.k] += 1
+            return zero_set(coeffs, ext)
 
         def counted(t, coeffs, monos):
             if len(monos) == 10:
                 levels[t.k] += 1
             return evaluate_values(t, coeffs, monos)
 
+        monkeypatch.setattr(_scan, "zero_set", counted_zero_set)
         monkeypatch.setattr(_scan, "_eval", counted)
-        label = label_plane(plane, find_all=True)
-        uncovered = forward_oracle(plane)
-        assert label.unruly_pencils and uncovered
+        for plane in planes:
+            assert label_plane(plane, find_all=True).unruly_pencils
+        assert len(planes) == 15 and set(members.values()) == {1}
+        # at most the 15 members of GF(2)^4, each at every level 1..9
+        assert len({coeffs for coeffs, _ in members}) <= 15
+        assert levels == Counter(d for _, d in members) and set(levels) == set(range(1, 10))
+        levels.clear()
+        plane = planes[0]
+        assert forward_oracle(plane)
         assert levels == {d: 3 for d in range(1, 10)}
         assert sorted(plane.values.levels) == [(2, d) for d in range(1, 10)]
+
+    def test_one_walk_memo_gives_the_verdicts_of_a_memo_per_plane(self):
+        for case in (FIVE_POINT, SIX_POINT):
+            system = reference_system(case, build_field(2))
+            pencils = SystemPencils(system)
+            planes = 0
+            for rows in iter_subspaces(2, system.dim, 3):
+                shared = make_plane(system, *rows, pencils=pencils)
+                alone = make_plane(system, *rows)
+                assert (shared is None) == (alone is None), rows
+                if shared is None:
+                    continue
+                planes += 1
+                for find_all in (False, True):
+                    got, want = (label_plane(plane, find_all=find_all).verdicts for plane in (shared, alone))
+                    assert [(pair, v.status, v.witness) for pair, v in got] == [
+                        (pair, v.status, v.witness) for pair, v in want], rows
+            assert planes == {FIVE_POINT: 150, SIX_POINT: 15}[case]
+            assert pencils.counters()["system_pencils"] < pencils.counters()["pencil_tests"]
+
+    def test_gf3_plane_through_the_first_uncached_level(self):
+        # GF(3^7) is the first level whose points are not cached: the zero
+        # sets keep their encodings there, and the base points are read off them
+        f3 = build_field(3)
+        assert not _scan._is_cached(build_field(3, 7)) and _scan._is_cached(build_field(3, 6))
+        system = vanishing_cubics(reference_points(FIVE_POINT), f3)
+        plane = next(plane for plane in (make_plane(system, *rows)
+                                         for rows in iter_subspaces(3, system.dim, 3)) if plane)
+        plane_zeros = {}
+        statuses = Counter()
+        for (a, b), verdict in label_plane(plane, 7, find_all=True).verdicts:
+            witness = None if verdict.witness is None else verdict.witness.encode()
+            assert (verdict.status, witness) == reference_verdict(plane, a, b, 7, plane_zeros), (a, b)
+            statuses[verdict.status] += 1
+        # some pencil is scanned through level 7 without a witness
+        assert statuses[UNRULY]
+
+    @pytest.mark.parametrize("make", [five_plane, six_plane])
+    def test_uncached_levels_give_the_cached_verdicts(self, make, monkeypatch):
+        # with no level cached, every zero set keeps its encodings and witnesses come from them
+        want = [(pair, v.status, v.witness) for pair, v in label_plane(make(), find_all=True).verdicts]
+        monkeypatch.setattr(_scan, "_CACHE_POINT_LIMIT", 0)
+        monkeypatch.setattr(_scan, "_CHUNK", 1000)
+        got = [(pair, v.status, v.witness) for pair, v in label_plane(make(), find_all=True).verdicts]
+        assert got == want
+        assert any(witness is not None and witness.field.k > 1 for _, _, witness in got)
+
+    def test_a_member_and_its_multiple_share_one_zero_set(self):
+        system = vanishing_cubics(reference_points(FIVE_POINT), build_field(3))
+        pencils = SystemPencils(system)
+        ext = build_field(3, 2)
+        member = (1, 2, 0, 1, 0)
+        zeros = pencils.zero_set(member, ext)
+        assert pencils.zero_set((2, 1, 0, 2, 0), ext) is zeros
+        assert pencils.counters()["member_zero_sets"] == 1
+        # a pencil is keyed by the RREF of its span, whatever pair spans it
+        vectors = (member, (0, 1, 1, 0, 2), (0, 0, 0, 0, 1))
+        key = pencils.key(vectors, (1, 0, 0), (0, 1, 0))
+        assert key == gf_rref(3, vectors[:2])[0]
+        assert pencils.key(vectors, (2, 1, 0), (1, 1, 0)) == key
 
 
 class TestBaseLociOfGF2Planes:
