@@ -16,21 +16,21 @@ the extended exp table and reaches beyond q.
 
 Points are scanned in a fixed documented order: the affine chart [x:y:1]
 lexicographically by (x, y), then the line [x:1:0] by x, then [1:0:0].
-Scans are chunked so that even very large levels stay within memory.
+A level small enough to cache (_is_cached) is scanned as one array of
+points and monomials, kept for every later scan; a larger one is scanned
+in fixed blocks of rows, so that even very large levels stay within
+memory.  Every scan reads whole levels.
 
 Pencils are decided from zero sets.  zero_set scans one form, a member
-of a cubic system, and keeps the positions in scan order of the points
-where it vanishes; a walk keeps each member's zero set per level
-(linsys.SystemPencils), so the base points of a pencil are the
-intersection of its two spanning members' zero sets, and a witness is
-the first of them where a third plane form is nonzero.  At a cached
-level a position indexes the cached points; at an uncached level the
-zero set also keeps the encodings of its points, which are few next to
-the level.
+of a cubic system, and returns the encoded (x, y, z) of the points where
+it vanishes, in scan order; a walk keeps each member's zero set per level
+(linsys.SystemPencils), so the base points of a pencil are the points of
+one spanning member's zero set that lie in the other's, and a witness is
+the first of them where a third plane form is nonzero.  A zero set is
+few points next to its level.
 
-The covering scan reads a plane's values V = (f0, f1, f2) from a
-PlaneValues, which evaluates a level with the mask of its non-base points
-and keeps the levels small enough to cache.
+The covering scan evaluates a plane's three forms V = (f0, f1, f2) on
+each chunk of a level, once per scan.
 
 Every scan reads one point per Frobenius orbit.  The forms have GF(p)
 coefficients, so they commute with the Frobenius F: a -> a^p, and
@@ -187,9 +187,8 @@ def iter_point_chunks(field, chunk=_CHUNK):
 
     The points are the first of their orbits, in scan order.  A row [x:*:1]
     holds such points only if x comes first among its own conjugates, so
-    the other rows are never built.  The first chunk spans one such row and
-    each next one twice as many, up to chunk // q rows, so a scan that
-    stops early reads little.
+    the other rows are never built.  Each chart chunk spans chunk // q such
+    rows (at least one), except the last, which spans the rest.
     """
     q = field.order
     if point_count(field) > MAX_SCAN_POINTS:
@@ -202,12 +201,8 @@ def iter_point_chunks(field, chunk=_CHUNK):
     a = np.arange(q, dtype=dt)
     xs_first = a[_orbit_first(t, a, np.zeros_like(a))]
     rows = max(1, chunk // q)
-    step = 1
-    i = 0
-    while i < len(xs_first):
-        xs = xs_first[i : i + step]
-        i += step
-        step = min(2 * step, rows)
+    for i in range(0, len(xs_first), rows):
+        xs = xs_first[i : i + rows]
         x = np.repeat(xs, q)
         y = np.tile(a, len(xs))
         keep = _orbit_first(t, x, y)
@@ -269,7 +264,7 @@ def _eval(t, coeffs, monos):
 
 
 def _is_cached(field):
-    """Whether a level is small enough to keep its scanned points and values.
+    """Whether a level is small enough to keep its scanned points and monomials.
 
     The cache limit counts every point of P^2, so the same levels are
     cached whatever share of them a scan reads.
@@ -288,51 +283,6 @@ def _scan_chunks(field):
         yield x, y, z, monomial_values(t, x, y, z)
 
 
-def _zero_mask(t, encs, monos):
-    """Points where every form of encs vanishes."""
-    mask = None
-    for coeffs in encs:
-        zero = _eval(t, coeffs, monos) == 0
-        mask = zero if mask is None else (mask & zero)
-    return mask
-
-
-class PlaneValues:
-    """The values V = (f0, f1, f2) of a plane's forms at the scanned points of each level.
-
-    A level is evaluated on its first scan, with the mask of its non-base
-    points (some f_i nonzero).  A cached level (_is_cached) is kept in
-    levels, so every later covering scan of the plane at that level reads
-    the same arrays; a larger level is evaluated again chunk by chunk on
-    every scan.  The arrays are shared: a scan must not write to them.
-    """
-
-    __slots__ = ("coeffs", "levels")
-
-    def __init__(self, forms):
-        self.coeffs = [f.coeffs for f in forms]
-        self.levels = {}
-
-    def chunks(self, ext):
-        """Yield (x, y, z, values, outside) per chunk of _scan_chunks(ext)."""
-        key = (ext.p, ext.k)
-        got = self.levels.get(key)
-        if got is not None:
-            yield got
-            return
-        t = tables(ext)
-        keep = _is_cached(ext)
-        for x, y, z, monos in _scan_chunks(ext):
-            vals = [_eval(t, coeffs, monos) for coeffs in self.coeffs]
-            outside = vals[0] != 0
-            for v in vals[1:]:
-                outside |= v != 0
-            got = (x, y, z, vals, outside)
-            if keep:
-                self.levels[key] = got
-            yield got
-
-
 def _scan_key(enc):
     """Position of an encoded (x, y, z) triple in scan order."""
     x, y, z = enc
@@ -341,56 +291,40 @@ def _scan_key(enc):
 
 def common_zero_encodings(forms, ext):
     """Encoded coordinates of all points of P^2(ext) where every form vanishes, in scan order."""
-    t = tables(ext)
-    encs = [f.coeffs for f in forms]
+    frob = tables(ext).frob_table.tolist()
+    first, *rest = (zero_set(f.coeffs, ext) for f in forms)
     found = set()
-    for x, y, z, monos in _scan_chunks(ext):
-        mask = _zero_mask(t, encs, monos)
-        if mask.any():
-            x, y, z = x[mask], y[mask], z[mask]
+    for x, y, z in first:
+        if all((x, y, z) in zeros for zeros in rest):
             # the zeros scanned are orbit representatives: add every conjugate
-            for _ in range(t.k):
-                found.update(zip(x.tolist(), y.tolist(), z.tolist()))
-                x, y = t.frob_table[x], t.frob_table[y]
+            for _ in range(ext.k):
+                found.add((x, y, z))
+                x, y = frob[x], frob[y]
     return sorted(found, key=_scan_key)
 
 
 def zero_set(coeffs, ext):
-    """The scanned points of P^2(ext) where one form vanishes, keyed by scan position.
+    """The scanned points of P^2(ext) where one form vanishes, as an ordered set.
 
-    The keys are the positions, in scan order, of the orbit-first points
-    where the form with these GF(p) coefficients is zero.  At an uncached
-    level each maps to its encoded (x, y, z); a cached level keeps its
-    points (cached_point), so there each maps to None.
+    The keys are the encoded (x, y, z), in scan order, of the orbit-first
+    points where the form with these GF(p) coefficients is zero; the
+    values are None.
     """
     t = tables(ext)
-    keep = not _is_cached(ext)
     zeros = {}
-    start = 0
     for x, y, z, monos in _scan_chunks(ext):
         idx = np.flatnonzero(_eval(t, coeffs, monos) == 0)
-        positions = (idx + start).tolist()
-        if keep:
-            zeros.update(zip(positions, zip(x[idx].tolist(), y[idx].tolist(), z[idx].tolist())))
-        else:
-            zeros.update(dict.fromkeys(positions))
-        start += len(x)
+        zeros.update(dict.fromkeys(zip(x[idx].tolist(), y[idx].tolist(), z[idx].tolist())))
     return zeros
 
 
-def cached_point(ext, position):
-    """The encoded (x, y, z) of the scanned point at a position of a cached level."""
-    x, y, z, _ = _cached_chunks(ext)
-    return int(x[position]), int(y[position]), int(z[position])
-
-
-def covered_target_encodings(values, ext):
+def covered_target_encodings(forms, ext):
     """Normalized images in P^2(GF(p)) of all non-base points of P^2(ext), p = ext.p.
 
     Returns a set of (a, b, c) integer triples with entries < p: the
-    prime-subfield targets hit by the map [f0:f1:f2], whose values at the
-    scanned points values (a PlaneValues) holds, on points of the extension
-    level, excluding common zeros of all three forms.
+    prime-subfield targets hit by the map [f0:f1:f2] of the three forms on
+    points of the extension level, excluding common zeros of all three.
+    The forms are evaluated chunk by chunk.
 
     An image is GF(p)-rational iff its last nonzero coordinate lambda
     exists (the point is not a base point) and every coordinate f has
@@ -398,13 +332,15 @@ def covered_target_encodings(values, ext):
     by dividing through by lambda.
     """
     t = tables(ext)
+    coeffs = [f.coeffs for f in forms]
     covered = set()
-    for _x, _y, _z, fs, outside in values.chunks(ext):
+    for _x, _y, _z, monos in _scan_chunks(ext):
+        fs = [_eval(t, c, monos) for c in coeffs]
         f0, f1, f2 = fs
         lam = np.where(f2 != 0, f2, np.where(f1 != 0, f1, f0))
         lam_pow = t.pow_p1(lam)
-        # lambda is nonzero exactly off the base locus; outside is shared, so copy it
-        rational = outside.copy()
+        # lambda is nonzero exactly off the base locus
+        rational = lam != 0
         for f in fs:
             rational &= (f == 0) | (t.pow_p1(f) == lam_pow)
         idx = np.nonzero(rational)[0]

@@ -184,8 +184,8 @@ def cmd_dataset(args):
     cfg = _resolve_config(args)
     t0 = time.perf_counter()
     # generate_dataset refuses a scan bound below the exhaustive one
-    pencil_counters = {}
-    records = generate_dataset(cfg, jobs=args.jobs, counters=pencil_counters)
+    walk_counters = {}
+    records = generate_dataset(cfg, jobs=args.jobs, counters=walk_counters)
     t1 = time.perf_counter()
     write_output(records, args.out)
     t2 = time.perf_counter()
@@ -204,7 +204,7 @@ def cmd_dataset(args):
         started,
         stages={"dataset_s": round(t1 - t0, 6), "write_s": round(t2 - t1, 6)},
         counters={"records": summary["count"], "positives": summary["positives"],
-                  **pencil_counters},
+                  **walk_counters},
     )
     return 0
 

@@ -163,7 +163,8 @@ def generate_dataset(cfg, jobs=1, counters=None):
 
     The pool starts at most one worker per subspace to label, and hands
     each worker one contiguous block of subspaces.  When counters is a
-    dict, the SystemPencils counters of the blocks are added to it.  A
+    dict, the number of subspaces handed to the labeler (subspaces) and
+    the SystemPencils counters of the blocks are added to it.  A
     scan bound below the exhaustive one is refused: its label 0 would be
     unproved.
     """
@@ -184,6 +185,7 @@ def generate_dataset(cfg, jobs=1, counters=None):
             blocks = pool.map(label, [rows[i:j] for i, j in zip(cuts, cuts[1:])], chunksize=1)
     labels = [lab for block, _ in blocks for lab in block]
     if counters is not None:
+        counters["subspaces"] = counters.get("subspaces", 0) + len(rows)
         for _, block_counters in blocks:
             for name, count in block_counters.items():
                 counters[name] = counters.get(name, 0) + count

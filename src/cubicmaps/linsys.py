@@ -253,9 +253,10 @@ class SystemPencils:
     its key, the gf_rref rows of those two members, is the same for every
     plane and every spanning pair that holds it.  Per key the memo decides
     once whether the pencil shares a factor (has_common_factor on the two
-    rows' forms) and, per level, its base points: the intersection of the
-    two rows' zero sets.  A member's zero set (_scan.zero_set) is taken
-    once per level with the member scaled to a leading 1.
+    rows' forms) and, per level, its base points: the points of the first
+    row's zero set that lie in the second's, in scan order.  A member's
+    zero set (_scan.zero_set) is taken once per level with the member
+    scaled to a leading 1.
 
     Build one per walk, never per system: every walk pays for its own
     decisions, and the memo lives as long as the planes that share it.
@@ -311,22 +312,18 @@ class SystemPencils:
         return zeros
 
     def base_points(self, key, ext):
-        """The pencil's base points at level ext, as a zero set in scan order."""
+        """The pencil's scanned base points at level ext, encoded, in scan order."""
         base = self._base.get((key, ext.k))
         if base is None:
             first, second = (self.zero_set(row, ext) for row in key)
-            base = self._base[key, ext.k] = {pos: first[pos] for pos in sorted(first.keys() & second)}
+            base = self._base[key, ext.k] = [enc for enc in first if enc in second]
         return base
 
     def witness_encoding(self, key, third, ext):
         """The first base point of the pencil at level ext, in scan order, where the member third is nonzero."""
         base = self.base_points(key, ext)
-        if base:
-            zeros = self.zero_set(third, ext)
-            for pos, enc in base.items():
-                if pos not in zeros:
-                    return _scan.cached_point(ext, pos) if enc is None else enc
-        return None
+        zeros = self.zero_set(third, ext) if base else ()
+        return next((enc for enc in base if enc not in zeros), None)
 
     def counters(self):
         """Shared-factor decisions, member zero-set scans (one per member and level) and pencil tests."""
@@ -338,18 +335,15 @@ class Plane:
     """A rank-3 subsystem of a cubic system with coprime spanning forms.
 
     pencils is the walk's SystemPencils, which decides the plane's pencils.
-    values holds the forms' values at the scanned points (_scan.PlaneValues),
-    evaluated on first use per level and read by the covering scan.
     """
 
-    __slots__ = ("system", "vectors", "forms", "pencils", "values")
+    __slots__ = ("system", "vectors", "forms", "pencils")
 
     def __init__(self, system, vectors, forms, pencils):
         self.system = system
         self.vectors = vectors
         self.forms = forms
         self.pencils = pencils
-        self.values = _scan.PlaneValues(forms)
 
     @property
     def field(self):

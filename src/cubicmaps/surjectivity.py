@@ -21,8 +21,8 @@ c0*f0 + c1*f1 + c2*f2 with c orthogonal to the target) is
 positive-dimensional, or some source point over GF(q^d), d <= source_bound,
 outside the plane's base locus maps onto it.  It takes the annihilator
 pencils' verdicts from the memo, but finds its source points by its own
-covering scan of the plane's values, so it cross-checks the zero-set
-verdicts independently.  For coprime cubics the
+covering scan, which evaluates the plane's three forms once per level, so
+it cross-checks the zero-set verdicts independently.  For coprime cubics the
 geometric base points of a pencil have degree at most 9 (Bezout), so
 scan_bound = 9 is exhaustive and label 1 must coincide with an empty
 uncovered set.
@@ -190,8 +190,8 @@ def forward_oracle(plane, source_bound=DEFAULT_SCAN_BOUND):
     target, is positive-dimensional, or when a source point over GF(q^d)
     for some d <= source_bound, outside the plane's base locus, maps onto
     it.  The pencils are decided by the plane's SystemPencils; the points
-    are found by the covering scan on the plane's values, which shares
-    nothing with the pencil verdicts' zero sets.
+    are found by the covering scan, which evaluates the plane's forms once
+    per level and shares nothing with the pencil verdicts' zero sets.
     A plane labeled 1 must give an empty list at source_bound 9.
     """
     field = plane.field
@@ -199,7 +199,7 @@ def forward_oracle(plane, source_bound=DEFAULT_SCAN_BOUND):
     p = field.p
     remaining = {t.encode(): t for t in enumerate_p2(field)}
     ext = build_field(p, 1)
-    for enc in _scan.covered_target_encodings(plane.values, ext):
+    for enc in _scan.covered_target_encodings(plane.forms, ext):
         remaining.pop(enc, None)
     pencils = plane.pencils
     for enc in list(remaining):
@@ -210,7 +210,7 @@ def forward_oracle(plane, source_bound=DEFAULT_SCAN_BOUND):
         if not remaining:
             break
         ext = build_field(p, d)
-        for enc in _scan.covered_target_encodings(plane.values, ext):
+        for enc in _scan.covered_target_encodings(plane.forms, ext):
             remaining.pop(enc, None)
     return [remaining[enc] for enc in sorted(remaining)]
 

@@ -72,8 +72,9 @@ class TestDataset:
         assert all(seconds >= 0 for seconds in entry["stages"].values())
         # 14 subspaces labeled through one memo: 25 pencil tests, 15 system pencils
         # decided, and 12 members of GF(2)^4 scanned at each level 1..9
-        assert entry["counters"] == {"records": 336, "positives": 0, "system_pencils": 15,
-                                     "member_zero_sets": 108, "pencil_tests": 25}
+        assert entry["counters"] == {"records": 336, "positives": 0, "subspaces": 14,
+                                     "system_pencils": 15, "member_zero_sets": 108,
+                                     "pencil_tests": 25}
 
     def test_manifest_accumulates(self):
         main(["dataset", "--case", "six", "--out", "six.txt"])

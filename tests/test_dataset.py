@@ -273,6 +273,7 @@ class TestLabeledSubspaces:
         assert [r for block in blocks for r in block] == rows
         # three block memos, then the serial run's one
         assert len(memos) == 4
+        assert pooled["subspaces"] == serial["subspaces"] == len(rows) == 140
         assert pooled["pencil_tests"] == serial["pencil_tests"]
         assert pooled["system_pencils"] > serial["system_pencils"]
 

@@ -77,7 +77,7 @@ class TestNarrowEncodings:
     @pytest.mark.parametrize("p, k", [(2, 3), (3, 2), (5, 1)])
     def test_chunks_cover_p2_in_scan_order(self, p, k):
         # the chunks hold the first point of every Frobenius orbit of P^2, in
-        # scan order, while they grow from one row up to three
+        # scan order, three rows to a chart chunk
         field = build_field(p, k)
         q = field.order
         chunks = list(_scan.iter_point_chunks(field, chunk=3 * q))
@@ -204,7 +204,7 @@ class TestCoveredTargets:
     def test_matches_pointwise_reference(self, case):
         p, k, forms3 = case
         ext = build_field(p, k)
-        got = _scan.covered_target_encodings(_scan.PlaneValues(forms3), ext)
+        got = _scan.covered_target_encodings(forms3, ext)
         assert got == _reference_covered(forms3, ext)
         assert all(type(v) is int and 0 <= v < p for enc in got for v in enc)
 
@@ -275,26 +275,23 @@ class TestOrbitScans:
             points = _scanned_points(field)
         assert points == _orbit_firsts(field)
 
-    def test_growing_chunks_start_at_one_row_and_double(self):
+    def test_chart_chunks_hold_chunk_over_q_rows_but_the_last(self):
         field = build_field(2, 5)
         rows = [len(set(x.tolist())) for x, _, z in _scan.iter_point_chunks(field, 96)
                 if z.any()]
-        # 8 orbit-first x in GF(32): 0, 1 and one per 5-orbit; 96 // 32 = 3 rows a full chunk
-        assert rows == [1, 2, 3, 2]
+        # 8 orbit-first x in GF(32): 0, 1 and one per 5-orbit; 96 // 32 = 3 rows a chunk
+        assert rows == [3, 3, 2]
 
-    def test_zero_set_keeps_encodings_only_at_uncached_levels(self):
+    def test_zero_set_is_the_same_ordered_encodings_cached_and_chunked(self):
         # x^3 vanishes on the line x = 0: the points [0:y:1], then [0:1:0]
         ext = build_field(3, 2)
         x3 = [1] + [0] * 9
-        points = _scanned_points(ext)
-        want = [pos for pos, pt in enumerate(points) if pt[0] == 0]
+        want = [pt for pt in _scanned_points(ext) if pt[0] == 0]
         cached = _scan.zero_set(x3, ext)
-        assert list(cached) == want and set(cached.values()) == {None}
-        assert [_scan.cached_point(ext, pos) for pos in cached] == [points[pos] for pos in want]
         with scan_path("chunked"):
-            uncached = _scan.zero_set(x3, ext)
-        assert uncached == {pos: points[pos] for pos in want}
-        assert uncached[want[-1]] == (0, 1, 0)
+            chunked = _scan.zero_set(x3, ext)
+        assert list(cached) == list(chunked) == want
+        assert want[-1] == (0, 1, 0)
 
     @settings(max_examples=60, deadline=None)
     @given(pencils_in_planes())
@@ -312,18 +309,15 @@ class TestOrbitScans:
         plane_zeros = _encodings(xyz, on_plane)
         witnesses = _encodings(xyz, on_pencil & ~on_plane)
         with scan_path(path):
-            points = _scanned_points(ext)
-            scanned = set(points)
+            scanned = set(_scanned_points(ext))
             zero_sets = [_scan.zero_set(f.coeffs, ext) for f in plane]
             for zero_set, form_values in zip(zero_sets, values):
-                assert [points[pos] for pos in zero_set] == [
+                assert list(zero_set) == [
                     pt for pt in _encodings(xyz, form_values == 0) if pt in scanned]
-                assert all(enc == (points[pos] if path == "chunked" else None)
-                           for pos, enc in zero_set.items())
             # a common zero of the pair is off the plane's base locus iff the third form is nonzero there
             first, second, third = (zero_sets[i] for i in (*pair, 3 - sum(pair)))
-            base = sorted(first.keys() & second)
-            witness = next((points[pos] for pos in base if pos not in third), None)
+            base = [enc for enc in first if enc in second]
+            witness = next((enc for enc in base if enc not in third), None)
             assert witness == (witnesses[0] if witnesses else None)
             assert _scan.common_zero_encodings(pencil, ext) == zeros
             assert _scan.common_zero_encodings(plane, ext) == plane_zeros

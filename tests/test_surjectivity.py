@@ -321,7 +321,7 @@ def reference_verdict(plane, a, b, scan_bound, plane_zeros):
 
 
 class TestWitnessesAgainstPencilForms:
-    # the scans read a.V and b.V off the plane's values; the reference builds a.F and b.F
+    # the verdicts read the walk memo's member zero sets; the reference builds a.F and b.F
 
     @pytest.mark.parametrize("case, p, scan_bound, planes", [
         (FIVE_POINT, 2, 9, 150), (SIX_POINT, 2, 9, 15), (SIX_POINT, 3, 5, 40)])
@@ -373,7 +373,6 @@ class TestWitnessesAgainstPencilForms:
         plane = planes[0]
         assert forward_oracle(plane)
         assert levels == {d: 3 for d in range(1, 10)}
-        assert sorted(plane.values.levels) == [(2, d) for d in range(1, 10)]
 
     def test_one_walk_memo_gives_the_verdicts_of_a_memo_per_plane(self):
         for case in (FIVE_POINT, SIX_POINT):
@@ -395,8 +394,8 @@ class TestWitnessesAgainstPencilForms:
             assert pencils.counters()["system_pencils"] < pencils.counters()["pencil_tests"]
 
     def test_gf3_plane_through_the_first_uncached_level(self):
-        # GF(3^7) is the first level whose points are not cached: the zero
-        # sets keep their encodings there, and the base points are read off them
+        # GF(3^7) is the first level whose points are not cached: its zero
+        # sets are scanned in chunks, and the base points are read off them
         f3 = build_field(3)
         assert not _scan._is_cached(build_field(3, 7)) and _scan._is_cached(build_field(3, 6))
         system = vanishing_cubics(reference_points(FIVE_POINT), f3)
@@ -413,7 +412,7 @@ class TestWitnessesAgainstPencilForms:
 
     @pytest.mark.parametrize("make", [five_plane, six_plane])
     def test_uncached_levels_give_the_cached_verdicts(self, make, monkeypatch):
-        # with no level cached, every zero set keeps its encodings and witnesses come from them
+        # with no level cached, every zero set is scanned in chunks and witnesses come from them
         want = [(pair, v.status, v.witness) for pair, v in label_plane(make(), find_all=True).verdicts]
         monkeypatch.setattr(_scan, "_CACHE_POINT_LIMIT", 0)
         monkeypatch.setattr(_scan, "_CHUNK", 1000)
