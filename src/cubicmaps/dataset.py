@@ -4,10 +4,14 @@ A dataset run fixes a cubic system (a built-in case or a custom one) and
 walks the 3-subspaces of GF(p)^dim once, by iter_subspaces.  It lists each
 subspace's spanning triples (v, u, t) that pass the vector filter, and
 labels a subspace that holds one once, by its plane (no records when
-make_plane rejects it), serially or in a process pool.  The planes share
-their pencils, so the subspaces are labeled in contiguous blocks, one
-per worker, each through one SystemPencils memo.  The records are sorted
-by (v, u, t), so the output is byte-identical for any worker count.
+make_plane rejects it), serially or in a process pool.  Per subspace the
+walk computes the span vectors c·rows and their filter tests once, and
+reads the independence of three coordinate vectors c off a per-p table of
+determinant bitmasks.  The planes share their pencils, so the subspaces
+are labeled in contiguous blocks, one per worker, each through one
+SystemPencils memo.  The records are sorted by (v, u, t), so the output
+is byte-identical for any worker count.  The writer formats each
+distinct vector once and streams its lines.
 
 File format, one record per line, newline-terminated:
 
@@ -110,7 +114,10 @@ def _dot(a, b, p):
 
 
 def passes_filter(mode, v, u, t, p):
-    """The vector filter: per-vector unit norm, optionally pairwise orthogonality."""
+    """The vector filter: per-vector unit norm, optionally pairwise orthogonality.
+
+    The walk applies it per span vector and pair, not per triple.
+    """
     if mode == NO_FILTER:
         return True
     if not (unit_norm(v, p) and unit_norm(u, p) and unit_norm(t, p)):
@@ -137,23 +144,48 @@ def _det3(a, b, c):
             + a[2] * (b[0] * c[1] - b[1] * c[0]))
 
 
+@functools.lru_cache(maxsize=None)
+def _coordinate_tables(p):
+    """The nonzero coordinate vectors c of GF(p)^3, and their determinant bitmasks.
+
+    masks[i][j] has bit k set iff det(c_i, c_j, c_k) != 0 mod p: (p^3 - 1)^2
+    ints, 49 at p = 2 and 676 at p = 3.
+    """
+    coords = tuple(c for c in iter_vectors(p, 3) if any(c))
+    masks = tuple(tuple(sum(1 << k for k, c in enumerate(coords) if _det3(a, b, c) % p)
+                        for b in coords) for a in coords)
+    return coords, masks
+
+
 def _filtered_subspaces(cfg):
     """Yield (rows, triples) for each 3-subspace, in iter_subspaces order, that holds a triple.
 
     The triples are those of the sorted span vectors c·rows, unit-norm unless
-    the filter is none, whose coordinates c have a nonzero determinant mod p.
-    Under strict a pair that is not orthogonal gets no third vector.
+    the filter is none, whose coordinates c have a nonzero determinant mod p,
+    read off the per-p mask table.  Under strict a pair that is not
+    orthogonal gets no third vector, and the third is orthogonal to both.
     """
     p, mode = cfg.p, cfg.filter_mode
-    coords = [c for c in iter_vectors(p, 3) if any(c)]
+    coords, masks = _coordinate_tables(p)
+    everything = (1 << len(coords)) - 1
     for rows in iter_subspaces(p, cfg.system.dim, 3):
-        span = sorted((tuple(sum(x * y for x, y in zip(c, col)) % p for col in zip(*rows)), c)
-                      for c in coords)
+        columns = tuple(zip(*rows))
+        span = sorted((tuple((c0 * x + c1 * y + c2 * z) % p for x, y, z in columns), k)
+                      for k, (c0, c1, c2) in enumerate(coords))
         if mode != NO_FILTER:
-            span = [(w, c) for w, c in span if unit_norm(w, p)]
-        triples = [(v, u, t) for v, a in span for u, b in span
-                   if mode != STRICT_ORTHONORMAL or _dot(v, u, p) == 0
-                   for t, c in span if _det3(a, b, c) % p and passes_filter(mode, v, u, t, p)]
+            span = [(w, k) for w, k in span if unit_norm(w, p)]
+        # per span vector, the bitmask (by coordinate index) of the span vectors it may pair with
+        if mode == STRICT_ORTHONORMAL:
+            span = [(w, k, sum(1 << j for u, j in span if _dot(w, u, p) == 0)) for w, k in span]
+        else:
+            span = [(w, k, everything) for w, k in span]
+        triples = []
+        for v, i, v_pairs in span:
+            row = masks[i]
+            for u, j, u_pairs in span:
+                if v_pairs >> j & 1:
+                    allowed = row[j] & v_pairs & u_pairs
+                    triples += [(v, u, t) for t, k, _ in span if allowed >> k & 1]
         if triples:
             yield rows, triples
 
@@ -194,11 +226,24 @@ def generate_dataset(cfg, jobs=1, counters=None):
         for v, u, t in triples)]
 
 
+class _VectorText(dict):
+    """The repr of each vector, computed the first time the vector is looked up."""
+
+    def __missing__(self, vec):
+        text = self[vec] = repr(vec)
+        return text
+
+
 def write_output(records, path):
-    """Write records as `(v, u, t): label` lines, one per record."""
+    """Write records as `(v, u, t): label` lines, one per record, streamed.
+
+    Each distinct vector is formatted once; the line is the record's
+    `f"{rec.key}: {rec.label}"`, byte for byte.
+    """
+    text = _VectorText()
     with open(path, "w") as fh:
-        for rec in records:
-            fh.write(f"{rec.key}: {rec.label}\n")
+        fh.writelines(f"({text[rec.v]}, {text[rec.u]}, {text[rec.t]}): {rec.label}\n"
+                      for rec in records)
 
 
 # a `(v, u, t)` key of write_output: three parenthesized vectors

@@ -294,9 +294,11 @@ class ProjPoint:
                 break
         if pivot is None:
             raise ValueError("(0 : 0 : 0) is not a projective point")
-        inv = pivot.inverse()
+        if pivot.encode() != 1:
+            inv = pivot.inverse()
+            coords = tuple(c * inv for c in coords)
         self.field = field
-        self.coords = tuple(c * inv for c in coords)
+        self.coords = coords
 
     def encode(self):
         """Integer encodings of the normalized coordinates."""

@@ -239,6 +239,25 @@ def pencil_normal(a, b):
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
+def _monomial_coords(pt):
+    """Coordinate tuples over GF(p) of the 10 cubic monomials at a point, in MONOMIALS order.
+
+    Each monomial is the product of its coordinates' nonzero powers only.
+    """
+    powers = []
+    for v in pt.coords:
+        square = v * v
+        powers.append((None, v, square, square * v))
+    coords = []
+    for exponents in MONOMIALS:
+        value = None
+        for power, e in zip(powers, exponents):
+            if e:
+                value = power[e] if value is None else value * power[e]
+        coords.append(value.coords)
+    return coords
+
+
 @lru_cache(maxsize=None)
 def annihilator(p, target):
     """A spanning pair (a, b) of the pencil with normal target: the complement of target in GF(p)^3."""
@@ -256,14 +275,16 @@ class SystemPencils:
     rows' forms) and, per level, its base points: the points of the first
     row's zero set that lie in the second's, in scan order.  A member's
     zero set (_scan.zero_set) is taken once per level with the member
-    scaled to a leading 1.
+    scaled to a leading 1.  A witness point is decoded, and its cubic
+    monomials evaluated exactly, once per level and encoding.
 
     Build one per walk, never per system: every walk pays for its own
     decisions, and the memo lives as long as the planes that share it.
     pencil_tests counts the pencils test_pencil decides through it.
     """
 
-    __slots__ = ("system", "_forms", "_keys", "_shares", "_base", "_zeros", "pencil_tests")
+    __slots__ = ("system", "_forms", "_keys", "_shares", "_base", "_zeros", "_points",
+                 "pencil_tests")
 
     def __init__(self, system):
         self.system = system
@@ -272,6 +293,7 @@ class SystemPencils:
         self._shares = {}
         self._base = {}
         self._zeros = {}
+        self._points = {}
         self.pencil_tests = 0
 
     def form(self, member):
@@ -325,10 +347,18 @@ class SystemPencils:
         zeros = self.zero_set(third, ext) if base else ()
         return next((enc for enc in base if enc not in zeros), None)
 
+    def witness_point(self, ext, enc):
+        """The point with encoding enc at level ext, and its exact _monomial_coords."""
+        point = self._points.get((ext.k, enc))
+        if point is None:
+            pt = _scan.decode_point(ext, enc)
+            point = self._points[ext.k, enc] = (pt, _monomial_coords(pt))
+        return point
+
     def counters(self):
-        """Shared-factor decisions, member zero-set scans (one per member and level) and pencil tests."""
+        """Shared-factor decisions, zero-set scans, pencil tests and witness points decoded."""
         return {"system_pencils": len(self._shares), "member_zero_sets": len(self._zeros),
-                "pencil_tests": self.pencil_tests}
+                "pencil_tests": self.pencil_tests, "witness_points": len(self._points)}
 
 
 class Plane:

@@ -33,7 +33,6 @@ certifies surjectivity onto GF(q)-rational targets.
 
 from . import _scan
 from .finitefield import build_field, enumerate_p2
-from .forms import MONOMIALS
 from .linsys import (
     DEFAULT_SCAN_BOUND,
     annihilator,
@@ -96,25 +95,6 @@ class SurjectivityLabel:
         return f"SurjectivityLabel({self.value}, unruly={list(self.unruly_pencils)})"
 
 
-def _monomial_coords(pt):
-    """Coordinate tuples over GF(p) of the 10 cubic monomials at a point, in MONOMIALS order.
-
-    Each monomial is the product of its coordinates' nonzero powers only.
-    """
-    powers = []
-    for v in pt.coords:
-        square = v * v
-        powers.append((None, v, square, square * v))
-    coords = []
-    for exponents in MONOMIALS:
-        value = None
-        for power, e in zip(powers, exponents):
-            if e:
-                value = power[e] if value is None else value * power[e]
-        coords.append(value.coords)
-    return coords
-
-
 def _combination(coeffs, vectors, p):
     """Coordinates over GF(p) of sum(coeffs[i] * vectors[i]), each vector given by its coordinates."""
     return tuple(sum(c * v for c, v in zip(coeffs, column)) % p for column in zip(*vectors))
@@ -132,7 +112,8 @@ def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
     nonzero exactly off the plane's base locus among the pencil's base
     points.  Exhausting all levels gives unruly.  The witness is rechecked
     exactly: the plane forms' values V there, in Scalar arithmetic, must
-    have a.V = b.V = 0 and V nonzero.
+    have a.V = b.V = 0 and V nonzero; the point's monomial values are
+    computed once per walk, by the memo, and the check is made per pencil.
     """
     field = plane.field
     p = field.p
@@ -155,8 +136,7 @@ def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
         ext = build_field(p, d)
         enc = pencils.witness_encoding(key, third, ext)
         if enc is not None:
-            pt = _scan.decode_point(ext, enc)
-            monomials = _monomial_coords(pt)
+            pt, monomials = pencils.witness_point(ext, enc)
             values = [_combination(h.coeffs, monomials, p) for h in plane.forms]
             if any(_combination(a, values, p)) or any(_combination(b, values, p)):
                 raise AssertionError("witness fails pencil-vanishing recheck")

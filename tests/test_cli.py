@@ -71,10 +71,11 @@ class TestDataset:
         assert set(entry["stages"]) == {"dataset_s", "write_s"}
         assert all(seconds >= 0 for seconds in entry["stages"].values())
         # 14 subspaces labeled through one memo: 25 pencil tests, 15 system pencils
-        # decided, and 12 members of GF(2)^4 scanned at each level 1..9
+        # decided, 12 members of GF(2)^4 scanned at each level 1..9, and 6
+        # witness points decoded and evaluated exactly
         assert entry["counters"] == {"records": 336, "positives": 0, "subspaces": 14,
                                      "system_pencils": 15, "member_zero_sets": 108,
-                                     "pencil_tests": 25}
+                                     "pencil_tests": 25, "witness_points": 6}
 
     def test_manifest_accumulates(self):
         main(["dataset", "--case", "six", "--out", "six.txt"])
@@ -326,7 +327,7 @@ class TestOracle:
         # the walk's memo also decides the uncovered targets' annihilator pencils
         assert entry["counters"] == {"planes": 15, "disagreements": 0, "uncovered_targets": 30,
                                      "system_pencils": 31, "member_zero_sets": 108,
-                                     "pencil_tests": 30}
+                                     "pencil_tests": 30, "witness_points": 7}
 
     def test_full_sweep_flags_a_label_0_whose_pencil_normal_is_covered(self, capsys, monkeypatch):
         # a stand-in oracle leaves only [1:1:1] uncovered on every plane, so every

@@ -22,7 +22,7 @@ from cubicmaps.dataset import (
     write_output,
 )
 from cubicmaps import dataset
-from cubicmaps.dataset import _filtered_subspaces
+from cubicmaps.dataset import _det3, _dot, _filtered_subspaces
 from cubicmaps.linsys import (
     FIVE_POINT,
     SIX_POINT,
@@ -357,6 +357,74 @@ class TestFilterFirst:
         assert want and walked(cfg) == want
 
 
+def per_triple_walk(cfg):
+    """The walk without tables: _det3 and passes_filter on every triple of the sorted span.
+
+    The reference the table walk must reproduce, triple for triple.
+    """
+    p, mode = cfg.p, cfg.filter_mode
+    coords = [c for c in iter_vectors(p, 3) if any(c)]
+    for rows in iter_subspaces(p, cfg.system.dim, 3):
+        span = sorted((tuple(sum(x * y for x, y in zip(c, col)) % p for col in zip(*rows)), c)
+                      for c in coords)
+        if mode != NO_FILTER:
+            span = [(w, c) for w, c in span if unit_norm(w, p)]
+        triples = [(v, u, t) for v, a in span for u, b in span
+                   if mode != STRICT_ORTHONORMAL or _dot(v, u, p) == 0
+                   for t, c in span if _det3(a, b, c) % p and passes_filter(mode, v, u, t, p)]
+        if triples:
+            yield rows, triples
+
+
+def fixture_mod_3(case, mode):
+    return EnumConfig(reference_system(case, build_field(3)), p=3, filter_mode=mode)
+
+
+class TestTableWalk:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_masks_are_the_nonzero_determinants(self, p):
+        coords, masks = dataset._coordinate_tables(p)
+        assert coords == tuple(c for c in iter_vectors(p, 3) if any(c))
+        assert len(masks) == len(coords) == p**3 - 1
+        for a, row in zip(coords, masks):
+            assert len(row) == len(coords)
+            for b, mask in zip(coords, row):
+                assert mask == sum(1 << k for k, c in enumerate(coords) if _det3(a, b, c) % p != 0)
+
+    @pytest.mark.parametrize("case, mode", sorted(DATASET_SHA256))
+    def test_gf2_configurations(self, case, mode):
+        cfg = EnumConfig(case, filter_mode=mode)
+        assert list(_filtered_subspaces(cfg)) == list(per_triple_walk(cfg))
+
+    @pytest.mark.parametrize("case, mode", [(SIX_POINT, NORM_ONLY), (SIX_POINT, STRICT_ORTHONORMAL),
+                                            (FIVE_POINT, STRICT_ORTHONORMAL)])
+    def test_fixtures_mod_3(self, case, mode):
+        cfg = fixture_mod_3(case, mode)
+        want = list(per_triple_walk(cfg))
+        assert want and list(_filtered_subspaces(cfg)) == want
+
+    @pytest.mark.parametrize("mode", [NORM_ONLY, STRICT_ORTHONORMAL])
+    def test_each_span_vector_is_filtered_once_and_no_triple_is_tested(self, mode, monkeypatch):
+        cfg = fixture_mod_3(SIX_POINT, mode)
+        # the tables are built once per p, before the walk
+        dataset._coordinate_tables(3)
+        calls = []
+        norm = dataset.unit_norm
+
+        def counted(vec, p):
+            calls.append(vec)
+            return norm(vec, p)
+
+        def refused(*args):
+            raise AssertionError("the walk tests a triple")
+
+        monkeypatch.setattr(dataset, "unit_norm", counted)
+        monkeypatch.setattr(dataset, "_det3", refused)
+        monkeypatch.setattr(dataset, "passes_filter", refused)
+        assert list(_filtered_subspaces(cfg))
+        assert len(calls) == len(list(iter_subspaces(3, 4, 3))) * (3**3 - 1)
+
+
 class TestRoundTrip:
     def test_write_read_identity(self, six_records, tmp_path):
         path = tmp_path / "six.txt"
@@ -373,6 +441,20 @@ class TestRoundTrip:
             path = Path(tmp) / "records.txt"
             write_output(records, path)
             assert read_output(path) == records
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 6), st.data())
+    def test_bytes_are_the_record_lines(self, p, width, data):
+        # few distinct vectors, so records repeat them in every position
+        vector = st.lists(st.integers(0, p - 1), min_size=width, max_size=width).map(tuple)
+        member = st.sampled_from(data.draw(st.lists(vector, min_size=1, max_size=4)))
+        record = st.builds(DatasetRecord, member, member, member, st.integers(0, 1))
+        records = data.draw(st.lists(record, max_size=30))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.txt"
+            write_output(records, path)
+            assert path.read_bytes() == "".join(f"{rec.key}: {rec.label}\n"
+                                                for rec in records).encode()
 
     def test_exact_line_format(self, tmp_path):
         path = tmp_path / "one.txt"

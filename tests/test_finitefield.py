@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from cubicmaps.finitefield import (
     MAX_EXTENSION_DEGREE,
     ProjPoint,
+    Scalar,
     build_field,
     canonical_modulus,
     enumerate_p2,
@@ -143,6 +144,29 @@ class TestProjPoint:
         a = ProjPoint(field, (2, 4, 6))
         b = ProjPoint(field, (1, 2, 3))
         assert a.encode() == b.encode()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([(p, k) for p in (2, 3, 5) for k in (1, 2, 3)]), st.data())
+    def test_normalized_and_scaled_coordinates_give_one_point(self, level, data):
+        field = build_field(*level)
+        q = field.order
+        coords = data.draw(st.tuples(*[st.integers(0, q - 1)] * 3).filter(any))
+        scale = field.scalar(data.draw(st.integers(1, q - 1)))
+        point = ProjPoint(field, coords)
+        scaled = ProjPoint(field, [field.scalar(c) * scale for c in coords])
+        renormalized = ProjPoint(field, point.coords)
+        assert next(c for c in reversed(point.coords) if not c.is_zero()) == field.one()
+        assert point == scaled == renormalized
+        assert hash(point) == hash(scaled) == hash(renormalized)
+
+    def test_a_pivot_of_one_is_not_inverted(self, monkeypatch):
+        def refused(self):
+            raise AssertionError("inverted a pivot of 1")
+
+        monkeypatch.setattr(Scalar, "inverse", refused)
+        field = build_field(2, 9)
+        for coords in ((300, 17, 1), (5, 1, 0), (1, 0, 0)):
+            assert ProjPoint(field, coords).encode() == coords
 
     def test_enumerate_p2_counts(self):
         for p, k in ((2, 1), (3, 1), (2, 2), (5, 1)):

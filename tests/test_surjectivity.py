@@ -14,6 +14,7 @@ from cubicmaps.linsys import (
     CubicSystem,
     PointConfig,
     SystemPencils,
+    _monomial_coords,
     base_locus,
     gf_rref,
     iter_subspaces,
@@ -36,7 +37,7 @@ from cubicmaps.surjectivity import (
     label_plane,
     pencil_normal,
 )
-from cubicmaps.surjectivity import _combination, _monomial_coords
+from cubicmaps.surjectivity import _combination
 from cubicmaps.surjectivity import test_pencil as pencil_verdict
 
 CASE46 = ((1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (1, 1, 0, 0, 1))
@@ -433,6 +434,44 @@ class TestWitnessesAgainstPencilForms:
         key = pencils.key(vectors, (1, 0, 0), (0, 1, 0))
         assert key == gf_rref(3, vectors[:2])[0]
         assert pencils.key(vectors, (2, 1, 0), (1, 1, 0)) == key
+
+
+class TestWitnessPoints:
+    @pytest.mark.parametrize("find_all", [False, True])
+    def test_a_six_point_walk_decodes_each_witness_point_once(self, find_all, monkeypatch):
+        decoded = []
+        decode = _scan.decode_point
+
+        def counted(ext, enc):
+            decoded.append((ext.k, tuple(enc)))
+            return decode(ext, enc)
+
+        monkeypatch.setattr(_scan, "decode_point", counted)
+        system = reference_system(SIX_POINT, build_field(2))
+        pencils = SystemPencils(system)
+        witnesses = []
+        for rows in iter_subspaces(2, system.dim, 3):
+            plane = make_plane(system, *rows, pencils=pencils)
+            if plane is not None:
+                witnesses += [v.witness for _, v in label_plane(plane, find_all=find_all).verdicts
+                              if v.witness is not None]
+        distinct = {(pt.field.k, pt.encode()) for pt in witnesses}
+        assert len(decoded) == len(set(decoded)) == pencils.counters()["witness_points"]
+        assert set(decoded) == distinct
+        assert len(witnesses) > len(distinct) == {False: 7, True: 11}[find_all]
+
+    def test_a_witness_point_is_keyed_by_its_level(self):
+        # the same encoding names a point of GF(4) and one of GF(8)
+        pencils = SystemPencils(reference_system(SIX_POINT, build_field(2)))
+        enc = (2, 3, 1)
+        four, eight = build_field(2, 2), build_field(2, 3)
+        first = pencils.witness_point(four, enc)
+        for ext in (four, eight):
+            pt, monomials = pencils.witness_point(ext, enc)
+            assert pt == _scan.decode_point(ext, enc) and pt.field == ext
+            assert monomials == _monomial_coords(pt)
+        assert pencils.witness_point(four, enc) is first
+        assert pencils.counters()["witness_points"] == 2
 
 
 class TestBaseLociOfGF2Planes:
