@@ -324,7 +324,8 @@ def enumerate_p2(field):
 
     Normalized representatives come in three families: [x:y:1], [x:1:0] and
     [1:0:0]; the full list is sorted lexicographically on the coordinate
-    encodings, which fixes the scan order used everywhere in the package.
+    encodings, the order of forward_oracle's result.  The scans read another
+    order: [x:y:1] by (x, y), then [x:1:0], then [1:0:0].
     """
     q = field.order
     pts = []

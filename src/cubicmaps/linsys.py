@@ -258,12 +258,6 @@ def _monomial_coords(pt):
     return coords
 
 
-@lru_cache(maxsize=None)
-def annihilator(p, target):
-    """A spanning pair (a, b) of the pencil with normal target: the complement of target in GF(p)^3."""
-    return tuple(gf_left_kernel(p, [[c] for c in target]))
-
-
 class SystemPencils:
     """A walk's memo of the pencils of one cubic system, each decided once.
 

@@ -16,16 +16,14 @@ the witness test, which base point lies off the plane's base locus, is
 made per plane.
 
 The forward oracle checks the same property from the image side: a target
-point of P^2(GF(q)) is covered iff its annihilator pencil (combinations
-c0*f0 + c1*f1 + c2*f2 with c orthogonal to the target) is
-positive-dimensional, or some source point over GF(q^d), d <= source_bound,
-outside the plane's base locus maps onto it.  It takes the annihilator
-pencils' verdicts from the memo, but finds its source points by its own
-covering scan, which evaluates the plane's three forms once per level, so
-it cross-checks the zero-set verdicts independently.  For coprime cubics the
-geometric base points of a pencil have degree at most 9 (Bezout), so
-scan_bound = 9 is exhaustive and label 1 must coincide with an empty
-uncovered set.
+point of P^2(GF(q)) is covered iff some source point over GF(q^d),
+d <= source_bound, outside the plane's base locus maps onto it.  It finds
+those points by its own covering scan, which evaluates the plane's three
+forms once per level, and shares nothing with the pencil verdicts: neither
+their shared-factor decisions nor their zero sets.  So it cross-checks
+them independently.  For coprime cubics the geometric base points of a
+pencil have degree at most 9 (Bezout), so scan_bound = 9 is exhaustive
+and label 1 must coincide with an empty uncovered set.
 
 Only pencils rational over the base field are scanned, so label 1
 certifies surjectivity onto GF(q)-rational targets.
@@ -35,7 +33,6 @@ from . import _scan
 from .finitefield import build_field, enumerate_p2
 from .linsys import (
     DEFAULT_SCAN_BOUND,
-    annihilator,
     make_plane,
     pencil,
     pencil_normal,
@@ -166,31 +163,29 @@ def label_plane(plane, scan_bound=DEFAULT_SCAN_BOUND, find_all=False):
 def forward_oracle(plane, source_bound=DEFAULT_SCAN_BOUND):
     """Targets of P^2(GF(q)) not reached by the map, as a sorted list.
 
-    A target is covered when its annihilator pencil, whose normal is the
-    target, is positive-dimensional, or when a source point over GF(q^d)
-    for some d <= source_bound, outside the plane's base locus, maps onto
-    it.  The pencils are decided by the plane's SystemPencils; the points
-    are found by the covering scan, which evaluates the plane's forms once
-    per level and shares nothing with the pencil verdicts' zero sets.
-    A plane labeled 1 must give an empty list at source_bound 9.
+    A target is covered when a source point over GF(q^d) for some
+    d <= source_bound, outside the plane's base locus, maps onto it.  Each
+    level runs the covering scan, which evaluates the plane's forms once,
+    and the loop stops once every target is covered.  A plane labeled 1
+    must give an empty list at source_bound 9.
+
+    A target t whose annihilator pencil (c.F with c orthogonal to t) shares
+    a factor h needs no algebraic shortcut.  Every point of V(h) off the
+    base locus maps onto t, and three cubics with no common factor meet in
+    at most 9 geometric points.  h is defined over GF(p) of degree 1-3, and
+    V(h) has more than 9 points over GF(p^d) for some d <= 5: lines, conics
+    and conjugate line pairs by d = 4, conjugate line triples at d = 3, and
+    absolutely irreducible cubics by Hasse-Weil at d = 5 for p = 2 and at
+    d = 3 for p >= 3.  So from source_bound 5 on such a target is never
+    listed; below it the list may hold a target that a higher level covers.
     """
-    field = plane.field
     require_bound("source_bound", source_bound)
-    p = field.p
-    remaining = {t.encode(): t for t in enumerate_p2(field)}
-    ext = build_field(p, 1)
-    for enc in _scan.covered_target_encodings(plane.forms, ext):
-        remaining.pop(enc, None)
-    pencils = plane.pencils
-    for enc in list(remaining):
-        a, b = annihilator(p, enc)
-        if pencils.shares_factor(pencils.key(plane.vectors, a, b)):
-            del remaining[enc]
-    for d in range(2, source_bound + 1):
+    p = plane.field.p
+    remaining = {t.encode(): t for t in enumerate_p2(plane.field)}
+    for d in range(1, source_bound + 1):
         if not remaining:
             break
-        ext = build_field(p, d)
-        for enc in _scan.covered_target_encodings(plane.forms, ext):
+        for enc in _scan.covered_target_encodings(plane.forms, build_field(p, d)):
             remaining.pop(enc, None)
     return [remaining[enc] for enc in sorted(remaining)]
 

@@ -9,7 +9,7 @@ import cubicmaps
 from cubicmaps.cli import UsageError, _iter_admissible_planes, main, parse_triple
 from cubicmaps.dataset import EnumConfig
 from cubicmaps.finitefield import ProjPoint
-from cubicmaps.linsys import FIVE_POINT, SIX_POINT
+from cubicmaps.linsys import FIVE_POINT, SIX_POINT, SystemPencils
 from cubicmaps.surjectivity import label_plane, pencil_normal
 
 CASE46 = "1,0,0,0,0;0,0,0,1,0;1,1,0,0,1"
@@ -324,10 +324,21 @@ class TestOracle:
         assert set(entry["stages"]) == {"label_s", "oracle_s"}
         assert all(seconds >= 0 for seconds in entry["stages"].values())
         # all 15 six-point planes are labeled 0; together they miss 30 targets
-        # the walk's memo also decides the uncovered targets' annihilator pencils
         assert entry["counters"] == {"planes": 15, "disagreements": 0, "uncovered_targets": 30,
-                                     "system_pencils": 31, "member_zero_sets": 108,
+                                     "system_pencils": 18, "member_zero_sets": 108,
                                      "pencil_tests": 30, "witness_points": 7}
+
+    @pytest.mark.parametrize("case, planes, disagreements", [("five", 150, 144), ("six", 15, 15)])
+    def test_full_sweep_catches_a_memo_that_always_shares_a_factor(self, capsys, monkeypatch,
+                                                                   case, planes, disagreements):
+        # every pencil then reads positive-dimensional and every plane is labeled 1,
+        # while the oracle's own covering scan still finds the planes' uncovered targets
+        monkeypatch.setattr(SystemPencils, "shares_factor", lambda self, key: True)
+        assert main(["oracle", "--case", case, "--all"]) == 1
+        out = capsys.readouterr().out
+        assert f"planes checked: {planes}" in out
+        assert out.count("DISAGREEMENT: plane") == disagreements
+        assert f"{disagreements} disagreements" in out
 
     def test_full_sweep_flags_a_label_0_whose_pencil_normal_is_covered(self, capsys, monkeypatch):
         # a stand-in oracle leaves only [1:1:1] uncovered on every plane, so every

@@ -6,8 +6,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubicmaps import _scan
-from cubicmaps.finitefield import ProjPoint, Scalar, build_field, enumerate_p2
-from cubicmaps.forms import TernaryForm, _monomials, _multiples, evaluate, has_common_factor, parse_form
+from cubicmaps.finitefield import ProjPoint, Scalar, build_field, enumerate_p2, gf_left_kernel
+from cubicmaps.forms import (
+    TernaryForm,
+    _monomials,
+    _multiples,
+    combine,
+    evaluate,
+    has_common_factor,
+    parse_form,
+)
 from cubicmaps.linsys import (
     FIVE_POINT,
     SIX_POINT,
@@ -524,6 +532,49 @@ class TestAllPencilsPositiveDimensional:
         assert forward_oracle(self.plane()) == []
 
 
+def reference_oracle(plane, source_bound, shortcut=None):
+    """The oracle with its old annihilator-pencil shortcut, decided here without the memo.
+
+    After the level-1 covering scan, a leftover target is covered when the
+    two forms of its annihilator pencil share a factor (has_common_factor);
+    each target covered that way is appended to shortcut.  Then levels
+    2..source_bound are scanned.
+    """
+    p = plane.field.p
+    remaining = {t.encode(): t for t in enumerate_p2(plane.field)}
+    for enc in _scan.covered_target_encodings(plane.forms, build_field(p, 1)):
+        remaining.pop(enc, None)
+    for enc in list(remaining):
+        a, b = gf_left_kernel(p, [[c] for c in enc])
+        if has_common_factor(combine(a, plane.forms), combine(b, plane.forms)):
+            del remaining[enc]
+            if shortcut is not None:
+                shortcut.append(enc)
+    for d in range(2, source_bound + 1):
+        if not remaining:
+            break
+        for enc in _scan.covered_target_encodings(plane.forms, build_field(p, d)):
+            remaining.pop(enc, None)
+    return [remaining[enc] for enc in sorted(remaining)]
+
+
+def gf2_planes():
+    """The 150 five-point and 15 six-point admissible GF(2) planes."""
+    planes = []
+    for case in (FIVE_POINT, SIX_POINT):
+        system = reference_system(case, build_field(2))
+        planes += filter(None, (make_plane(system, *rows) for rows in iter_subspaces(2, system.dim, 3)))
+    assert len(planes) == 165
+    return planes
+
+
+class _NoMemo:
+    """Stands in for a plane's SystemPencils and fails on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the oracle read plane.pencils.{name}")
+
+
 class TestForwardOracle:
     def test_case46_covers_everything(self):
         assert forward_oracle(five_plane()) == []
@@ -566,6 +617,29 @@ class TestForwardOracle:
                        for a, b in label_plane(plane, find_all=True).unruly_pencils}
             assert normals == set(forward_oracle(plane))
         assert seen == planes
+
+    def test_equals_the_shortcut_oracle_on_every_gf2_plane(self):
+        shortcut = []
+        for plane in gf2_planes():
+            assert forward_oracle(plane) == reference_oracle(plane, 9, shortcut), plane.vectors
+        # the shortcut covered these targets; the covering scan now finds their preimages
+        assert len(shortcut) == 73
+
+    def test_equals_the_shortcut_oracle_on_sampled_gf3_planes(self):
+        system = vanishing_cubics(reference_points(FIVE_POINT), build_field(3))
+        subspaces = list(iter_subspaces(3, system.dim, 3))[::29]
+        planes = list(filter(None, (make_plane(system, *rows) for rows in subspaces)))
+        shortcut = []
+        for plane in planes:
+            assert forward_oracle(plane, 5) == reference_oracle(plane, 5, shortcut), plane.vectors
+        # every 29th of the 1,210 subspaces: 40 planes, with two targets the shortcut covered
+        assert (len(planes), len(shortcut)) == (40, 2)
+
+    def test_never_reads_the_pencil_memo(self):
+        for plane in gf2_planes():
+            want = forward_oracle(plane)
+            plane.pencils = _NoMemo()
+            assert forward_oracle(plane) == want, plane.vectors
 
     def test_prime_base_field_required(self):
         # no GF(4) form, hence no GF(4) system or plane, can be built
