@@ -2,9 +2,10 @@
 
 A cubic self-map of P^2 over a finite field GF(q) is encoded by three
 cubic forms.  This package decides whether such a map hits every
-rational point, by scanning pencils of cubics through the image plane
-for members with no point in any small-degree extension (`surjectivity`),
-cross-checks the verdicts against a direct image enumeration, generates
+rational point (`surjectivity`): it tests each rational pencil of the
+plane the forms span for a base point off the plane's base locus over
+GF(p^d), d <= 9.  A pencil without one is unruly and makes the label 0.
+It cross-checks the labels against a direct image enumeration, generates
 labeled datasets of coefficient triples (`dataset`), trains a small
 convolutional score on them (`network`), and certifies two explicit
 complex surjective maps with exact rational arithmetic (`certify`).
@@ -42,7 +43,6 @@ from .linsys import (
     SystemPencils,
     base_locus,
     make_plane,
-    pencil,
     reference_points,
     reference_system,
     vanishing_cubics,
@@ -106,7 +106,6 @@ __all__ = [
     "mean_prediction",
     "numeric_preimage",
     "parse_form",
-    "pencil",
     "preimage_quartic",
     "read_output",
     "reference_points",

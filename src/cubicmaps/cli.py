@@ -62,19 +62,8 @@ from .surjectivity import (
     pencil_normal,
 )
 
-_CASES = {
-    "five": FIVE_POINT,
-    "five_point": FIVE_POINT,
-    "six": SIX_POINT,
-    "six_point": SIX_POINT,
-}
-_FILTERS = {
-    "norm": NORM_ONLY,
-    "norm_only": NORM_ONLY,
-    "strict": STRICT_ORTHONORMAL,
-    "strict_orthonormal": STRICT_ORTHONORMAL,
-    "none": NO_FILTER,
-}
+_CASES = {"five": FIVE_POINT, "six": SIX_POINT}
+_FILTERS = {"norm": NORM_ONLY, "strict": STRICT_ORTHONORMAL, "none": NO_FILTER}
 
 
 class UsageError(Exception):
@@ -120,7 +109,7 @@ def _resolve_config(args):
         case,
         p=args.p,
         filter_mode=_FILTERS[args.filter] if hasattr(args, "filter") else NORM_ONLY,
-        scan_bound=getattr(args, "scan_bound", 9),
+        scan_bound=getattr(args, "scan_bound", DEFAULT_SCAN_BOUND),
     )
 
 
@@ -437,13 +426,13 @@ def _positive_int(text):
 
 
 def _add_case_args(sub, with_filter=False):
-    sub.add_argument("--case", choices=sorted(set(_CASES)) + ["custom"], default="five")
+    sub.add_argument("--case", choices=sorted(_CASES) + ["custom"], default="five")
     sub.add_argument("--p", type=int, default=2, help="base field characteristic (prime)")
     sub.add_argument("--points", help="custom case: ';'-separated projective points \"x,y,z\"")
-    sub.add_argument("--scan-bound", type=_positive_int, default=9, dest="scan_bound",
-                     help="largest extension degree scanned for witnesses")
+    sub.add_argument("--scan-bound", type=_positive_int, default=DEFAULT_SCAN_BOUND,
+                     dest="scan_bound", help="largest extension degree scanned for witnesses")
     if with_filter:
-        sub.add_argument("--filter", choices=sorted(set(_FILTERS)), default="norm")
+        sub.add_argument("--filter", choices=sorted(_FILTERS), default="norm")
 
 
 def build_parser():
@@ -478,7 +467,8 @@ def build_parser():
     sub.add_argument("--triple", help="\"v;u;t\", comma-separated entries")
     sub.add_argument("--all", action="store_true",
                      help="sweep every admissible plane and compare labels against the oracle")
-    sub.add_argument("--source-bound", type=_positive_int, default=9, dest="source_bound",
+    sub.add_argument("--source-bound", type=_positive_int, default=DEFAULT_SCAN_BOUND,
+                     dest="source_bound",
                      help="largest source extension degree for the forward oracle")
     sub.set_defaults(func=cmd_oracle)
 

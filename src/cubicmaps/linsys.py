@@ -226,12 +226,13 @@ def same_span(sys1, sys2):
 
 @lru_cache(maxsize=None)
 def pencil_subspaces(p):
-    """The 2-subspaces of GF(p)^3 as gf_rref rows (r0, r1); (r1, r0) is each one's first spanning pair.
+    """Each 2-subspace of GF(p)^3 as its first spanning pair (a, b), sorted once per p.
 
-    Sorted once per p into the order a lexicographic walk over pairs meets
-    them in: it reaches unruly pencils sooner.
+    For gf_rref rows (r0, r1) the pair (r1, r0) is the first one a
+    lexicographic walk over pairs (a, b) meets, so sorting the pairs is
+    that walk's order: it reaches unruly pencils sooner.
     """
-    return tuple(sorted(iter_subspaces(p, 3, 2), key=lambda r: (r[1], r[0])))
+    return tuple(sorted((r1, r0) for r0, r1 in iter_subspaces(p, 3, 2)))
 
 
 def pencil_normal(a, b):
@@ -377,21 +378,6 @@ class Plane:
         return f"Plane{self.vectors}"
 
 
-class PencilSpec:
-    """A pencil inside a plane, spanned by two coefficient vectors."""
-
-    __slots__ = ("plane", "a", "b", "forms")
-
-    def __init__(self, plane, a, b, forms):
-        self.plane = plane
-        self.a = a
-        self.b = b
-        self.forms = forms
-
-    def __repr__(self):
-        return f"PencilSpec(a={self.a}, b={self.b})"
-
-
 def make_plane(system, v, u, t, pencils=None):
     """Build a plane from three coefficient vectors, or None if rejected.
 
@@ -419,21 +405,10 @@ def make_plane(system, v, u, t, pencils=None):
     if any(f.is_zero() for f in forms):
         return None
     vecs = tuple(vecs)
-    keys = (pencils.key(vecs, r1, r0) for r0, r1 in pencil_subspaces(field.p))
+    keys = (pencils.key(vecs, a, b) for a, b in pencil_subspaces(field.p))
     if all(map(pencils.shares_factor, keys)) and common_factor_all(forms):
         return None
     return Plane(system, vecs, tuple(forms), pencils)
-
-
-def pencil(plane, a, b):
-    """The pencil of a plane spanned by coefficient vectors a and b."""
-    field = plane.field
-    a = tuple(int(c) % field.p for c in a)
-    b = tuple(int(c) % field.p for c in b)
-    if len(a) != 3 or len(b) != 3:
-        raise ValueError("pencil coefficient vectors have length 3")
-    forms = (combine(a, plane.forms), combine(b, plane.forms))
-    return PencilSpec(plane, a, b, forms)
 
 
 class BaseLocus:

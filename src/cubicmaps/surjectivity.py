@@ -34,7 +34,6 @@ from .finitefield import build_field, enumerate_p2
 from .linsys import (
     DEFAULT_SCAN_BOUND,
     make_plane,
-    pencil,
     pencil_normal,
     pencil_subspaces,
     require_bound,
@@ -152,9 +151,9 @@ def label_plane(plane, scan_bound=DEFAULT_SCAN_BOUND, find_all=False):
     """
     require_bound("scan_bound", scan_bound)
     verdicts = []
-    for r0, r1 in pencil_subspaces(plane.field.p):
-        verdict = test_pencil(plane, r1, r0, scan_bound)
-        verdicts.append(((r1, r0), verdict))
+    for a, b in pencil_subspaces(plane.field.p):
+        verdict = test_pencil(plane, a, b, scan_bound)
+        verdicts.append(((a, b), verdict))
         if verdict.status == UNRULY and not find_all:
             break
     return SurjectivityLabel(verdicts, scan_bound)
@@ -191,7 +190,7 @@ def forward_oracle(plane, source_bound=DEFAULT_SCAN_BOUND):
 
 
 def find_unruly_seven_points(cfg, field):
-    """First unruly pencil of the net of cubics through 7 points, or None.
+    """First unruly pencil of the net of cubics through 7 points, as (plane, a, b), or None.
 
     The system of cubics vanishing on the configuration must be
     3-dimensional (general position); it is then itself treated as the
@@ -213,4 +212,4 @@ def find_unruly_seven_points(cfg, field):
         raise ValueError("configuration is too special: the system has a fixed component")
     # the label's value is inconclusive below bound 9, but bound 2 is exhaustive here
     unruly = label_plane(plane, scan_bound=2).unruly_pencils
-    return pencil(plane, *unruly[0]) if unruly else None
+    return (plane, *unruly[0]) if unruly else None

@@ -26,7 +26,7 @@ from cubicmaps.dataset import (
     write_output,
 )
 from cubicmaps.finitefield import build_field
-from cubicmaps.forms import TernaryForm, has_common_factor
+from cubicmaps.forms import TernaryForm, combine, has_common_factor
 from cubicmaps.linsys import (
     FIVE_POINT,
     SIX_POINT,
@@ -35,7 +35,6 @@ from cubicmaps.linsys import (
     gf_rref,
     iter_vectors,
     make_plane,
-    pencil,
     reduced_generator_system,
     reference_system,
     same_span,
@@ -225,7 +224,8 @@ def test_07_base_locus_bounds_and_gcd_oracle(five_records, tmp_path):
                         continue
                     seen.add(key)
                     pencils += 1
-                    locus = base_locus(pencil(plane, a, b).forms, scan_bound=9)
+                    forms = (combine(a, plane.forms), combine(b, plane.forms))
+                    locus = base_locus(forms, scan_bound=9)
                     if not locus.positive_dimensional:
                         zero_dim += 1
                         worst = max(worst, locus.total_points())
@@ -295,7 +295,7 @@ def test_08_seven_point_search_runs():
     found = find_unruly_seven_points(PointConfig(points), build_field(11))
     elapsed = time.time() - started
     detail = (
-        f"pencil a={found.a} b={found.b} in {elapsed:.2f}s"
+        f"pencil a={found[1]} b={found[2]} in {elapsed:.2f}s"
         if found is not None
         else f"no unruly pencil in {elapsed:.2f}s"
     )

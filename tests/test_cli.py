@@ -7,7 +7,13 @@ import pytest
 
 import cubicmaps
 from cubicmaps.cli import UsageError, _iter_admissible_planes, main, parse_triple
-from cubicmaps.dataset import EnumConfig
+from cubicmaps.dataset import (
+    NO_FILTER,
+    STRICT_ORTHONORMAL,
+    EnumConfig,
+    generate_dataset,
+    write_output,
+)
 from cubicmaps.finitefield import ProjPoint
 from cubicmaps.linsys import FIVE_POINT, SIX_POINT, SystemPencils
 from cubicmaps.surjectivity import label_plane, pencil_normal
@@ -87,6 +93,29 @@ class TestDataset:
     def test_bad_prime(self, capsys):
         assert main(["dataset", "--case", "six", "--p", "4", "--out", "x.txt"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["dataset", "--case", "five_point", "--out", "x.txt"],
+        ["dataset", "--filter", "norm_only", "--out", "x.txt"],
+    ])
+    def test_library_names_are_not_cli_spellings(self, argv, capsys):
+        # one spelling per value, so a manifest's config.case names the run one way
+        assert main(argv) == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not os.path.exists("x.txt") and not os.path.exists("cubicmaps-runs.jsonl")
+
+    @pytest.mark.parametrize("flag, mode, count", [
+        ("strict", STRICT_ORTHONORMAL, 48), ("none", NO_FILTER, 2520)])
+    def test_filter_reaches_the_dataset(self, flag, mode, count):
+        # 336 records under the default norm filter
+        assert main(["dataset", "--case", "six", "--filter", flag, "--out", "six.txt"]) == 0
+        write_output(generate_dataset(EnumConfig(SIX_POINT, filter_mode=mode)), "want.txt")
+        with open("six.txt", "rb") as got, open("want.txt", "rb") as want:
+            data = got.read()
+            assert data == want.read()
+        assert data.count(b"\n") == count
+        # the manifest records the resolved filter name
+        assert manifest_entries()[0]["config"]["filter"] == mode
 
     @pytest.mark.parametrize("argv", [
         ["dataset", "--case", "five", "--p", "3", "--out", "x.txt"],

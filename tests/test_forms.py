@@ -23,6 +23,7 @@ from cubicmaps.linsys import (
     SystemPencils,
     iter_subspaces,
     make_plane,
+    pencil_subspaces,
     reference_system,
 )
 from cubicmaps.ratpoly import RationalPoly, univariate_gcd
@@ -318,9 +319,9 @@ def assert_memo_verdicts_match(pencils, vectors, net):
     """The memo's shared-factor verdict against the pairwise test on every pencil of a net; the verdicts."""
     p = net[0].field.p
     verdicts = []
-    for r0, r1 in iter_subspaces(p, 3, 2):
-        expected = pairwise_verdict(net, r1, r0)
-        assert pencils.shares_factor(pencils.key(vectors, r1, r0)) == expected, (r1, r0)
+    for a, b in pencil_subspaces(p):
+        expected = pairwise_verdict(net, a, b)
+        assert pencils.shares_factor(pencils.key(vectors, a, b)) == expected, (a, b)
         verdicts.append(expected)
     return verdicts
 

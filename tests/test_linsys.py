@@ -28,7 +28,6 @@ from cubicmaps.linsys import (
     iter_subspaces,
     iter_vectors,
     make_plane,
-    pencil,
     pencil_subspaces,
     reduced_generator_system,
     reference_points,
@@ -188,8 +187,8 @@ class TestPlanes:
         system = CubicSystem(f3, tuple(parse_form(t, f3) for t in texts), "custom")
         pencils = SystemPencils(system)
         identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        assert all(pencils.shares_factor(pencils.key(identity, r1, r0))
-                   for r0, r1 in pencil_subspaces(3))
+        assert all(pencils.shares_factor(pencils.key(identity, a, b))
+                   for a, b in pencil_subspaces(3))
         assert make_plane(system, *identity, pencils=pencils) is None
 
     @pytest.mark.parametrize("case, p, subspaces, rejected", [
@@ -232,17 +231,6 @@ class TestPlanes:
         with pytest.raises(ValueError):
             make_plane(system, (1, 0), (0, 1), (1, 1))
 
-    def test_pencil_combination(self):
-        f2 = build_field(2)
-        system = reference_system(FIVE_POINT, f2)
-        plane = make_plane(system, *CASE46)
-        spec = pencil(plane, (1, 1, 0), (0, 0, 1))
-        v, u, t = plane.forms
-        from cubicmaps.forms import combine
-        one, zero = f2.one(), f2.zero()
-        assert spec.forms[0] == combine((one, one, zero), plane.forms)
-        assert spec.forms[1] == combine((zero, zero, one), plane.forms)
-
 
 class TestBaseLocus:
     def test_coordinate_cubics_meet_in_one_point(self):
@@ -275,10 +263,10 @@ class TestBaseLocus:
         plane = make_plane(reference_system(FIVE_POINT, f2), *CASE46)
         for a in iter_vectors(2, 3):
             for b in iter_vectors(2, 3):
-                spec = pencil(plane, a, b)
-                if any(f.is_zero() for f in spec.forms):
+                forms = (combine(a, plane.forms), combine(b, plane.forms))
+                if any(f.is_zero() for f in forms):
                     continue
-                locus = base_locus(spec.forms, scan_bound=6)
+                locus = base_locus(forms, scan_bound=6)
                 if not locus.positive_dimensional:
                     assert locus.total_points() <= 9
 
