@@ -9,17 +9,19 @@ agrees with Scalar arithmetic (tested exhaustively on small fields).
 Encodings are stored in the narrowest unsigned dtype that holds q - 1,
 np.min_scalar_type(q - 1): uint8 up to q = 256 and uint16 beyond, which
 covers every level below MAX_SCAN_POINTS (q < 31623).  That applies to
-the point arrays, the exp/expx/inv/frob tables and the cached monomials; a
+the point arrays, the exp/expx/frob tables and the cached monomials; a
 narrow array halves or quarters the memory traffic of every XOR, compare
 and gather.  The log table stays int64, because log[a] + log[b] indexes
 the extended exp table and reaches beyond q.
 
 Points are scanned in a fixed documented order: the affine chart [x:y:1]
 lexicographically by (x, y), then the line [x:1:0] by x, then [1:0:0].
-A level small enough to cache (_is_cached) is scanned as one array of
-points and monomials, kept for every later scan; a larger one is scanned
-in fixed blocks of rows, so that even very large levels stay within
-memory.  Every scan reads whole levels.
+Every level is read as the same chunks of points and their monomials
+(_scan_chunks): fixed blocks of chart rows, the last of which ends with
+the line and [1:0:0], so that even very large levels stay within memory.
+A level small enough to cache (_is_cached) keeps its chunks for every
+later scan; for p <= 7 they are one chunk.  Every scan reads whole
+levels.
 
 Pencils are decided from zero sets.  zero_set scans one form, a member
 of a cubic system, and returns the encoded (x, y, z) of the points where
@@ -95,14 +97,10 @@ class FieldTables:
         expx = np.zeros(4 * n + 4, dtype=dt)
         expx[:n] = exp
         expx[n : 2 * n] = exp
+        self.n = n
         self.exp = exp
         self.log = log
         self.expx = expx
-        inv = np.zeros(q, dtype=dt)
-        if q > 2:
-            inv[exp] = exp[(-log[exp]) % n]
-        inv[1] = 1
-        self.inv_table = inv
         # a^p for every a: F(g^i) = g^(i p)
         frob = np.zeros(q, dtype=dt)
         frob[exp] = exp[log[exp] * self.p % n]
@@ -129,10 +127,9 @@ class FieldTables:
     def mul(self, a, b):
         return self.expx[self.log[a] + self.log[b]]
 
-    def mul_const(self, a, c):
-        if c == 1:
-            return a
-        return self.expx[self.log[a] + int(self.log[c])]
+    def div(self, a, b):
+        """a / b for nonzero b; at a = 0 the index falls in the zero tail of expx."""
+        return self.expx[self.log[a] - self.log[b] + self.n]
 
     def add(self, a, b):
         if self.p == 2:
@@ -146,9 +143,6 @@ class FieldTables:
         for pi in self.pow_p:
             out += ((a // pi % p + b // pi % p) % p) * pi
         return out.astype(self.dtype)
-
-    def inv(self, a):
-        return self.inv_table[a]
 
     def pow_p1(self, a):
         """a^(p-1); at p = 2 that is a itself, returned as is."""
@@ -187,8 +181,9 @@ def iter_point_chunks(field, chunk=_CHUNK):
 
     The points are the first of their orbits, in scan order.  A row [x:*:1]
     holds such points only if x comes first among its own conjugates, so
-    the other rows are never built.  Each chart chunk spans chunk // q such
-    rows (at least one), except the last, which spans the rest.
+    the other rows are never built.  Each chunk spans chunk // q such rows
+    (at least one), except the last, which spans the rest and then ends
+    with the line [x:1:0], for the same x, and [1:0:0].
     """
     q = field.order
     if point_count(field) > MAX_SCAN_POINTS:
@@ -200,16 +195,20 @@ def iter_point_chunks(field, chunk=_CHUNK):
     dt = t.dtype
     a = np.arange(q, dtype=dt)
     xs_first = a[_orbit_first(t, a, np.zeros_like(a))]
+    n = len(xs_first)
     rows = max(1, chunk // q)
-    for i in range(0, len(xs_first), rows):
+    for i in range(0, n, rows):
         xs = xs_first[i : i + rows]
         x = np.repeat(xs, q)
         y = np.tile(a, len(xs))
         keep = _orbit_first(t, x, y)
-        yield x[keep], y[keep], np.ones(int(keep.sum()), dtype=dt)
-    n = len(xs_first)
-    yield xs_first, np.ones(n, dtype=dt), np.zeros(n, dtype=dt)
-    yield np.array([1], dtype=dt), np.array([0], dtype=dt), np.array([0], dtype=dt)
+        x, y = x[keep], y[keep]
+        z = np.ones(len(x), dtype=dt)
+        if i + rows >= n:
+            x = np.concatenate([x, xs_first, np.ones(1, dtype=dt)])
+            y = np.concatenate([y, np.ones(n, dtype=dt), np.zeros(1, dtype=dt)])
+            z = np.concatenate([z, np.zeros(n + 1, dtype=dt)])
+        yield x, y, z
 
 
 def monomial_values(t, x, y, z):
@@ -231,32 +230,13 @@ def monomial_values(t, x, y, z):
     )
 
 
-def _cached_chunks(field):
-    """Materialized orbit-first point and monomial arrays for small levels."""
-    key = (field.p, field.k)
-    got = _monomial_cache.get(key)
-    if got is None:
-        t = tables(field)
-        xs, ys, zs = [], [], []
-        for x, y, z in iter_point_chunks(field):
-            xs.append(x)
-            ys.append(y)
-            zs.append(z)
-        x = np.concatenate(xs)
-        y = np.concatenate(ys)
-        z = np.concatenate(zs)
-        got = (x, y, z, monomial_values(t, x, y, z))
-        _monomial_cache[key] = got
-    return got
-
-
 def _eval(t, coeffs, monos):
     """A form's values at the monomial arrays; its GF(p) residues are their own encodings in GF(p^d)."""
     acc = None
     for c, m in zip(coeffs, monos):
         if c == 0:
             continue
-        term = m if c == 1 else t.mul_const(m, c)
+        term = m if c == 1 else t.mul(m, c)
         acc = term if acc is None else t.add(acc, term)
     if acc is None:
         return np.zeros_like(monos[0])
@@ -273,14 +253,20 @@ def _is_cached(field):
 
 
 def _scan_chunks(field):
-    """Yield (x, y, z, monomials) chunks of orbit-first points, one cached chunk when _is_cached."""
+    """The (x, y, z, monomials) chunks of orbit-first points, in scan order.
+
+    A level that _is_cached is built once into a list kept for every later
+    scan; a larger one is streamed, chunk by chunk, on every scan.
+    """
     t = tables(field)
-    if _is_cached(field):
-        x, y, z, monos = _cached_chunks(field)
-        yield x, y, z, monos
-        return
-    for x, y, z in iter_point_chunks(field, _CHUNK):
-        yield x, y, z, monomial_values(t, x, y, z)
+    chunks = ((x, y, z, monomial_values(t, x, y, z)) for x, y, z in iter_point_chunks(field, _CHUNK))
+    if not _is_cached(field):
+        return chunks
+    key = (field.p, field.k)
+    got = _monomial_cache.get(key)
+    if got is None:
+        got = _monomial_cache[key] = list(chunks)
+    return got
 
 
 def _scan_key(enc):
@@ -329,7 +315,7 @@ def covered_target_encodings(forms, ext):
     An image is GF(p)-rational iff its last nonzero coordinate lambda
     exists (the point is not a base point) and every coordinate f has
     f = 0 or f^(p-1) = lambda^(p-1).  Only rational images are normalized,
-    by dividing through by lambda.
+    by dividing each coordinate by lambda with div.
     """
     t = tables(ext)
     coeffs = [f.coeffs for f in forms]
@@ -345,8 +331,8 @@ def covered_target_encodings(forms, ext):
             rational &= (f == 0) | (t.pow_p1(f) == lam_pow)
         idx = np.nonzero(rational)[0]
         if len(idx):
-            s = t.inv(lam[idx])
-            covered.update(zip(*(t.mul(f[idx], s).tolist() for f in fs)))
+            lam = lam[idx]
+            covered.update(zip(*(t.div(f[idx], lam).tolist() for f in fs)))
     return covered
 
 

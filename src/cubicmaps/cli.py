@@ -182,7 +182,9 @@ def cmd_dataset(args):
     print(f"wrote {summary['count']} records to {args.out}")
     print(f"positives: {summary['positives']}  negatives: {summary['negatives']}  "
           f"positive_rate: {summary['positive_rate']:.6f}")
-    if summary["positives"] == 0:
+    if summary["count"] == 0:
+        print("no subspace spans an admissible plane")
+    elif summary["positives"] == 0:
         print("all labels are 0")
     _write_manifest(
         args,

@@ -63,6 +63,21 @@ class TestDataset:
         with open("six.txt") as fh:
             assert sum(1 for _ in fh) == 336
 
+    def test_no_admissible_plane_writes_no_records(self, capsys):
+        # all four GF(3) points of z = 0 are base points, so z divides every form
+        # of the system and no subspace spans an admissible plane
+        points = "1,0,0;0,1,0;1,1,0;1,2,0;0,0,1;1,1,1"
+        argv = ["dataset", "--case", "custom", "--p", "3", "--points", points, "--out", "e.txt"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "wrote 0 records to e.txt" in out
+        assert "no subspace spans an admissible plane" in out
+        assert "all labels are 0" not in out
+        with open("e.txt") as fh:
+            assert fh.read() == ""
+        [entry] = manifest_entries()
+        assert entry["counters"]["records"] == 0
+
     def test_manifest_entry(self):
         main(["dataset", "--case", "six", "--out", "six.txt"])
         entries = manifest_entries()

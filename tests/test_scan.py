@@ -44,10 +44,14 @@ class TestTablesAgainstScalars:
         assert prod.dtype == total.dtype == t.dtype
         assert prod.tolist() == [(x * y).encode() for x, y in zip(sa, sb)]
         assert total.tolist() == [(x + y).encode() for x, y in zip(sa, sb)]
-        nonzero = [x for x in sa if not x.is_zero()]
-        if nonzero:
-            got = t.inv(np.array([x.encode() for x in nonzero], dtype=t.dtype))
-            assert got.tolist() == [x.inverse().encode() for x in nonzero]
+        # div(a, b) for nonzero b, a = 0 included
+        pairs = [(x, y) for x, y in zip(sa, sb) if not y.is_zero()]
+        if pairs:
+            num = np.array([x.encode() for x, _ in pairs], dtype=t.dtype)
+            den = np.array([y.encode() for _, y in pairs], dtype=t.dtype)
+            got = t.div(num, den)
+            assert got.dtype == t.dtype
+            assert got.tolist() == [(x / y).encode() for x, y in pairs]
 
     @settings(max_examples=50, deadline=None)
     @given(field_elements(), st.data())
@@ -56,7 +60,8 @@ class TestTablesAgainstScalars:
         field = build_field(p, k)
         t = _scan.tables(field)
         c = data.draw(st.integers(0, field.order - 1))
-        got = t.mul_const(np.array(xs, dtype=t.dtype), c)
+        got = t.mul(np.array(xs, dtype=t.dtype), c)
+        assert got.dtype == t.dtype
         assert got.tolist() == [(field.scalar(x) * field.scalar(c)).encode() for x in xs]
 
 
@@ -66,11 +71,11 @@ class TestNarrowEncodings:
         field = build_field(2, k)
         t = _scan.tables(field)
         assert t.dtype == dtype
-        for table in (t.exp, t.expx, t.inv_table):
+        for table in (t.exp, t.expx, t.frob_table):
             assert table.dtype == dtype
         # log[a] + log[b] indexes expx beyond q, so log stays wide
         assert t.log.dtype == np.int64
-        x, y, z, monos = _scan._cached_chunks(field)
+        [(x, y, z, monos)] = _scan._scan_chunks(field)
         for arr in (x, y, z, *monos):
             assert arr.dtype == dtype
 
@@ -277,10 +282,43 @@ class TestOrbitScans:
 
     def test_chart_chunks_hold_chunk_over_q_rows_but_the_last(self):
         field = build_field(2, 5)
-        rows = [len(set(x.tolist())) for x, _, z in _scan.iter_point_chunks(field, 96)
-                if z.any()]
+        chunks = list(_scan.iter_point_chunks(field, 96))
+        rows = [len(set(x[z == 1].tolist())) for x, _, z in chunks]
         # 8 orbit-first x in GF(32): 0, 1 and one per 5-orbit; 96 // 32 = 3 rows a chunk
         assert rows == [3, 3, 2]
+        # the last chunk ends with the line [x:1:0] at those 8 x, then [1:0:0]
+        x, y, z = (c.tolist() for c in chunks[-1])
+        xs_first = sorted({pt[0] for pt in _orbit_firsts(field)})
+        assert list(zip(x, y, z))[-9:] == [(v, 1, 0) for v in xs_first] + [(1, 0, 0)]
+        assert z[:-9] == [1] * (len(z) - 9)
+
+    def test_a_cached_level_is_one_chunk_built_once(self, monkeypatch):
+        field = build_field(2, 6)
+        monkeypatch.delitem(_scan._monomial_cache, (2, 6), raising=False)
+        calls = []
+        monomial_values = _scan.monomial_values
+
+        def counted(*args):
+            calls.append(args)
+            return monomial_values(*args)
+
+        monkeypatch.setattr(_scan, "monomial_values", counted)
+        chunks = _scan._scan_chunks(field)
+        assert _scan._scan_chunks(field) is chunks
+        assert len(chunks) == 1
+        assert len(calls) == 1
+
+    def test_the_chunked_path_streams_a_level_already_kept(self):
+        # the cache limit, not the memo, decides whether a level is streamed
+        field = build_field(3, 2)
+        cached = _scanned_points(field)
+        assert (3, 2) in _scan._monomial_cache
+        with scan_path("chunked"):
+            chunks = _scan._scan_chunks(field)
+            assert not isinstance(chunks, list)
+            chunks = list(chunks)
+        assert len(chunks) > 1
+        assert [pt for x, y, z, _ in chunks for pt in zip(x.tolist(), y.tolist(), z.tolist())] == cached
 
     def test_zero_set_is_the_same_ordered_encodings_cached_and_chunked(self):
         # x^3 vanishes on the line x = 0: the points [0:y:1], then [0:1:0]
