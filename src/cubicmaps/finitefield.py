@@ -366,13 +366,16 @@ def minimal_degree(pt):
 # -- row reduction over GF(p), rows of integer residues --
 
 
-def gf_rref(p, rows):
-    """Reduced row echelon form over GF(p) of integer rows.
+def _subtract(row, f, tail, c, p):
+    """row - f * (pivot row), for a pivot row that is zero left of column c and tail = its entries from c."""
+    return row[:c] + [(x - f * y) % p for x, y in zip(row[c:], tail)]
 
-    Returns (rows, pivots): the nonzero RREF rows as a tuple of int tuples
-    with entries in 0..p-1, and their pivot columns.  The rows are the
-    canonical basis of the row space, so they key the spanned subspace, and
-    their number is its rank.
+
+def _forward(p, rows):
+    """Forward elimination over GF(p): (rows, pivots) in row echelon form.
+
+    Each pivot is scaled to 1 and only the rows below it are cleared; the
+    returned rows are the nonzero ones, one per pivot column.
     """
     rows = [[c % p for c in row] for row in rows]
     pivots = []
@@ -389,18 +392,42 @@ def gf_rref(p, rows):
         if top[c] != 1:
             inv = pow(top[c], p - 2, p)
             top = rows[r] = [inv * x % p for x in top]
-        # left of column c the pivot row is zero, so only the tail changes
         tail = top[c:]
-        for i in range(n):
+        for i in range(r + 1, n):
             f = rows[i][c]
-            if f and i != r:
-                row = rows[i]
-                rows[i] = row[:c] + [(x - f * y) % p for x, y in zip(row[c:], tail)]
+            if f:
+                rows[i] = _subtract(rows[i], f, tail, c, p)
         pivots.append(c)
         r += 1
         if r == n:
             break
-    return tuple(tuple(row) for row in rows[:r]), pivots
+    return rows[:r], pivots
+
+
+def gf_rank(p, rows):
+    """Rank over GF(p) of integer rows: the number of pivots forward elimination finds."""
+    return len(_forward(p, rows)[1])
+
+
+def gf_rref(p, rows):
+    """Reduced row echelon form over GF(p) of integer rows.
+
+    Returns (rows, pivots): the nonzero RREF rows as a tuple of int tuples
+    with entries in 0..p-1, and their pivot columns.  The rows are the
+    canonical basis of the row space, so they key the spanned subspace, and
+    their number is its rank.  Forward elimination is followed by
+    back-substitution, which clears the rows above each pivot, last pivot
+    first, so every row it subtracts is already reduced.
+    """
+    rows, pivots = _forward(p, rows)
+    for r in range(len(pivots) - 1, 0, -1):
+        c = pivots[r]
+        tail = rows[r][c:]
+        for i in range(r):
+            f = rows[i][c]
+            if f:
+                rows[i] = _subtract(rows[i], f, tail, c, p)
+    return tuple(map(tuple, rows)), pivots
 
 
 def gf_left_kernel(p, rows):

@@ -13,7 +13,8 @@ Extension fields GF(p^k), k > 1, carry points and scans, never forms.
 Common factors are decided exactly over prime fields by linear algebra on
 integer residues.  Two cubics f, g share a nonconstant factor iff the 12
 Sylvester rows mu*f and mu*g, mu over the 6 quadric monomials, written over
-the 21 quintic monomials, have rank below 12.  For three forms the gcd of
+the 21 quintic monomials, have rank below 12; forward elimination alone
+finds that rank (gf_rank).  For three forms the gcd of
 the first two is needed only when they share a factor; it is read off a
 one-dimensional kernel of the same kind of matrix and tested against the
 third form with the same rank criterion.
@@ -25,7 +26,7 @@ its two spanning members and calls has_common_factor on those two forms.
 
 from functools import lru_cache
 
-from .finitefield import ProjPoint, Scalar, gf_left_kernel, gf_rref
+from .finitefield import ProjPoint, Scalar, gf_left_kernel, gf_rank
 
 MONOMIALS = (
     (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
@@ -210,7 +211,7 @@ def _multiples(f, m, d):
 def _shares_factor(p, f, m, g, n):
     """Whether nonzero f (degree m) and g (degree n) share a nonconstant factor."""
     rows = _multiples(f, m, n - 1) + _multiples(g, n, m - 1)
-    return len(gf_rref(p, rows)[0]) < len(rows)
+    return gf_rank(p, rows) < len(rows)
 
 
 def _common_factor(p, f, m, g, n):

@@ -31,9 +31,10 @@ d = 1..scan_bound and keeping the common zeros of minimal degree exactly d.
 
 import itertools
 from functools import lru_cache
+from operator import mul
 
 from . import _scan
-from .finitefield import ProjPoint, build_field, gf_left_kernel, gf_rref, minimal_degree
+from .finitefield import ProjPoint, build_field, gf_left_kernel, gf_rank, gf_rref, minimal_degree
 from .forms import MONOMIALS, TernaryForm, combine, common_factor_all, has_common_factor
 
 FIVE_POINT = "five_point"
@@ -235,6 +236,11 @@ def pencil_subspaces(p):
     return tuple(sorted((r1, r0) for r0, r1 in iter_subspaces(p, 3, 2)))
 
 
+def combination(coeffs, vectors, p):
+    """Coordinates over GF(p) of sum(coeffs[i] * vectors[i]), each vector given by its coordinates."""
+    return tuple(sum(map(mul, coeffs, column)) % p for column in zip(*vectors))
+
+
 def pencil_normal(a, b):
     """The normal a x b of the pencil spanned by a and b: the target whose annihilator it is."""
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
@@ -275,11 +281,12 @@ class SystemPencils:
 
     Build one per walk, never per system: every walk pays for its own
     decisions, and the memo lives as long as the planes that share it.
-    pencil_tests counts the pencils test_pencil decides through it.
+    pencil_tests counts the pencils test_pencil decides through it, and
+    key_lookups the calls to key.
     """
 
     __slots__ = ("system", "_forms", "_keys", "_shares", "_base", "_zeros", "_points",
-                 "pencil_tests")
+                 "pencil_tests", "key_lookups")
 
     def __init__(self, system):
         self.system = system
@@ -290,6 +297,7 @@ class SystemPencils:
         self._zeros = {}
         self._points = {}
         self.pencil_tests = 0
+        self.key_lookups = 0
 
     def form(self, member):
         """The cubic form of a member, a coefficient vector over the system basis."""
@@ -301,8 +309,8 @@ class SystemPencils:
     def key(self, vectors, a, b):
         """The gf_rref rows of the members a.V and b.V of a plane with coefficient vectors V."""
         p = self.system.field.p
-        members = tuple(tuple(sum(c * v for c, v in zip(w, column)) % p for column in zip(*vectors))
-                        for w in (a, b))
+        self.key_lookups += 1
+        members = (combination(a, vectors, p), combination(b, vectors, p))
         key = self._keys.get(members)
         if key is None:
             key = self._keys[members] = gf_rref(p, members)[0]
@@ -351,9 +359,10 @@ class SystemPencils:
         return point
 
     def counters(self):
-        """Shared-factor decisions, zero-set scans, pencil tests and witness points decoded."""
+        """Shared-factor decisions, zero-set scans, pencil tests, key lookups and witness points decoded."""
         return {"system_pencils": len(self._shares), "member_zero_sets": len(self._zeros),
-                "pencil_tests": self.pencil_tests, "witness_points": len(self._points)}
+                "pencil_tests": self.pencil_tests, "key_lookups": self.key_lookups,
+                "witness_points": len(self._points)}
 
 
 class Plane:
@@ -399,7 +408,7 @@ def make_plane(system, v, u, t, pencils=None):
         if len(w) != system.dim:
             raise ValueError(f"coefficient vector length {len(w)} != system dim {system.dim}")
         vecs.append(w)
-    if len(gf_rref(field.p, vecs)[0]) < 3:
+    if gf_rank(field.p, vecs) < 3:
         return None
     forms = [pencils.form(w) for w in vecs]
     if any(f.is_zero() for f in forms):

@@ -33,6 +33,7 @@ from . import _scan
 from .finitefield import build_field, enumerate_p2
 from .linsys import (
     DEFAULT_SCAN_BOUND,
+    combination,
     make_plane,
     pencil_normal,
     pencil_subspaces,
@@ -91,11 +92,6 @@ class SurjectivityLabel:
         return f"SurjectivityLabel({self.value}, unruly={list(self.unruly_pencils)})"
 
 
-def _combination(coeffs, vectors, p):
-    """Coordinates over GF(p) of sum(coeffs[i] * vectors[i]), each vector given by its coordinates."""
-    return tuple(sum(c * v for c, v in zip(coeffs, column)) % p for column in zip(*vectors))
-
-
 def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
     """Verdict for the pencil of a plane spanned by coefficient vectors a, b.
 
@@ -133,8 +129,8 @@ def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
         enc = pencils.witness_encoding(key, third, ext)
         if enc is not None:
             pt, monomials = pencils.witness_point(ext, enc)
-            values = [_combination(h.coeffs, monomials, p) for h in plane.forms]
-            if any(_combination(a, values, p)) or any(_combination(b, values, p)):
+            values = [combination(h.coeffs, monomials, p) for h in plane.forms]
+            if any(combination(a, values, p)) or any(combination(b, values, p)):
                 raise AssertionError("witness fails pencil-vanishing recheck")
             if not any(map(any, values)):
                 raise AssertionError("witness fails plane-nonvanishing recheck")

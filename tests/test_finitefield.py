@@ -10,6 +10,7 @@ from cubicmaps.finitefield import (
     canonical_modulus,
     enumerate_p2,
     gf_left_kernel,
+    gf_rank,
     gf_rref,
     minimal_degree,
 )
@@ -259,3 +260,81 @@ class TestLeftKernel:
         # over GF(5): 2*r0 + r1 - r2 = 0, scaled to a leading 1 by 3
         rows = [[1, 2, 3], [0, 1, 4], [2, 0, 0]]
         assert self.check(5, rows) == [(1, 3, 2)]
+
+
+def reference_rref(p, rows):
+    """gf_rref as a single pass that clears every other row at each pivot, kept verbatim as the reference."""
+    rows = [[c % p for c in row] for row in rows]
+    pivots = []
+    n = len(rows)
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        for i in range(r, n):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        top = rows[r]
+        if top[c] != 1:
+            inv = pow(top[c], p - 2, p)
+            top = rows[r] = [inv * x % p for x in top]
+        # left of column c the pivot row is zero, so only the tail changes
+        tail = top[c:]
+        for i in range(n):
+            f = rows[i][c]
+            if f and i != r:
+                row = rows[i]
+                rows[i] = row[:c] + [(x - f * y) % p for x, y in zip(row[c:], tail)]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return tuple(tuple(row) for row in rows[:r]), pivots
+
+
+@st.composite
+def integer_rows(draw):
+    """(p, rows): 0..12 rows of one width 1..8, entries any ints, some rows repeated or scaled."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    width = draw(st.integers(1, 8))
+    row = st.lists(st.integers(-3 * p, 3 * p), min_size=width, max_size=width)
+    rows = draw(st.lists(row, max_size=12))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        source = draw(st.sampled_from(rows))
+        rows.insert(draw(st.integers(0, len(rows))), [draw(st.integers(-p, p)) * c for c in source])
+    return p, rows
+
+
+class TestRowReduction:
+    # gf_rref is forward elimination then back-substitution, gf_rank the
+    # forward pass alone; both against the single-pass reduction they replaced
+
+    def check(self, p, rows):
+        expected = reference_rref(p, rows)
+        assert gf_rref(p, rows) == expected
+        assert gf_rank(p, rows) == len(expected[0])
+        assert is_rref(p, expected[0])
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(integer_rows(), matrices()))
+    def test_matches_the_single_pass_reduction(self, pr):
+        self.check(*pr)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_edge_inputs(self, p):
+        assert gf_rref(p, []) == ((), []) and gf_rank(p, []) == 0
+        for rows in (
+            [[0, 0, 0], [0, 0, 0]],                     # zero rows
+            [[1, 1, 0], [1, 1, 0], [0, 1, 1]],          # a duplicate row
+            [[1, 1], [1, 1]],                           # rank 2 if the row below a pivot is skipped
+            [[-1, p, 2 * p + 1], [p - 1, -p - 1, 0]],   # entries negative and >= p
+            [[1, 0], [0, 1], [1, 1], [2, 3], [0, 0]],   # more rows than columns
+            [[0, 0, 1], [0, 1, 0], [1, 0, 0]],          # every pivot needs a swap
+        ):
+            self.check(p, rows)
+
+    def test_known_ranks(self):
+        assert gf_rank(2, [[1, 1], [1, 1]]) == 1
+        assert gf_rank(3, [[1, 2, 0], [2, 1, 0], [0, 0, 3]]) == 1
+        assert gf_rank(5, [[1, 0], [0, 1], [1, 1]]) == 2

@@ -24,9 +24,12 @@ from cubicmaps.linsys import (
     iter_subspaces,
     make_plane,
     pencil_subspaces,
+    reference_points,
     reference_system,
+    vanishing_cubics,
 )
 from cubicmaps.ratpoly import RationalPoly, univariate_gcd
+from test_finitefield import reference_rref
 
 X = RationalPoly.var("x")
 Y = RationalPoly.var("y")
@@ -304,6 +307,49 @@ class TestCommonFactorProperties:
     def test_mixed_fields_rejected(self):
         with pytest.raises(ValueError, match="mixed fields"):
             has_common_factor(parse_form("x^3", build_field(2)), parse_form("x^3", build_field(3)))
+
+
+def sylvester_rows(p, f, g):
+    """The rows mu*f and mu*g, mu over the quadric monomials, over the quintic monomials."""
+    quintics = monomials_of(5)
+    rows = []
+    for form in (f, g):
+        poly = dict(zip(MONOMIALS, form.coeffs))
+        for mu in monomials_of(2):
+            product = multiply(p, {mu: 1}, poly)
+            rows.append([product.get(e, 0) for e in quintics])
+    return rows
+
+
+def reference_shares_factor(f, g):
+    """The rank criterion: the 12 Sylvester rows are dependent, by the single-pass reduction."""
+    p = f.field.p
+    return len(reference_rref(p, sylvester_rows(p, f, g))[0]) < 12
+
+
+class TestSystemPencilDecisions:
+    # every pencil of the GF(2) fixtures and of the GF(3) vanishing systems
+    # against the rank criterion, with the number that share a factor pinned
+
+    @pytest.mark.parametrize("p, case, pencils, sharing", [
+        (2, FIVE_POINT, 155, 36),
+        (2, SIX_POINT, 35, 6),
+        (3, FIVE_POINT, 1210, 202),
+        (3, SIX_POINT, 130, 39),
+    ])
+    def test_has_common_factor_agrees_with_the_rank_criterion(self, p, case, pencils, sharing):
+        field = build_field(p)
+        if p == 2:
+            basis = reference_system(case, field).basis
+        else:
+            basis = vanishing_cubics(reference_points(case), field).basis
+        verdicts = []
+        for rows in iter_subspaces(p, len(basis), 2):
+            f, g = (combine(row, basis) for row in rows)
+            verdict = has_common_factor(f, g)
+            assert verdict == reference_shares_factor(f, g), rows
+            verdicts.append(verdict)
+        assert (len(verdicts), sum(verdicts)) == (pencils, sharing)
 
 
 def pairwise_verdict(net, a, b):

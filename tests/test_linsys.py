@@ -4,7 +4,7 @@ from functools import reduce
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubicmaps.finitefield import ProjPoint, build_field, enumerate_p2
@@ -23,7 +23,9 @@ from cubicmaps.linsys import (
     CubicSystem,
     PointConfig,
     SystemPencils,
+    _monomial_coords,
     base_locus,
+    combination,
     gf_rref,
     iter_subspaces,
     iter_vectors,
@@ -35,6 +37,7 @@ from cubicmaps.linsys import (
     same_span,
     vanishing_cubics,
 )
+from test_finitefield import reference_rref
 
 CASE46 = ((1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (1, 1, 0, 0, 1))
 
@@ -383,6 +386,51 @@ class TestGfRref:
         assert pivots == [0, 2]
         assert gf_rref(3, [(0, 0), (3, 6)]) == ((), [])
         assert gf_rref(7, []) == ((), [])
+
+
+def old_combination(coeffs, vectors, p):
+    """The generator sums combination replaced, written out as they were."""
+    return tuple(sum(c * v for c, v in zip(coeffs, column)) % p for column in zip(*vectors))
+
+
+def residues(p, length):
+    return st.tuples(*[st.integers(0, p - 1)] * length)
+
+
+class TestPencilKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([3, 5]), st.data())
+    def test_key_of_a_plane_whose_vectors_are_not_in_rref(self, p, data):
+        system = vanishing_cubics(reference_points(FIVE_POINT), build_field(p))
+        n = system.dim
+        vectors = data.draw(st.tuples(*[residues(p, n)] * 3)
+                            .filter(lambda rows: len(reference_rref(p, rows)[0]) == 3))
+        assume(reference_rref(p, vectors)[0] != vectors)
+        a, b = data.draw(st.tuples(residues(p, 3), residues(p, 3))
+                         .filter(lambda pair: len(reference_rref(p, pair)[0]) == 2))
+        members = [[sum(w[i] * vectors[i][j] for i in range(3)) % p for j in range(n)] for w in (a, b)]
+        pencils = SystemPencils(system)
+        key = pencils.key(vectors, a, b)
+        assert key == reference_rref(p, members)[0]
+        assert pencils.key(vectors, a, b) == key
+        assert pencils.counters()["key_lookups"] == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 10), st.integers(1, 10), st.data())
+    def test_combination_matches_the_generator_sums(self, p, count, width, data):
+        coeffs = data.draw(residues(p, count))
+        vectors = data.draw(st.lists(residues(p, width), min_size=count, max_size=count))
+        assert combination(coeffs, vectors, p) == old_combination(coeffs, vectors, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([(2, 1), (2, 4), (2, 9), (3, 2), (5, 3), (7, 1)]), st.data())
+    def test_combination_of_ten_coefficients_and_monomial_coordinates(self, level, data):
+        p, d = level
+        ext = build_field(p, d)
+        pt = ProjPoint(ext, data.draw(st.tuples(*[st.integers(0, ext.order - 1)] * 3).filter(any)))
+        coeffs = data.draw(residues(p, 10))
+        monomials = _monomial_coords(pt)
+        assert combination(coeffs, monomials, p) == old_combination(coeffs, monomials, p)
 
 
 class TestIterSubspaces:

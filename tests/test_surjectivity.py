@@ -24,6 +24,7 @@ from cubicmaps.linsys import (
     SystemPencils,
     _monomial_coords,
     base_locus,
+    combination,
     gf_rref,
     iter_subspaces,
     iter_vectors,
@@ -44,7 +45,6 @@ from cubicmaps.surjectivity import (
     label_plane,
     pencil_normal,
 )
-from cubicmaps.surjectivity import _combination
 from cubicmaps.surjectivity import test_pencil as pencil_verdict
 
 CASE46 = ((1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (1, 1, 0, 0, 1))
@@ -256,7 +256,7 @@ class TestWitnessRecheck:
                                                               min_size=10, max_size=10)))
         coords = data.draw(st.tuples(*[st.integers(0, ext.order - 1)] * 3).filter(any))
         pt = ProjPoint(ext, coords)
-        assert _combination(form.coeffs, _monomial_coords(pt), p) == evaluate(form, pt).coords
+        assert combination(form.coeffs, _monomial_coords(pt), p) == evaluate(form, pt).coords
 
     @staticmethod
     def zero_dimensional_pencil(plane):
