@@ -55,12 +55,17 @@ smaller.  Only those points are scanned, about 1/k of P^2(GF(p^k)):
 The covering scan decides GF(p)-rationality of each image [f0:f1:f2]
 before it normalizes anything.  With lambda the last nonzero coordinate,
 f/lambda lies in GF(p) iff f = 0 or f^(p-1) = lambda^(p-1), because GF(p)*
-is the set of roots of z^(p-1) = 1.  Only rational images are normalized.
+is the set of roots of z^(p-1) = 1.  lambda is picked by an integer
+select on the encodings, f2 + (f2 == 0) * (f1 + (f1 == 0) * f0), where
+each product is 0 or the coordinate it keeps; on narrow arrays that is a
+few cheap ufunc passes, where np.where costs several times more.  Only
+rational images are normalized, and log lambda is looked up once per
+chunk for all three coordinates.
 """
 
 import numpy as np
 
-from .finitefield import ProjPoint, _prime_factors
+from .finitefield import ProjPoint, _prime_factors, build_field
 
 MAX_SCAN_POINTS = 1_000_000_000
 _CACHE_POINT_LIMIT = 2_000_000
@@ -127,9 +132,12 @@ class FieldTables:
     def mul(self, a, b):
         return self.expx[self.log[a] + self.log[b]]
 
-    def div(self, a, b):
-        """a / b for nonzero b; at a = 0 the index falls in the zero tail of expx."""
-        return self.expx[self.log[a] - self.log[b] + self.n]
+    def div_by_log(self, a, log_b):
+        """a / b for nonzero b, given log_b = log[b], so that one divisor's log serves many a.
+
+        At a = 0 the index falls in the zero tail of expx.
+        """
+        return self.expx[self.log[a] - log_b + self.n]
 
     def add(self, a, b):
         if self.p == 2:
@@ -252,6 +260,30 @@ def _is_cached(field):
     return point_count(field) <= _CACHE_POINT_LIMIT
 
 
+def covering_levels(p, bound):
+    """The levels 1..bound that a covering walk over GF(p) scans, ascending.
+
+    A level is left out where a higher one reads it cheaply.  P^2(GF(p^d))
+    lies in P^2(GF(p^md)), and the first point of a level-d point's
+    Frobenius orbit there is scanned at level md with the same rational
+    image, or none at a base point; so the levels scanned cover the same
+    targets as every level 1..bound.  Level d is left out when level 2d is
+    within the bound and cheap: p = 2 and _is_cached.  Over GF(2)
+    addition is one XOR, so a cached level scans in about the time of its
+    fixed numpy calls, and the levels left out save those calls on every
+    plane that no low level finishes.  For odd p addition runs digit by
+    digit and a scan grows with its points, so a plane that a low level
+    finishes would pay far more for the higher levels than the skip saves.
+    The cached levels are the lowest, so the levels left out are 1..s, and
+    a plane that level d <= s finishes scans at most levels s+1..s+d:
+    every level up to d divides one of them.
+    """
+    skipped = 0
+    while p == 2 and 2 * (skipped + 1) <= bound and _is_cached(build_field(p, 2 * (skipped + 1))):
+        skipped += 1
+    return list(range(skipped + 1, bound + 1))
+
+
 def _scan_chunks(field):
     """The (x, y, z, monomials) chunks of orbit-first points, in scan order.
 
@@ -315,7 +347,8 @@ def covered_target_encodings(forms, ext):
     An image is GF(p)-rational iff its last nonzero coordinate lambda
     exists (the point is not a base point) and every coordinate f has
     f = 0 or f^(p-1) = lambda^(p-1).  Only rational images are normalized,
-    by dividing each coordinate by lambda with div.
+    by dividing each coordinate by lambda with div_by_log, log lambda
+    looked up once for all three.
     """
     t = tables(ext)
     coeffs = [f.coeffs for f in forms]
@@ -323,16 +356,17 @@ def covered_target_encodings(forms, ext):
     for _x, _y, _z, monos in _scan_chunks(ext):
         fs = [_eval(t, c, monos) for c in coeffs]
         f0, f1, f2 = fs
-        lam = np.where(f2 != 0, f2, np.where(f1 != 0, f1, f0))
+        # an integer select: each product is 0 or the coordinate it keeps
+        lam = f2 + (f2 == 0) * (f1 + (f1 == 0) * f0)
         lam_pow = t.pow_p1(lam)
         # lambda is nonzero exactly off the base locus
         rational = lam != 0
         for f in fs:
             rational &= (f == 0) | (t.pow_p1(f) == lam_pow)
-        idx = np.nonzero(rational)[0]
+        idx = np.flatnonzero(rational)
         if len(idx):
-            lam = lam[idx]
-            covered.update(zip(*(t.div(f[idx], lam).tolist() for f in fs)))
+            log_lam = t.log[lam[idx]]
+            covered.update(zip(*(t.div_by_log(f[idx], log_lam).tolist() for f in fs)))
     return covered
 
 

@@ -29,6 +29,8 @@ Only pencils rational over the base field are scanned, so label 1
 certifies surjectivity onto GF(q)-rational targets.
 """
 
+from functools import lru_cache
+
 from . import _scan
 from .finitefield import build_field, enumerate_p2
 from .linsys import (
@@ -155,14 +157,23 @@ def label_plane(plane, scan_bound=DEFAULT_SCAN_BOUND, find_all=False):
     return SurjectivityLabel(verdicts, scan_bound)
 
 
+@lru_cache(maxsize=None)
+def _targets(field):
+    """The points of P^2(field) keyed by their encodings, in enumerate_p2's order; read only."""
+    return {t.encode(): t for t in enumerate_p2(field)}
+
+
 def forward_oracle(plane, source_bound=DEFAULT_SCAN_BOUND):
     """Targets of P^2(GF(q)) not reached by the map, as a sorted list.
 
     A target is covered when a source point over GF(q^d) for some
     d <= source_bound, outside the plane's base locus, maps onto it.  Each
-    level runs the covering scan, which evaluates the plane's forms once,
-    and the loop stops once every target is covered.  A plane labeled 1
-    must give an empty list at source_bound 9.
+    level of _scan.covering_levels runs the covering scan, which evaluates
+    the plane's forms once, and the loop stops once every target is
+    covered.  The levels it leaves out (at p = 2, levels 1-4 of 9) are
+    read inside their multiples, so the list is that of every level
+    1..source_bound.  A plane labeled 1 must give an empty list at
+    source_bound 9.
 
     A target t whose annihilator pencil (c.F with c orthogonal to t) shares
     a factor h needs no algebraic shortcut.  Every point of V(h) off the
@@ -176,13 +187,13 @@ def forward_oracle(plane, source_bound=DEFAULT_SCAN_BOUND):
     """
     require_bound("source_bound", source_bound)
     p = plane.field.p
-    remaining = {t.encode(): t for t in enumerate_p2(plane.field)}
-    for d in range(1, source_bound + 1):
+    targets = _targets(plane.field)
+    remaining = set(targets)
+    for d in _scan.covering_levels(p, source_bound):
         if not remaining:
             break
-        for enc in _scan.covered_target_encodings(plane.forms, build_field(p, d)):
-            remaining.pop(enc, None)
-    return [remaining[enc] for enc in sorted(remaining)]
+        remaining.difference_update(_scan.covered_target_encodings(plane.forms, build_field(p, d)))
+    return [targets[enc] for enc in sorted(remaining)]
 
 
 def find_unruly_seven_points(cfg, field):

@@ -44,12 +44,12 @@ class TestTablesAgainstScalars:
         assert prod.dtype == total.dtype == t.dtype
         assert prod.tolist() == [(x * y).encode() for x, y in zip(sa, sb)]
         assert total.tolist() == [(x + y).encode() for x, y in zip(sa, sb)]
-        # div(a, b) for nonzero b, a = 0 included
+        # a / b from log b for nonzero b, a = 0 included
         pairs = [(x, y) for x, y in zip(sa, sb) if not y.is_zero()]
         if pairs:
             num = np.array([x.encode() for x, _ in pairs], dtype=t.dtype)
             den = np.array([y.encode() for _, y in pairs], dtype=t.dtype)
-            got = t.div(num, den)
+            got = t.div_by_log(num, t.log[den])
             assert got.dtype == t.dtype
             assert got.tolist() == [(x / y).encode() for x, y in pairs]
 
@@ -212,6 +212,12 @@ class TestCoveredTargets:
         got = _scan.covered_target_encodings(forms3, ext)
         assert got == _reference_covered(forms3, ext)
         assert all(type(v) is int and 0 <= v < p for enc in got for v in enc)
+
+    @pytest.mark.parametrize("p, bound, first", [(2, 9, 5), (2, 5, 3), (2, 12, 6), (3, 9, 1), (13, 9, 1)])
+    def test_covering_levels(self, p, bound, first):
+        # over GF(2) level d is left out when level 2d <= bound is cached:
+        # GF(2^10) is, GF(2^12) is not; at odd p every level is scanned
+        assert _scan.covering_levels(p, bound) == list(range(first, bound + 1))
 
 
 def _full_values(ext, forms):

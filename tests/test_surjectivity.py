@@ -378,7 +378,8 @@ class TestWitnessesAgainstPencilForms:
         levels.clear()
         plane = planes[0]
         assert forward_oracle(plane)
-        assert levels == {d: 3 for d in range(1, 10)}
+        # levels 1-4 are read inside their multiples among levels 5-9
+        assert levels == {d: 3 for d in range(5, 10)}
 
     def test_one_walk_memo_gives_the_verdicts_of_a_memo_per_plane(self):
         for case in (FIVE_POINT, SIX_POINT):
@@ -555,6 +556,25 @@ def reference_oracle(plane, source_bound, shortcut=None):
     return [remaining[enc] for enc in sorted(remaining)]
 
 
+def plain_oracle(plane, max_bound):
+    """forward_oracle's list at every bound 1..max_bound, by the plain loop over every level."""
+    p = plane.field.p
+    remaining = {t.encode(): t for t in enumerate_p2(plane.field)}
+    lists = {}
+    for d in range(1, max_bound + 1):
+        for enc in _scan.covered_target_encodings(plane.forms, build_field(p, d)):
+            remaining.pop(enc, None)
+        lists[d] = [remaining[enc] for enc in sorted(remaining)]
+    return lists
+
+
+def gf3_planes():
+    """The admissible planes among every 29th of the 1,210 five-point subspaces mod 3."""
+    system = vanishing_cubics(reference_points(FIVE_POINT), build_field(3))
+    subspaces = list(iter_subspaces(3, system.dim, 3))[::29]
+    return list(filter(None, (make_plane(system, *rows) for rows in subspaces)))
+
+
 def gf2_planes():
     """The 150 five-point and 15 six-point admissible GF(2) planes."""
     planes = []
@@ -623,14 +643,48 @@ class TestForwardOracle:
         assert len(shortcut) == 73
 
     def test_equals_the_shortcut_oracle_on_sampled_gf3_planes(self):
-        system = vanishing_cubics(reference_points(FIVE_POINT), build_field(3))
-        subspaces = list(iter_subspaces(3, system.dim, 3))[::29]
-        planes = list(filter(None, (make_plane(system, *rows) for rows in subspaces)))
+        planes = gf3_planes()
         shortcut = []
         for plane in planes:
             assert forward_oracle(plane, 5) == reference_oracle(plane, 5, shortcut), plane.vectors
         # every 29th of the 1,210 subspaces: 40 planes, with two targets the shortcut covered
         assert (len(planes), len(shortcut)) == (40, 2)
+
+    def test_equals_the_plain_loop_on_every_gf2_plane_at_every_bound(self):
+        for plane in gf2_planes():
+            for bound, want in plain_oracle(plane, 9).items():
+                assert forward_oracle(plane, bound) == want, (bound, plane.vectors)
+
+    def test_equals_the_plain_loop_on_sampled_gf3_planes_at_every_bound(self):
+        for plane in gf3_planes():
+            for bound, want in plain_oracle(plane, 5).items():
+                assert forward_oracle(plane, bound) == want, (bound, plane.vectors)
+
+    def test_scans_exactly_the_covering_levels(self, monkeypatch):
+        scanned = []
+        covered = _scan.covered_target_encodings
+
+        def counted(forms, ext):
+            scanned.append(ext.k)
+            return covered(forms, ext)
+
+        monkeypatch.setattr(_scan, "covered_target_encodings", counted)
+        # every GF(2) level up to 2^10 is cached, so bound B leaves out levels 1..B//2
+        for bound in range(1, 10):
+            scanned.clear()
+            assert forward_oracle(six_plane(), bound)
+            assert scanned == _scan.covering_levels(2, bound) == list(range(bound // 2 + 1, bound + 1))
+        # level 4 finishes case 46, so it stops at level 8, the multiple of 4
+        scanned.clear()
+        assert forward_oracle(five_plane()) == []
+        assert scanned == [5, 6, 7, 8]
+        # a GF(3) plane that level 3 finishes: no level is left out at odd p,
+        # so it never reaches level 6, which would read level 3 again
+        system = vanishing_cubics(PointConfig(((1, 0, 0), (0, 1, 0), (0, 0, 1))), build_field(3))
+        plane = make_plane(system, (1, 2, 1, 1, 1, 1, 2), (0, 0, 1, 2, 2, 1, 0), (1, 0, 2, 2, 2, 2, 2))
+        scanned.clear()
+        assert forward_oracle(plane) == []
+        assert scanned == [1, 2, 3]
 
     def test_never_reads_the_pencil_memo(self):
         for plane in gf2_planes():
