@@ -8,9 +8,9 @@ the resolved configuration, the tool version, wall time, input/output
 paths, and the SHA-256 of the dataset file it read or wrote.
 
 Exit codes: 0 success, 1 check or certificate failure (an inconclusive
-check label included), 2 usage error (a dataset or oracle --all scan bound,
-or an oracle source bound, below the exhaustive bound included, and a
-reference case over a prime other than 2).
+check label included), 2 usage error (an oracle --all scan bound or an
+oracle source bound below the exhaustive bound included, and a reference
+case over a prime other than 2).
 """
 
 import argparse
@@ -109,7 +109,6 @@ def _resolve_config(args):
         case,
         p=args.p,
         filter_mode=_FILTERS[args.filter] if hasattr(args, "filter") else NORM_ONLY,
-        scan_bound=getattr(args, "scan_bound", DEFAULT_SCAN_BOUND),
     )
 
 
@@ -155,13 +154,8 @@ def _require_exhaustive(flag, bound, unproved):
                          f"{unproved} up to that degree may have one above it")
 
 
-def _iter_admissible_planes(cfg, pencils=None):
-    """Distinct admissible planes of a system, one per coefficient 3-subspace, through one memo.
-
-    pencils is the walk's SystemPencils; without one the walk makes its own.
-    """
-    if pencils is None:
-        pencils = SystemPencils(cfg.system)
+def _iter_admissible_planes(cfg, pencils):
+    """Distinct admissible planes of a system, one per coefficient 3-subspace, through the memo pencils."""
     for rows in iter_subspaces(cfg.p, cfg.system.dim, 3):
         plane = make_plane(cfg.system, *rows, pencils=pencils)
         if plane is not None:
@@ -172,7 +166,6 @@ def cmd_dataset(args):
     started = time.time()
     cfg = _resolve_config(args)
     t0 = time.perf_counter()
-    # generate_dataset refuses a scan bound below the exhaustive one
     walk_counters = {}
     records = generate_dataset(cfg, jobs=args.jobs, counters=walk_counters)
     t1 = time.perf_counter()
@@ -188,8 +181,7 @@ def cmd_dataset(args):
         print("all labels are 0")
     _write_manifest(
         args,
-        {"case": args.case, "p": args.p, "filter": _FILTERS[args.filter],
-         "scan_bound": args.scan_bound, "jobs": args.jobs},
+        {"case": args.case, "p": args.p, "filter": _FILTERS[args.filter], "jobs": args.jobs},
         {"out": os.path.abspath(args.out)},
         args.out,
         started,
@@ -427,14 +419,15 @@ def _positive_int(text):
     return value
 
 
-def _add_case_args(sub, with_filter=False):
+def _add_case_args(sub):
     sub.add_argument("--case", choices=sorted(_CASES) + ["custom"], default="five")
     sub.add_argument("--p", type=int, default=2, help="base field characteristic (prime)")
     sub.add_argument("--points", help="custom case: ';'-separated projective points \"x,y,z\"")
+
+
+def _add_scan_bound_arg(sub):
     sub.add_argument("--scan-bound", type=_positive_int, default=DEFAULT_SCAN_BOUND,
                      dest="scan_bound", help="largest extension degree scanned for witnesses")
-    if with_filter:
-        sub.add_argument("--filter", choices=sorted(_FILTERS), default="norm")
 
 
 def build_parser():
@@ -450,7 +443,8 @@ def build_parser():
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     sub = subs.add_parser("dataset", help="enumerate triples, label planes, write output.txt")
-    _add_case_args(sub, with_filter=True)
+    _add_case_args(sub)
+    sub.add_argument("--filter", choices=sorted(_FILTERS), default="norm")
     sub.add_argument("--out", default="output.txt")
     sub.add_argument("--jobs", type=_positive_int, default=1,
                      help="processes that label subspaces (default 1); the output is the same "
@@ -459,6 +453,7 @@ def build_parser():
 
     sub = subs.add_parser("check", help="label the plane spanned by one coefficient triple")
     _add_case_args(sub)
+    _add_scan_bound_arg(sub)
     sub.add_argument("--triple", required=True, help="\"v;u;t\", comma-separated entries")
     sub.add_argument("--witness", action="store_true",
                      help="print every tested pencil's verdict and witness point")
@@ -466,6 +461,7 @@ def build_parser():
 
     sub = subs.add_parser("oracle", help="uncovered-target report, or full label/oracle sweep")
     _add_case_args(sub)
+    _add_scan_bound_arg(sub)
     sub.add_argument("--triple", help="\"v;u;t\", comma-separated entries")
     sub.add_argument("--all", action="store_true",
                      help="sweep every admissible plane and compare labels against the oracle")

@@ -3,15 +3,15 @@
 A dataset run fixes a cubic system (a built-in case or a custom one) and
 walks the 3-subspaces of GF(p)^dim once, by iter_subspaces.  It lists each
 subspace's spanning triples (v, u, t) that pass the vector filter, and
-labels a subspace that holds one once, by its plane (no records when
-make_plane rejects it), serially or in a process pool.  Per subspace the
-walk computes the span vectors c·rows and their filter tests once, and
-reads the independence of three coordinate vectors c off a per-p table of
-determinant bitmasks.  The planes share their pencils, so the subspaces
-are labeled in contiguous blocks, one per worker, each through one
-SystemPencils memo.  The records are sorted by (v, u, t), so the output
-is byte-identical for any worker count.  The writer formats each
-distinct vector once and streams its lines.
+labels a subspace that holds one once, by its plane at the exhaustive
+scan bound 9 (no records when make_plane rejects it), serially or in a
+process pool.  Per subspace the walk computes the span vectors c·rows and
+their filter tests once, and reads the independence of three coordinate
+vectors c off a per-p table of determinant bitmasks.  The planes share
+their pencils, so the subspaces are labeled in contiguous blocks, one per
+worker, each through one SystemPencils memo.  The records are sorted by
+(v, u, t), so the output is byte-identical for any worker count.  The
+writer formats each distinct vector once and streams its lines.
 
 File format, one record per line, newline-terminated:
 
@@ -33,7 +33,6 @@ from .linsys import (
     iter_vectors,
     make_plane,
     reference_system,
-    require_bound,
 )
 from .surjectivity import label_plane
 
@@ -45,11 +44,13 @@ _FILTER_MODES = (NORM_ONLY, STRICT_ORTHONORMAL, NO_FILTER)
 
 
 class EnumConfig:
-    """Configuration of one enumeration run."""
+    """Configuration of one enumeration run; its labels are proved at the constant, exhaustive scan_bound."""
 
-    __slots__ = ("case", "system", "p", "filter_mode", "scan_bound")
+    __slots__ = ("case", "system", "p", "filter_mode")
 
-    def __init__(self, case, p=2, filter_mode=NORM_ONLY, scan_bound=DEFAULT_SCAN_BOUND):
+    scan_bound = DEFAULT_SCAN_BOUND
+
+    def __init__(self, case, p=2, filter_mode=NORM_ONLY):
         if isinstance(case, CubicSystem):
             system = case
             if system.field.p != p:
@@ -61,18 +62,13 @@ class EnumConfig:
             raise ValueError(f"unknown case {case!r}")
         if filter_mode not in _FILTER_MODES:
             raise ValueError(f"unknown filter mode {filter_mode!r}; expected one of {_FILTER_MODES}")
-        require_bound("scan_bound", scan_bound)
         self.case = case
         self.system = system
         self.p = p
         self.filter_mode = filter_mode
-        self.scan_bound = scan_bound
 
     def __repr__(self):
-        return (
-            f"EnumConfig({self.case}, p={self.p}, filter={self.filter_mode}, "
-            f"scan_bound={self.scan_bound})"
-        )
+        return f"EnumConfig({self.case}, p={self.p}, filter={self.filter_mode})"
 
 
 class DatasetRecord:
@@ -127,16 +123,16 @@ def passes_filter(mode, v, u, t, p):
     return True
 
 
-def _label_subspace(pencils, scan_bound, rows):
+def _label_subspace(pencils, rows):
     """Label of the plane spanned by canonical rows, through the walk's memo; None when rejected."""
     plane = make_plane(pencils.system, *rows, pencils=pencils)
-    return None if plane is None else label_plane(plane, scan_bound).value
+    return None if plane is None else label_plane(plane).value
 
 
-def _label_block(system, scan_bound, block):
+def _label_block(system, block):
     """Labels of a block of subspaces through one SystemPencils, and its counters."""
     pencils = SystemPencils(system)
-    return [_label_subspace(pencils, scan_bound, rows) for rows in block], pencils.counters()
+    return [_label_subspace(pencils, rows) for rows in block], pencils.counters()
 
 
 def _det3(a, b, c):
@@ -196,18 +192,15 @@ def generate_dataset(cfg, jobs=1, counters=None):
     The pool starts at most one worker per subspace to label, and hands
     each worker one contiguous block of subspaces.  When counters is a
     dict, the number of subspaces handed to the labeler (subspaces) and
-    the SystemPencils counters of the blocks are added to it.  A
-    scan bound below the exhaustive one is refused: its label 0 would be
-    unproved.
+    the SystemPencils counters of the blocks are added to it.  Every
+    plane is labeled by label_plane at the exhaustive bound, so each label
+    is proved.
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    if cfg.scan_bound < DEFAULT_SCAN_BOUND:
-        raise ValueError(f"scan_bound {cfg.scan_bound} is below the exhaustive bound "
-                         f"{DEFAULT_SCAN_BOUND}: a label 0 would be unproved")
     subspaces = list(_filtered_subspaces(cfg))
     rows = [r for r, _ in subspaces]
-    label = functools.partial(_label_block, cfg.system, cfg.scan_bound)
+    label = functools.partial(_label_block, cfg.system)
     workers = min(jobs, len(rows))
     if workers <= 1:
         blocks = [label(rows)]

@@ -18,9 +18,10 @@ when p = 7; mod 2 they span the fixture.
 A plane is a 3-dimensional subsystem spanned by three combinations of the
 basis whose coefficient vectors have rank 3 and whose forms share no
 common factor; a pencil is a 2-dimensional subsystem of a plane.  The
-planes of a walk share their pencils, so a walk decides each pencil of
-the system once, in one SystemPencils memo: whether it shares a factor,
-and its base points, read off its members' zero sets.  The memo also
+planes of a walk share their pencils, so a walk decides once per pencil
+of the system, in one SystemPencils memo, whether it shares a factor,
+and scans each member's zero set once per level; a witness search reads
+the pencil's base points off its two rows' zero sets.  The memo also
 admits a plane: a factor shared by all three forms divides every member
 of every pencil, so one rational pencil that shares no factor proves
 that the forms share none.  Only when every rational pencil shares a
@@ -273,11 +274,13 @@ class SystemPencils:
     its key, the gf_rref rows of those two members, is the same for every
     plane and every spanning pair that holds it.  Per key the memo decides
     once whether the pencil shares a factor (has_common_factor on the two
-    rows' forms) and, per level, its base points: the points of the first
-    row's zero set that lie in the second's, in scan order.  A member's
-    zero set (_scan.zero_set) is taken once per level with the member
-    scaled to a leading 1.  A witness point is decoded, and its cubic
-    monomials evaluated exactly, once per level and encoding.
+    rows' forms).  A member's zero set (_scan.zero_set) is taken once per
+    level with the member scaled to a leading 1; the pencil's base points
+    are the points of the first row's zero set that lie in the second's,
+    in scan order.  A witness search reads them in one pass and takes the
+    third member's zero set at the first of them.  A witness point is
+    decoded, and its cubic monomials evaluated exactly, once per level and
+    encoding.
 
     Build one per walk, never per system: every walk pays for its own
     decisions, and the memo lives as long as the planes that share it.
@@ -285,7 +288,7 @@ class SystemPencils:
     key_lookups the calls to key.
     """
 
-    __slots__ = ("system", "_forms", "_keys", "_shares", "_base", "_zeros", "_points",
+    __slots__ = ("system", "_forms", "_keys", "_shares", "_zeros", "_points",
                  "pencil_tests", "key_lookups")
 
     def __init__(self, system):
@@ -293,7 +296,6 @@ class SystemPencils:
         self._forms = {}
         self._keys = {}
         self._shares = {}
-        self._base = {}
         self._zeros = {}
         self._points = {}
         self.pencil_tests = 0
@@ -336,19 +338,17 @@ class SystemPencils:
             zeros = self._zeros[member, ext.k] = _scan.zero_set(self.form(member).coeffs, ext)
         return zeros
 
-    def base_points(self, key, ext):
-        """The pencil's scanned base points at level ext, encoded, in scan order."""
-        base = self._base.get((key, ext.k))
-        if base is None:
-            first, second = (self.zero_set(row, ext) for row in key)
-            base = self._base[key, ext.k] = [enc for enc in first if enc in second]
-        return base
-
     def witness_encoding(self, key, third, ext):
         """The first base point of the pencil at level ext, in scan order, where the member third is nonzero."""
-        base = self.base_points(key, ext)
-        zeros = self.zero_set(third, ext) if base else ()
-        return next((enc for enc in base if enc not in zeros), None)
+        first, second = (self.zero_set(row, ext) for row in key)
+        zeros = None
+        for enc in first:
+            if enc in second:
+                if zeros is None:
+                    zeros = self.zero_set(third, ext)
+                if enc not in zeros:
+                    return enc
+        return None
 
     def witness_point(self, ext, enc):
         """The point with encoding enc at level ext, and its exact _monomial_coords."""

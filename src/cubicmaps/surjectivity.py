@@ -9,11 +9,11 @@ pencil is unruly, and 0 when some is at the exhaustive scan_bound 9;
 below it such a label is inconclusive.
 
 The planes of one walk share their pencils, so a pencil's shared factor
-and its base points are decided once per walk, by the SystemPencils memo
-the planes hold (linsys): its base points are the common zeros of its two
-spanning members, each member's zero set scanned once per level.  Only
-the witness test, which base point lies off the plane's base locus, is
-made per plane.
+is decided, and each member's zero set scanned per level, once per walk
+by the SystemPencils memo the planes hold (linsys).  A pencil's base
+points are the common zeros of its two spanning members.  The witness
+test, the first of them that lies off the plane's base locus, is made
+per plane, in one pass over the first member's zero set.
 
 The forward oracle checks the same property from the image side: a target
 point of P^2(GF(q)) is covered iff some source point over GF(q^d),
@@ -100,14 +100,15 @@ def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
     Dependent vectors or a shared factor of the two combined forms give
     positive_dimensional; the factor is decided once per system pencil by
     the plane's SystemPencils.  Otherwise the pencil's base points are
-    read level by level, d ascending, from the memo, and the first one
-    where plane form i is nonzero is returned as a not_unruly witness, for
-    any i with (a x b)_i != 0: then a, b and e_i span GF(p)^3, so f_i is
-    nonzero exactly off the plane's base locus among the pencil's base
-    points.  Exhausting all levels gives unruly.  The witness is rechecked
-    exactly: the plane forms' values V there, in Scalar arithmetic, must
-    have a.V = b.V = 0 and V nonzero; the point's monomial values are
-    computed once per walk, by the memo, and the check is made per pencil.
+    read level by level, d ascending, off the memo's member zero sets, and
+    the first one where plane form i is nonzero is returned as a
+    not_unruly witness, for any i with (a x b)_i != 0: then a, b and e_i
+    span GF(p)^3, so f_i is nonzero exactly off the plane's base locus
+    among the pencil's base points.  Exhausting all levels gives unruly.
+    The witness is rechecked exactly: the plane forms' values V there, in
+    Scalar arithmetic, must have a.V = b.V = 0 and V nonzero; the point's
+    monomial values are computed once per walk, by the memo, and the check
+    is made per pencil.
     """
     field = plane.field
     p = field.p

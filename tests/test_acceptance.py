@@ -31,6 +31,7 @@ from cubicmaps.linsys import (
     FIVE_POINT,
     SIX_POINT,
     PointConfig,
+    SystemPencils,
     base_locus,
     gf_rref,
     iter_vectors,
@@ -215,7 +216,8 @@ def test_07_base_locus_bounds_and_gcd_oracle(five_records, tmp_path):
     worst = 0
     bound_ok = True
     for case in (FIVE_POINT, SIX_POINT):
-        for plane in _iter_admissible_planes(EnumConfig(case)):
+        cfg = EnumConfig(case)
+        for plane in _iter_admissible_planes(cfg, SystemPencils(cfg.system)):
             seen = set()
             for a in iter_vectors(2, 3):
                 for b in iter_vectors(2, 3):

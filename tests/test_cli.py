@@ -263,6 +263,10 @@ class TestCheck:
     def test_malformed_triple(self, capsys):
         assert main(["check", "--triple", "1,0,0,0,0;0,0,0,1,0"]) == 2
         assert "error:" in capsys.readouterr().err
+        assert main(["check", "--triple", "1,,0,0,0;0,0,0,1,0;1,1,0,0,1"]) == 2
+        captured = capsys.readouterr()
+        assert "malformed vector '1,,0,0,0'" in captured.err
+        assert captured.out == ""
 
     def test_wrong_length_triple(self, capsys):
         assert main(["check", "--case", "six", "--triple", CASE46]) == 2
@@ -303,7 +307,7 @@ class TestBoundsBelowOne:
 
     @pytest.mark.parametrize("argv", [
         ["dataset", "--case", "six", "--out", "six.txt", "--jobs", "0"],
-        ["dataset", "--case", "six", "--out", "six.txt", "--scan-bound", "-1"],
+        ["oracle", "--all", "--case", "six", "--scan-bound", "-1"],
         ["train", "--data", "six.txt", "--epochs", "-3"],
         ["check", "--triple", CASE46, "--scan-bound", "nine"],
     ])
@@ -318,13 +322,14 @@ class TestBoundsBelowOne:
 
 
 class TestScanBoundBelowExhaustive:
-    # at bound 2 `dataset` wrote 24 positives instead of 144 and `oracle --all`
-    # reported 5 disagreements: pencils with no witness up to degree 2 became label 0.
-    # At source bound 1 the oracle listed 3 uncovered targets for case 46, which
-    # has none, and at source bound 2 `oracle --all` reported 5 disagreements.
+    # at scan bound 2 `oracle --all` reported 5 disagreements: pencils with no
+    # witness up to degree 2 became label 0.  At source bound 1 the oracle
+    # listed 3 uncovered targets for case 46, which has none, and at source
+    # bound 2 `oracle --all` reported 5 disagreements.  Bound 8 is the last
+    # refused value.
     @pytest.mark.parametrize("argv", [
-        ["dataset", "--case", "five", "--scan-bound", "2", "--out", "x.txt"],
-        ["dataset", "--case", "six", "--scan-bound", "8", "--out", "x.txt"],
+        ["oracle", "--triple", CASE46, "--source-bound", "8"],
+        ["oracle", "--all", "--case", "six", "--source-bound", "8"],
         ["oracle", "--all", "--case", "five", "--scan-bound", "2"],
         ["oracle", "--all", "--case", "six", "--scan-bound", "8"],
         ["oracle", "--triple", CASE46, "--source-bound", "1"],
@@ -345,8 +350,16 @@ class TestScanBoundBelowExhaustive:
         assert "uncovered targets: 0" in capsys.readouterr().out
 
     def test_exhaustive_bound_accepted(self, capsys):
-        assert main(["dataset", "--case", "six", "--scan-bound", "9", "--out", "six.txt"]) == 0
-        assert "wrote 336 records" in capsys.readouterr().out
+        # the oracle-gf2 benchmark workload passes both bounds explicitly
+        argv = ["oracle", "--all", "--case", "six", "--scan-bound", "9", "--source-bound", "9"]
+        assert main(argv) == 0
+        assert "0 disagreements" in capsys.readouterr().out.splitlines()
+
+    def test_dataset_takes_no_scan_bound(self, capsys):
+        # a dataset label is proved only at the exhaustive bound, so the bound is not a flag
+        assert main(["dataset", "--case", "six", "--scan-bound", "9", "--out", "x.txt"]) == 2
+        assert "unrecognized arguments: --scan-bound 9" in capsys.readouterr().err
+        assert not os.path.exists("x.txt")
 
 
 class TestOracle:
@@ -403,7 +416,8 @@ class TestOracle:
             return [ProjPoint(plane.field, (1, 1, 1))]
 
         want = 0
-        for plane in _iter_admissible_planes(EnumConfig(SIX_POINT)):
+        cfg = EnumConfig(SIX_POINT)
+        for plane in _iter_admissible_planes(cfg, SystemPencils(cfg.system)):
             normal = ProjPoint(plane.field, pencil_normal(*label_plane(plane).unruly_pencils[0]))
             want += normal != only_one_uncovered(plane, 9)[0]
         assert 0 < want <= 15
@@ -423,7 +437,8 @@ class TestOracle:
     # 155 and 15 subspaces (see test_linsys); 5 five-point ones share a factor
     @pytest.mark.parametrize("case, planes", [(FIVE_POINT, 150), (SIX_POINT, 15)])
     def test_admissible_plane_counts(self, case, planes):
-        got = [plane.vectors for plane in _iter_admissible_planes(EnumConfig(case))]
+        cfg = EnumConfig(case)
+        got = [plane.vectors for plane in _iter_admissible_planes(cfg, SystemPencils(cfg.system))]
         assert len(got) == len(set(got)) == planes
         assert all(len(rows) == 3 for rows in got)
 

@@ -24,6 +24,7 @@ from cubicmaps.dataset import (
 from cubicmaps import dataset
 from cubicmaps.dataset import _det3, _dot, _filtered_subspaces
 from cubicmaps.linsys import (
+    DEFAULT_SCAN_BOUND,
     FIVE_POINT,
     SIX_POINT,
     CubicSystem,
@@ -94,15 +95,16 @@ class TestEnumConfig:
             EnumConfig(FIVE_POINT, p=4)
         with pytest.raises(ValueError):
             EnumConfig(FIVE_POINT, filter_mode="bogus")
-        with pytest.raises(ValueError, match="scan_bound must be at least 1"):
-            EnumConfig(FIVE_POINT, scan_bound=0)
 
-    @pytest.mark.parametrize("bound", [1, 2, 8])
-    def test_generation_below_the_exhaustive_bound_is_refused(self, bound):
-        # at bound 2 the five-point dataset held 24 positives instead of 144
-        cfg = EnumConfig(FIVE_POINT, scan_bound=bound)
-        with pytest.raises(ValueError, match="below the exhaustive bound 9"):
-            generate_dataset(cfg)
+    @pytest.mark.parametrize("case", [FIVE_POINT, SIX_POINT])
+    def test_scan_bound_is_the_exhaustive_constant(self, case):
+        # the label-gf2 benchmark workload reads it to confirm labels are proved
+        cfg = EnumConfig(case)
+        assert cfg.scan_bound == DEFAULT_SCAN_BOUND == 9
+        with pytest.raises(AttributeError):
+            cfg.scan_bound = 2
+        with pytest.raises(TypeError):
+            EnumConfig(case, scan_bound=2)
 
 
 class TestGeneration:
@@ -225,9 +227,9 @@ class TestLabeledSubspaces:
         labeled = []
         label = dataset._label_subspace
 
-        def counting_label(pencils, scan_bound, rows):
+        def counting_label(pencils, rows):
             labeled.append(rows)
-            return label(pencils, scan_bound, rows)
+            return label(pencils, rows)
 
         monkeypatch.setattr(dataset, "_label_subspace", counting_label)
         records = generate_dataset(EnumConfig(case))
@@ -517,6 +519,9 @@ class TestRoundTrip:
         path = tmp_path / "bad.txt"
         path.write_text("((1, 0), (0, 1), (1, 1)): 7\n")
         with pytest.raises(ValueError):
+            read_output(path)
+        path.write_text("((1,), (1,), (1,)): x\n")
+        with pytest.raises(ValueError, match="bad.txt:1: bad label 'x'"):
             read_output(path)
 
     @pytest.mark.parametrize("line, message", [

@@ -61,6 +61,16 @@ class TestTernaryForm:
             form = parse_form(text, field)
             assert parse_form(render_form(form), field) == form
 
+    @pytest.mark.parametrize("text, message", [
+        ("x^3 + w^3", "unknown monomial 'w\\^3'"),
+        ("x^3 + + y^3", "empty term"),
+        ("x^3 +", "empty term"),
+        ("x^3 + 1*x^3", "appears twice"),
+    ])
+    def test_parse_rejects_malformed_text(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_form(text, build_field(2))
+
     def test_render_writes_explicit_coefficients(self):
         field = build_field(2)
         assert render_form(parse_form("x^2*y + y^2*z", field)) == "1*x^2*y + 1*y^2*z"

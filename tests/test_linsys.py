@@ -229,6 +229,15 @@ class TestPlanes:
         # over GF(2) the all-ones vector is fine; a zero vector is rank-deficient
         assert make_plane(system, (0, 0, 0), (0, 1, 0), (0, 0, 1)) is None
 
+    def test_rank_3_vectors_that_combine_to_a_zero_form_rejected(self):
+        # a basis that repeats a form: each triple has rank 3, but the
+        # member (1, 1, 0, 0) is x^3 + x^3, the zero form over GF(2)
+        f2 = build_field(2)
+        system = CubicSystem(f2, tuple(parse_form(t, f2) for t in ("x^3", "x^3", "y^3", "z^3")),
+                             "custom")
+        assert make_plane(system, (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)) is None
+        assert make_plane(system, (0, 0, 1, 0), (1, 1, 0, 0), (1, 0, 1, 1)) is None
+
     def test_vector_length_mismatch(self):
         system = reference_system(FIVE_POINT, build_field(2))
         with pytest.raises(ValueError):

@@ -389,6 +389,22 @@ class TestCheckpoint:
         self._write_crafted(path, lambda blob: 1 << 62, header)
         assert self._peak_bytes_while_rejected(path, "header length") < 1 << 20
 
+    @pytest.mark.parametrize("after_magic, match", [
+        # one byte over the header cap, with no header behind it
+        (((1 << 20) + 1).to_bytes(8, "little"), "header length 1048577 exceeds 1048576 bytes"),
+        # a length field cut short
+        (b"\x05\x00\x00", "truncated checkpoint"),
+        # a header cut short of its length
+        ((10).to_bytes(8, "little") + b"{}", "truncated checkpoint"),
+        ((6).to_bytes(8, "little") + b"[1, 2]", "header is not a JSON object"),
+        ((14).to_bytes(8, "little") + b'{"version": 2}', "unsupported checkpoint version 2"),
+    ])
+    def test_corrupt_header_rejected(self, tmp_path, after_magic, match):
+        path = tmp_path / "corrupt.ckpt"
+        path.write_bytes(b"CBMNET01" + after_magic)
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("overrides, match", [
         # shapes that disagree with w, filters and hidden
         ({"arrays": claimed_arrays(5, 256, 1 << 40)}, "do not match"),

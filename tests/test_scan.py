@@ -286,6 +286,15 @@ class TestOrbitScans:
             points = _scanned_points(field)
         assert points == _orbit_firsts(field)
 
+    def test_a_level_over_the_point_limit_is_refused_before_any_table(self, monkeypatch):
+        # P^2(GF(2^16)) has 4,295,032,833 points, over MAX_SCAN_POINTS
+        def no_tables(field):
+            raise AssertionError(f"built the tables of {field}")
+
+        monkeypatch.setattr(_scan, "tables", no_tables)
+        with pytest.raises(ValueError, match="4295032833 points; the limit is 1000000000"):
+            next(_scan.iter_point_chunks(build_field(2, 16)))
+
     def test_chart_chunks_hold_chunk_over_q_rows_but_the_last(self):
         field = build_field(2, 5)
         chunks = list(_scan.iter_point_chunks(field, 96))
