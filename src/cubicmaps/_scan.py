@@ -9,30 +9,43 @@ agrees with Scalar arithmetic (tested exhaustively on small fields).
 Encodings are stored in the narrowest unsigned dtype that holds q - 1,
 np.min_scalar_type(q - 1): uint8 up to q = 256 and uint16 beyond, which
 covers every level below MAX_SCAN_POINTS (q < 31623).  That applies to
-the point arrays, the exp/expx/frob tables and the cached monomials; a
-narrow array halves or quarters the memory traffic of every XOR, compare
-and gather.  The log table stays int64, because log[a] + log[b] indexes
-the extended exp table and reaches beyond q.
+the point arrays, the exp/expx/frob tables and the cached monomials (a
+packed Chunk takes its top level's dtype); a narrow array halves or
+quarters the memory traffic of every XOR, compare and gather.  The log
+table stays int64, because log[a] + log[b] indexes the extended exp table
+and reaches beyond q.
 
 Points are scanned in a fixed documented order: the affine chart [x:y:1]
 lexicographically by (x, y), then the line [x:1:0] by x, then [1:0:0].
-Every level is read as the same chunks of points and their monomials
-(_scan_chunks): fixed blocks of chart rows, the last of which ends with
-the line and [1:0:0], so that even very large levels stay within memory.
-A level small enough to cache (_is_cached) keeps its chunks for every
-later scan; for p <= 7 they are one chunk.  Every scan reads whole
-levels.
+A level is built as chunks of points and their monomials (level_chunks):
+fixed blocks of chart rows, the last of which ends with the line and
+[1:0:0], so that even very large levels stay within memory.
 
-Pencils are decided from zero sets.  zero_set scans one form, a member
-of a cubic system, and returns the encoded (x, y, z) of the points where
-it vanishes, in scan order; a walk keeps each member's zero set per level
-(linsys.SystemPencils), so the base points of a pencil are the points of
-one spanning member's zero set that lie in the other's, and a witness is
-the first of them where a third plane form is nonzero.  A zero set is
-few points next to its level.
+A scan reads levels 1..bound, bound <= MAX_LEVEL = 9, as one stream of
+Chunks (iter_chunks), in level-then-scan order.  The levels small enough
+to cache (_is_cached) are built once per p and packed (_packs):
+consecutive levels share one Chunk while their points stay within
+_PACK_POINTS, in the top level's dtype, so that a scan of them is one
+evaluation of a form, not one per level.  Over GF(2) levels 1-9 are one
+Chunk of 40,896 points; over GF(3) levels 1-5 share one and level 6 is
+its own.  A smaller bound reads a prefix view of the pack it ends in.  A
+larger level is streamed, chunk by chunk, on every scan.  Packing is
+exact: a form's values take only scalings by GF(p) constants and sums of
+the monomial values, and both act digit by digit on the encodings
+whatever the level's modulus (_eval), so the top level's tables evaluate
+every level of a Chunk.  Only the monomials need each level's own
+tables, and they are computed per level when a pack is built.
 
-The covering scan evaluates a plane's three forms V = (f0, f1, f2) on
-each chunk of a level, once per scan.
+Pencils are decided from zero sets.  zero_set evaluates one form, a
+member of a cubic system, on a Chunk and returns the positions where it
+vanishes, ascending; a walk keeps each member's zero set per Chunk
+(linsys.SystemPencils), so the base points of a pencil are the positions
+of one spanning member's zero set that lie in the other's, and a witness
+is the first of them where a third plane form is nonzero.  A zero set is
+few points next to its Chunk.
+
+The covering scan (covered_encodings) evaluates a plane's three forms
+V = (f0, f1, f2) once per Chunk.
 
 Every scan reads one point per Frobenius orbit.  The forms have GF(p)
 coefficients, so they commute with the Frobenius F: a -> a^p, and
@@ -60,16 +73,22 @@ select on the encodings, f2 + (f2 == 0) * (f1 + (f1 == 0) * f0), where
 each product is 0 or the coordinate it keeps; on narrow arrays that is a
 few cheap ufunc passes, where np.where costs several times more.  Only
 rational images are normalized, and log lambda is looked up once per
-chunk for all three coordinates.
+chunk for all three coordinates.  Neither step needs a level's own
+tables (covered_encodings).
 """
 
 import numpy as np
 
 from .finitefield import ProjPoint, _prime_factors, build_field
 
+# Bezout: two coprime cubics meet in points of degree at most 9, so no
+# scan reads a level above it
+MAX_LEVEL = 9
 MAX_SCAN_POINTS = 1_000_000_000
 _CACHE_POINT_LIMIT = 2_000_000
 _CHUNK = 1 << 19
+_PACK_POINTS = 1 << 16
+_PACK_BLOCK = 1 << 12
 
 _tables_cache = {}
 _monomial_cache = {}
@@ -239,7 +258,12 @@ def monomial_values(t, x, y, z):
 
 
 def _eval(t, coeffs, monos):
-    """A form's values at the monomial arrays; its GF(p) residues are their own encodings in GF(p^d)."""
+    """A form's values at the monomial arrays; its GF(p) residues are their own encodings in GF(p^d).
+
+    Only scaling by GF(p) constants and addition are used, and both act
+    digit by digit on the base-p encodings, so t evaluates every level of
+    a packed Chunk.
+    """
     acc = None
     for c, m in zip(coeffs, monos):
         if c == 0:
@@ -260,45 +284,116 @@ def _is_cached(field):
     return point_count(field) <= _CACHE_POINT_LIMIT
 
 
-def covering_levels(p, bound):
-    """The levels 1..bound that a covering walk over GF(p) scans, ascending.
+class Chunk:
+    """Scanned points of one or more consecutive levels, and their cubic monomials.
 
-    A level is left out where a higher one reads it cheaply.  P^2(GF(p^d))
-    lies in P^2(GF(p^md)), and the first point of a level-d point's
-    Frobenius orbit there is scanned at level md with the same rational
-    image, or none at a base point; so the levels scanned cover the same
-    targets as every level 1..bound.  Level d is left out when level 2d is
-    within the bound and cheap: p = 2 and _is_cached.  Over GF(2)
-    addition is one XOR, so a cached level scans in about the time of its
-    fixed numpy calls, and the levels left out save those calls on every
-    plane that no low level finishes.  For odd p addition runs digit by
-    digit and a scan grows with its points, so a plane that a low level
-    finishes would pay far more for the higher levels than the skip saves.
-    The cached levels are the lowest, so the levels left out are 1..s, and
-    a plane that level d <= s finishes scans at most levels s+1..s+d:
-    every level up to d divides one of them.
+    x, y, z and the ten monomial arrays monos hold each level's orbit-first
+    points in scan order, the levels ascending, in the dtype of the top
+    level; t is the top level's FieldTables, which evaluate every level
+    here (see _eval).  levels lists (d, start, end) per level, and key,
+    (first level, last level, index among the last level's chunks), names
+    the chunk in the stream of its p.
     """
-    skipped = 0
-    while p == 2 and 2 * (skipped + 1) <= bound and _is_cached(build_field(p, 2 * (skipped + 1))):
-        skipped += 1
-    return list(range(skipped + 1, bound + 1))
+
+    __slots__ = ("key", "t", "x", "y", "z", "monos", "levels")
+
+    def __init__(self, key, t, x, y, z, monos, levels):
+        self.key = key
+        self.t = t
+        self.x = x
+        self.y = y
+        self.z = z
+        self.monos = monos
+        self.levels = levels
+
+    def __len__(self):
+        return len(self.x)
+
+    def upto(self, bound):
+        """The chunk cut after level bound: itself, or views of its arrays' first levels."""
+        if bound >= self.levels[-1][0]:
+            return self
+        levels = tuple(lv for lv in self.levels if lv[0] <= bound)
+        end = levels[-1][2]
+        return Chunk((self.key[0], bound, 0), self.t, self.x[:end], self.y[:end], self.z[:end],
+                     tuple(m[:end] for m in self.monos), levels)
+
+    def point(self, i):
+        """The level d and encoded (x, y, z) of the point at position i."""
+        d = next(d for d, _, end in self.levels if i < end)
+        return d, (int(self.x[i]), int(self.y[i]), int(self.z[i]))
 
 
-def _scan_chunks(field):
-    """The (x, y, z, monomials) chunks of orbit-first points, in scan order.
-
-    A level that _is_cached is built once into a list kept for every later
-    scan; a larger one is streamed, chunk by chunk, on every scan.
-    """
+def level_chunks(field):
+    """One level's orbit-first points and their monomials as Chunks of about _CHUNK points, streamed."""
     t = tables(field)
-    chunks = ((x, y, z, monomial_values(t, x, y, z)) for x, y, z in iter_point_chunks(field, _CHUNK))
-    if not _is_cached(field):
-        return chunks
-    key = (field.p, field.k)
-    got = _monomial_cache.get(key)
-    if got is None:
-        got = _monomial_cache[key] = list(chunks)
-    return got
+    d = field.k
+    for j, (x, y, z) in enumerate(iter_point_chunks(field, _CHUNK)):
+        yield Chunk((d, d, j), t, x, y, z, monomial_values(t, x, y, z), ((d, 0, len(x)),))
+
+
+def _pack(group):
+    """One Chunk of consecutive levels, each given as (field, (x, y, z)), in the top level's dtype.
+
+    Each level's monomials are computed with its own tables, straight into
+    the Chunk, _PACK_BLOCK points at a time, so that the int64 log sums of
+    the multiplications stay small next to the Chunk.
+    """
+    t = tables(group[-1][0])
+    n = sum(len(x) for _, (x, _, _) in group)
+    xyz = np.empty((3, n), dtype=t.dtype)
+    monos = np.empty((10, n), dtype=t.dtype)
+    levels, start = [], 0
+    for field, points in group:
+        end = start + len(points[0])
+        xyz[:, start:end] = points
+        for i in range(start, end, _PACK_BLOCK):
+            j = min(i + _PACK_BLOCK, end)
+            for row, m in zip(monos, monomial_values(tables(field), *xyz[:, i:j])):
+                row[i:j] = m
+        levels.append((field.k, start, end))
+        start = end
+    return Chunk((levels[0][0], levels[-1][0], 0), t, *xyz, tuple(monos), tuple(levels))
+
+
+def _packs(p):
+    """The cached levels up to MAX_LEVEL, packed into Chunks; built once per p.
+
+    Consecutive levels share a Chunk while their points together stay
+    within _PACK_POINTS; a level over it alone is a Chunk of its own.
+    """
+    packs = _monomial_cache.get(p)
+    if packs is None:
+        groups, size = [], 0
+        for d in range(1, MAX_LEVEL + 1):
+            field = build_field(p, d)
+            if not _is_cached(field):
+                break
+            [points] = iter_point_chunks(field, point_count(field))
+            if groups and size + len(points[0]) <= _PACK_POINTS:
+                groups[-1].append((field, points))
+                size += len(points[0])
+            else:
+                groups.append([(field, points)])
+                size = len(points[0])
+        packs = _monomial_cache[p] = [_pack(group) for group in groups]
+    return packs
+
+
+def iter_chunks(p, bound):
+    """Levels 1..bound of P^2 over GF(p) as one stream of Chunks, in level-then-scan order.
+
+    The cached levels come from _packs, the last pack cut at the bound;
+    each larger level is streamed in chunks of _CHUNK points on every call.
+    """
+    packs = _packs(p)
+    for chunk in packs:
+        if chunk.levels[0][0] > bound:
+            return
+        yield chunk.upto(bound)
+    top = packs[-1].levels[-1][0] if packs else 0
+    for d in range(top + 1, bound + 1):
+        yield from level_chunks(build_field(p, d))
 
 
 def _scan_key(enc):
@@ -307,67 +402,65 @@ def _scan_key(enc):
     return z == 0, z == 0 and y == 0, x, y
 
 
-def common_zero_encodings(forms, ext):
-    """Encoded coordinates of all points of P^2(ext) where every form vanishes, in scan order."""
-    frob = tables(ext).frob_table.tolist()
-    first, *rest = (zero_set(f.coeffs, ext) for f in forms)
-    found = set()
-    for x, y, z in first:
-        if all((x, y, z) in zeros for zeros in rest):
-            # the zeros scanned are orbit representatives: add every conjugate
-            for _ in range(ext.k):
-                found.add((x, y, z))
-                x, y = frob[x], frob[y]
-    return sorted(found, key=_scan_key)
+def common_zero_encodings(forms, bound):
+    """{d: encodings of all points of P^2(GF(p^d)) where every form vanishes, in scan order}, d = 1..bound."""
+    p = forms[0].field.p
+    found = {d: set() for d in range(1, bound + 1)}
+    for chunk in iter_chunks(p, bound):
+        first, *rest = (zero_set(f.coeffs, chunk) for f in forms)
+        for i in first:
+            if all(i in zeros for zeros in rest):
+                d, (x, y, z) = chunk.point(i)
+                frob = tables(build_field(p, d)).frob_table
+                # the zeros scanned are orbit representatives: add every conjugate
+                for _ in range(d):
+                    found[d].add((x, y, z))
+                    x, y = int(frob[x]), int(frob[y])
+    return {d: sorted(points, key=_scan_key) for d, points in found.items()}
 
 
-def zero_set(coeffs, ext):
-    """The scanned points of P^2(ext) where one form vanishes, as an ordered set.
+def zero_set(coeffs, chunk):
+    """The positions in a Chunk of the points where one form vanishes, as an ordered set.
 
-    The keys are the encoded (x, y, z), in scan order, of the orbit-first
-    points where the form with these GF(p) coefficients is zero; the
-    values are None.
+    The keys are the ascending positions of the points where the form with
+    these GF(p) coefficients is zero, so in level-then-scan order; the
+    values are None.  Chunk.point decodes a position.
     """
-    t = tables(ext)
-    zeros = {}
-    for x, y, z, monos in _scan_chunks(ext):
-        idx = np.flatnonzero(_eval(t, coeffs, monos) == 0)
-        zeros.update(dict.fromkeys(zip(x[idx].tolist(), y[idx].tolist(), z[idx].tolist())))
-    return zeros
+    return dict.fromkeys(np.flatnonzero(_eval(chunk.t, coeffs, chunk.monos) == 0).tolist())
 
 
-def covered_target_encodings(forms, ext):
-    """Normalized images in P^2(GF(p)) of all non-base points of P^2(ext), p = ext.p.
+def covered_encodings(forms, chunk):
+    """Normalized images in P^2(GF(p)) of the non-base points of a Chunk.
 
     Returns a set of (a, b, c) integer triples with entries < p: the
     prime-subfield targets hit by the map [f0:f1:f2] of the three forms on
-    points of the extension level, excluding common zeros of all three.
-    The forms are evaluated chunk by chunk.
+    the chunk's points, excluding common zeros of all three.  The forms
+    are evaluated once for the whole chunk.
 
     An image is GF(p)-rational iff its last nonzero coordinate lambda
     exists (the point is not a base point) and every coordinate f has
     f = 0 or f^(p-1) = lambda^(p-1).  Only rational images are normalized,
     by dividing each coordinate by lambda with div_by_log, log lambda
-    looked up once for all three.
+    looked up once for all three.  The top level's tables decide both
+    steps for every level of the Chunk: f/lambda lies in GF(p) iff f is a
+    GF(p) multiple of lambda digit by digit, and f/lambda is then that
+    multiple.
     """
-    t = tables(ext)
-    coeffs = [f.coeffs for f in forms]
-    covered = set()
-    for _x, _y, _z, monos in _scan_chunks(ext):
-        fs = [_eval(t, c, monos) for c in coeffs]
-        f0, f1, f2 = fs
-        # an integer select: each product is 0 or the coordinate it keeps
-        lam = f2 + (f2 == 0) * (f1 + (f1 == 0) * f0)
-        lam_pow = t.pow_p1(lam)
-        # lambda is nonzero exactly off the base locus
-        rational = lam != 0
-        for f in fs:
-            rational &= (f == 0) | (t.pow_p1(f) == lam_pow)
-        idx = np.flatnonzero(rational)
-        if len(idx):
-            log_lam = t.log[lam[idx]]
-            covered.update(zip(*(t.div_by_log(f[idx], log_lam).tolist() for f in fs)))
-    return covered
+    t = chunk.t
+    fs = [_eval(t, f.coeffs, chunk.monos) for f in forms]
+    f0, f1, f2 = fs
+    # an integer select: each product is 0 or the coordinate it keeps
+    lam = f2 + (f2 == 0) * (f1 + (f1 == 0) * f0)
+    lam_pow = t.pow_p1(lam)
+    # lambda is nonzero exactly off the base locus
+    rational = lam != 0
+    for f in fs:
+        rational &= (f == 0) | (t.pow_p1(f) == lam_pow)
+    idx = np.flatnonzero(rational)
+    if not len(idx):
+        return set()
+    log_lam = t.log[lam[idx]]
+    return set(zip(*(t.div_by_log(f[idx], log_lam).tolist() for f in fs)))
 
 
 def decode_point(field, enc_triple):

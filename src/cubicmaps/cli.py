@@ -8,9 +8,9 @@ the resolved configuration, the tool version, wall time, input/output
 paths, and the SHA-256 of the dataset file it read or wrote.
 
 Exit codes: 0 success, 1 check or certificate failure (an inconclusive
-check label included), 2 usage error (an oracle --all scan bound or an
-oracle source bound below the exhaustive bound included, and a reference
-case over a prime other than 2).
+check label included), 2 usage error (a scan or source bound above 9, an
+oracle --all scan bound or an oracle source bound below the exhaustive
+bound 9, and a reference case over a prime other than 2).
 """
 
 import argparse
@@ -243,7 +243,7 @@ def cmd_check(args):
         None,
         started,
         stages={"label_s": round(label_s, 6)},
-        counters=_verdict_counters(label),
+        counters={**_verdict_counters(label), "scanned_points": plane.pencils.scanned_points},
         label=label.value,
     )
     return 1 if label.value is None else 0
@@ -419,6 +419,16 @@ def _positive_int(text):
     return value
 
 
+def _bound(text):
+    """argparse type: an extension-degree bound, 1..9."""
+    value = _positive_int(text)
+    if value > DEFAULT_SCAN_BOUND:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {DEFAULT_SCAN_BOUND}, got {value}: by Bezout's bound two coprime "
+            f"cubics meet only in points of degree at most {DEFAULT_SCAN_BOUND}")
+    return value
+
+
 def _add_case_args(sub):
     sub.add_argument("--case", choices=sorted(_CASES) + ["custom"], default="five")
     sub.add_argument("--p", type=int, default=2, help="base field characteristic (prime)")
@@ -426,7 +436,7 @@ def _add_case_args(sub):
 
 
 def _add_scan_bound_arg(sub):
-    sub.add_argument("--scan-bound", type=_positive_int, default=DEFAULT_SCAN_BOUND,
+    sub.add_argument("--scan-bound", type=_bound, default=DEFAULT_SCAN_BOUND,
                      dest="scan_bound", help="largest extension degree scanned for witnesses")
 
 
@@ -465,7 +475,7 @@ def build_parser():
     sub.add_argument("--triple", help="\"v;u;t\", comma-separated entries")
     sub.add_argument("--all", action="store_true",
                      help="sweep every admissible plane and compare labels against the oracle")
-    sub.add_argument("--source-bound", type=_positive_int, default=DEFAULT_SCAN_BOUND,
+    sub.add_argument("--source-bound", type=_bound, default=DEFAULT_SCAN_BOUND,
                      dest="source_bound",
                      help="largest source extension degree for the forward oracle")
     sub.set_defaults(func=cmd_oracle)

@@ -20,14 +20,15 @@ basis whose coefficient vectors have rank 3 and whose forms share no
 common factor; a pencil is a 2-dimensional subsystem of a plane.  The
 planes of a walk share their pencils, so a walk decides once per pencil
 of the system, in one SystemPencils memo, whether it shares a factor,
-and scans each member's zero set once per level; a witness search reads
-the pencil's base points off its two rows' zero sets.  The memo also
-admits a plane: a factor shared by all three forms divides every member
-of every pencil, so one rational pencil that shares no factor proves
-that the forms share none.  Only when every rational pencil shares a
+and scans each member's zero set once per chunk of the scan stream; a
+witness search reads the pencil's base points off its two rows' zero
+sets.  The memo also admits a plane: a factor shared by all three forms
+divides every member of every pencil, so one rational pencil that shares
+no factor proves that the forms share none.  Only when every rational pencil shares a
 factor is the common factor decided by common_factor_all.  The base
 locus of a set of forms is computed by scanning P^2(GF(p^d)) for
-d = 1..scan_bound and keeping the common zeros of minimal degree exactly d.
+d = 1..scan_bound, one stream, and keeping the common zeros of minimal
+degree exactly d.
 """
 
 import itertools
@@ -41,7 +42,8 @@ from .forms import MONOMIALS, TernaryForm, combine, common_factor_all, has_commo
 FIVE_POINT = "five_point"
 SIX_POINT = "six_point"
 
-DEFAULT_SCAN_BOUND = 9
+# the exhaustive bound: Bezout caps the degree of a base point of two coprime cubics at 9
+DEFAULT_SCAN_BOUND = _scan.MAX_LEVEL
 
 _REFERENCE_POINTS = {
     FIVE_POINT: ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 3, 1)),
@@ -77,9 +79,17 @@ _INTEGER_GENERATORS = (
 
 
 def require_bound(name, bound):
-    """Reject an extension-degree bound below 1: it would scan no level."""
+    """Reject an extension-degree bound outside 1..9.
+
+    Below 1 it would scan no level.  Above 9 it would scan levels that hold
+    no base point of a pencil of coprime cubics (Bezout), and so no
+    witness and no preimage that level 9 lacks.
+    """
     if bound < 1:
         raise ValueError(f"{name} must be at least 1, got {bound}")
+    if bound > DEFAULT_SCAN_BOUND:
+        raise ValueError(f"{name} must be at most {DEFAULT_SCAN_BOUND}, got {bound}: by Bezout's "
+                         f"bound two coprime cubics meet only in points of degree at most 9")
 
 
 def iter_vectors(p, length):
@@ -274,22 +284,26 @@ class SystemPencils:
     its key, the gf_rref rows of those two members, is the same for every
     plane and every spanning pair that holds it.  Per key the memo decides
     once whether the pencil shares a factor (has_common_factor on the two
-    rows' forms).  A member's zero set (_scan.zero_set) is taken once per
-    level with the member scaled to a leading 1; the pencil's base points
-    are the points of the first row's zero set that lie in the second's,
-    in scan order.  A witness search reads them in one pass and takes the
+    rows' forms).  The scan reads levels 1..bound as one stream of chunks
+    (_scan.iter_chunks): over GF(2) levels 1-9 are a single chunk, and
+    over GF(3) levels 1-5 one and level 6 another.  A member's zero set
+    (_scan.zero_set) is taken once per chunk with the member scaled to a
+    leading 1; the pencil's base points are the points of the first row's
+    zero set that lie in the second's, in level-then-scan order.  A
+    witness search reads them in one pass over the stream and takes the
     third member's zero set at the first of them.  A witness point is
     decoded, and its cubic monomials evaluated exactly, once per level and
     encoding.
 
     Build one per walk, never per system: every walk pays for its own
     decisions, and the memo lives as long as the planes that share it.
-    pencil_tests counts the pencils test_pencil decides through it, and
-    key_lookups the calls to key.
+    pencil_tests counts the pencils test_pencil decides through it,
+    key_lookups the calls to key, and scanned_points the points that the
+    member zero-set scans evaluated.
     """
 
     __slots__ = ("system", "_forms", "_keys", "_shares", "_zeros", "_points",
-                 "pencil_tests", "key_lookups")
+                 "pencil_tests", "key_lookups", "scanned_points")
 
     def __init__(self, system):
         self.system = system
@@ -300,6 +314,7 @@ class SystemPencils:
         self._points = {}
         self.pencil_tests = 0
         self.key_lookups = 0
+        self.scanned_points = 0
 
     def form(self, member):
         """The cubic form of a member, a coefficient vector over the system basis."""
@@ -326,28 +341,34 @@ class SystemPencils:
             shares = self._shares[key] = f.is_zero() or g.is_zero() or has_common_factor(f, g)
         return shares
 
-    def zero_set(self, member, ext):
-        """_scan.zero_set of a member, scaled to a leading 1, at level ext."""
-        zeros = self._zeros.get((member, ext.k))
+    def zero_set(self, member, chunk):
+        """_scan.zero_set of a member, scaled to a leading 1, on a _scan.Chunk."""
+        zeros = self._zeros.get((member, chunk.key))
         if zeros is None:
-            p = ext.p
+            p = self.system.field.p
             inv = pow(next(c for c in member if c), p - 2, p)
             monic = tuple(c * inv % p for c in member)
             if monic != member:
-                return self.zero_set(monic, ext)
-            zeros = self._zeros[member, ext.k] = _scan.zero_set(self.form(member).coeffs, ext)
+                return self.zero_set(monic, chunk)
+            zeros = self._zeros[member, chunk.key] = _scan.zero_set(self.form(member).coeffs, chunk)
+            self.scanned_points += len(chunk)
         return zeros
 
-    def witness_encoding(self, key, third, ext):
-        """The first base point of the pencil at level ext, in scan order, where the member third is nonzero."""
-        first, second = (self.zero_set(row, ext) for row in key)
-        zeros = None
-        for enc in first:
-            if enc in second:
-                if zeros is None:
-                    zeros = self.zero_set(third, ext)
-                if enc not in zeros:
-                    return enc
+    def witness_encoding(self, key, third, bound):
+        """The first base point of the pencil in levels 1..bound where the member third is nonzero.
+
+        The point is first in level-then-scan order, and is returned as
+        (level, encoded (x, y, z)), or None if there is none.
+        """
+        for chunk in _scan.iter_chunks(self.system.field.p, bound):
+            first, second = (self.zero_set(row, chunk) for row in key)
+            zeros = None
+            for i in first:
+                if i in second:
+                    if zeros is None:
+                        zeros = self.zero_set(third, chunk)
+                    if i not in zeros:
+                        return chunk.point(i)
         return None
 
     def witness_point(self, ext, enc):
@@ -359,10 +380,10 @@ class SystemPencils:
         return point
 
     def counters(self):
-        """Shared-factor decisions, zero-set scans, pencil tests, key lookups and witness points decoded."""
+        """Shared-factor decisions, zero-set scans and their points, pencil tests, key lookups and witness points."""
         return {"system_pencils": len(self._shares), "member_zero_sets": len(self._zeros),
-                "pencil_tests": self.pencil_tests, "key_lookups": self.key_lookups,
-                "witness_points": len(self._points)}
+                "scanned_points": self.scanned_points, "pencil_tests": self.pencil_tests,
+                "key_lookups": self.key_lookups, "witness_points": len(self._points)}
 
 
 class Plane:
@@ -456,12 +477,8 @@ def base_locus(forms, scan_bound=DEFAULT_SCAN_BOUND):
     positive = common_factor_all(forms)
     points = {}
     if not positive:
-        for d in range(1, scan_bound + 1):
+        for d, encodings in _scan.common_zero_encodings(forms, scan_bound).items():
             ext = build_field(forms[0].field.p, d)
-            found = []
-            for enc in sorted(_scan.common_zero_encodings(forms, ext)):
-                pt = _scan.decode_point(ext, enc)
-                if minimal_degree(pt) == d:
-                    found.append(pt)
-            points[d] = found
+            points[d] = [pt for pt in (_scan.decode_point(ext, enc) for enc in sorted(encodings))
+                         if minimal_degree(pt) == d]
     return BaseLocus(positive, points, scan_bound)

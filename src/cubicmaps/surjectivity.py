@@ -9,21 +9,25 @@ pencil is unruly, and 0 when some is at the exhaustive scan_bound 9;
 below it such a label is inconclusive.
 
 The planes of one walk share their pencils, so a pencil's shared factor
-is decided, and each member's zero set scanned per level, once per walk
-by the SystemPencils memo the planes hold (linsys).  A pencil's base
-points are the common zeros of its two spanning members.  The witness
-test, the first of them that lies off the plane's base locus, is made
-per plane, in one pass over the first member's zero set.
+is decided, and each member's zero set scanned per chunk of the scan
+stream, once per walk by the SystemPencils memo the planes hold (linsys).
+The stream reads levels 1..scan_bound in level-then-scan order, and packs
+the small levels into one chunk: over GF(2) levels 1-9 are a single
+chunk.  A pencil's base points are the common zeros of its two spanning
+members.  The witness test, the first of them that lies off the plane's
+base locus, is made per plane, in one pass over the first member's zero
+sets.
 
 The forward oracle checks the same property from the image side: a target
 point of P^2(GF(q)) is covered iff some source point over GF(q^d),
 d <= source_bound, outside the plane's base locus maps onto it.  It finds
 those points by its own covering scan, which evaluates the plane's three
-forms once per level, and shares nothing with the pencil verdicts: neither
-their shared-factor decisions nor their zero sets.  So it cross-checks
-them independently.  For coprime cubics the geometric base points of a
-pencil have degree at most 9 (Bezout), so scan_bound = 9 is exhaustive
-and label 1 must coincide with an empty uncovered set.
+forms once per chunk of the same stream, and shares nothing with the
+pencil verdicts: neither their shared-factor decisions nor their zero
+sets.  So it cross-checks them independently.  For coprime cubics the
+geometric base points of a pencil have degree at most 9 (Bezout), so
+scan_bound = 9 is exhaustive and label 1 must coincide with an empty
+uncovered set.
 
 Only pencils rational over the base field are scanned, so label 1
 certifies surjectivity onto GF(q)-rational targets.
@@ -100,11 +104,13 @@ def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
     Dependent vectors or a shared factor of the two combined forms give
     positive_dimensional; the factor is decided once per system pencil by
     the plane's SystemPencils.  Otherwise the pencil's base points are
-    read level by level, d ascending, off the memo's member zero sets, and
-    the first one where plane form i is nonzero is returned as a
-    not_unruly witness, for any i with (a x b)_i != 0: then a, b and e_i
-    span GF(p)^3, so f_i is nonzero exactly off the plane's base locus
-    among the pencil's base points.  Exhausting all levels gives unruly.
+    read in one pass over the scan stream of levels 1..scan_bound, in
+    level-then-scan order, off the memo's member zero sets, and the first
+    one where plane form i is nonzero is returned as a not_unruly witness,
+    for any i with (a x b)_i != 0: then a, b and e_i span GF(p)^3, so f_i
+    is nonzero exactly off the plane's base locus among the pencil's base
+    points.  So the witness lies at the lowest level that has one.
+    Exhausting the stream gives unruly.
     The witness is rechecked exactly: the plane forms' values V there, in
     Scalar arithmetic, must have a.V = b.V = 0 and V nonzero; the point's
     monomial values are computed once per walk, by the memo, and the check
@@ -127,18 +133,17 @@ def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
     if pencils.shares_factor(key):
         return UnrulyVerdict(POSITIVE_DIMENSIONAL)
     third = plane.vectors[next(i for i, c in enumerate(normal) if c)]
-    for d in range(1, scan_bound + 1):
-        ext = build_field(p, d)
-        enc = pencils.witness_encoding(key, third, ext)
-        if enc is not None:
-            pt, monomials = pencils.witness_point(ext, enc)
-            values = [combination(h.coeffs, monomials, p) for h in plane.forms]
-            if any(combination(a, values, p)) or any(combination(b, values, p)):
-                raise AssertionError("witness fails pencil-vanishing recheck")
-            if not any(map(any, values)):
-                raise AssertionError("witness fails plane-nonvanishing recheck")
-            return UnrulyVerdict(NOT_UNRULY, pt)
-    return UnrulyVerdict(UNRULY)
+    found = pencils.witness_encoding(key, third, scan_bound)
+    if found is None:
+        return UnrulyVerdict(UNRULY)
+    d, enc = found
+    pt, monomials = pencils.witness_point(build_field(p, d), enc)
+    values = [combination(h.coeffs, monomials, p) for h in plane.forms]
+    if any(combination(a, values, p)) or any(combination(b, values, p)):
+        raise AssertionError("witness fails pencil-vanishing recheck")
+    if not any(map(any, values)):
+        raise AssertionError("witness fails plane-nonvanishing recheck")
+    return UnrulyVerdict(NOT_UNRULY, pt)
 
 
 def label_plane(plane, scan_bound=DEFAULT_SCAN_BOUND, find_all=False):
@@ -168,13 +173,13 @@ def forward_oracle(plane, source_bound=DEFAULT_SCAN_BOUND):
     """Targets of P^2(GF(q)) not reached by the map, as a sorted list.
 
     A target is covered when a source point over GF(q^d) for some
-    d <= source_bound, outside the plane's base locus, maps onto it.  Each
-    level of _scan.covering_levels runs the covering scan, which evaluates
-    the plane's forms once, and the loop stops once every target is
-    covered.  The levels it leaves out (at p = 2, levels 1-4 of 9) are
-    read inside their multiples, so the list is that of every level
-    1..source_bound.  A plane labeled 1 must give an empty list at
-    source_bound 9.
+    d <= source_bound, outside the plane's base locus, maps onto it.  The
+    covering scan reads levels 1..source_bound as one stream of chunks
+    (_scan.iter_chunks), evaluates the plane's forms once per chunk, and
+    stops once every target is covered.  Over GF(2) the stream at bound 9
+    is one chunk, so that is one evaluation per form; over GF(3) levels
+    1-5 are one chunk, level 6 another, and each larger level is
+    streamed.  A plane labeled 1 must give an empty list at source_bound 9.
 
     A target t whose annihilator pencil (c.F with c orthogonal to t) shares
     a factor h needs no algebraic shortcut.  Every point of V(h) off the
@@ -190,10 +195,10 @@ def forward_oracle(plane, source_bound=DEFAULT_SCAN_BOUND):
     p = plane.field.p
     targets = _targets(plane.field)
     remaining = set(targets)
-    for d in _scan.covering_levels(p, source_bound):
+    for chunk in _scan.iter_chunks(p, source_bound):
+        remaining.difference_update(_scan.covered_encodings(plane.forms, chunk))
         if not remaining:
             break
-        remaining.difference_update(_scan.covered_target_encodings(plane.forms, build_field(p, d)))
     return [targets[enc] for enc in sorted(remaining)]
 
 

@@ -253,16 +253,15 @@ def test_07_base_locus_bounds_and_gcd_oracle(five_records, tmp_path):
 
     for p, level in ((2, 6), (3, 4)):
         field = build_field(p)
-        ext = build_field(p, level)
         for i in range(500):
             mask = x_divisible if i % 5 == 4 else None
             f, g = random_form(field, mask), random_form(field, mask)
             shared = has_common_factor(f, g)
-            count = len(common_zero_encodings((f, g), ext))
+            count = len(common_zero_encodings((f, g), level)[level])
             if shared and count <= 9 and level < 6:
                 # a shared factor that is a triple of conjugate lines has
                 # its points at levels divisible by 3; recount at level 6
-                count = len(common_zero_encodings((f, g), build_field(p, 6)))
+                count = len(common_zero_encodings((f, g), 6)[6])
                 escalations += 1
             if shared != (count > 9):
                 mismatches += 1

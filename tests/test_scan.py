@@ -1,4 +1,5 @@
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -75,9 +76,13 @@ class TestNarrowEncodings:
             assert table.dtype == dtype
         # log[a] + log[b] indexes expx beyond q, so log stays wide
         assert t.log.dtype == np.int64
-        [(x, y, z, monos)] = _scan._scan_chunks(field)
-        for arr in (x, y, z, *monos):
+        [chunk] = _scan.level_chunks(field)
+        for arr in (chunk.x, chunk.y, chunk.z, *chunk.monos):
             assert arr.dtype == dtype
+        # levels 1-8 are packed with level 9, in its dtype
+        [pack] = _scan._packs(2)
+        for arr in (pack.x, pack.y, pack.z, *pack.monos):
+            assert arr.dtype == np.uint16
 
     @pytest.mark.parametrize("p, k", [(2, 3), (3, 2), (5, 1)])
     def test_chunks_cover_p2_in_scan_order(self, p, k):
@@ -209,15 +214,49 @@ class TestCoveredTargets:
     def test_matches_pointwise_reference(self, case):
         p, k, forms3 = case
         ext = build_field(p, k)
-        got = _scan.covered_target_encodings(forms3, ext)
-        assert got == _reference_covered(forms3, ext)
+        want = _reference_covered(forms3, ext)
+        [level] = _scan.level_chunks(ext)
+        got = _scan.covered_encodings(forms3, level)
+        assert got == want
         assert all(type(v) is int and 0 <= v < p for enc in got for v in enc)
+        # the packed stream of levels 1..k covers what the levels cover one by one
+        packed = set().union(*(_scan.covered_encodings(forms3, chunk) for chunk in _scan.iter_chunks(p, k)))
+        assert packed == want.union(*(_reference_covered(forms3, build_field(p, d)) for d in range(1, k)))
+        assert all(type(v) is int and 0 <= v < p for enc in packed for v in enc)
 
-    @pytest.mark.parametrize("p, bound, first", [(2, 9, 5), (2, 5, 3), (2, 12, 6), (3, 9, 1), (13, 9, 1)])
-    def test_covering_levels(self, p, bound, first):
-        # over GF(2) level d is left out when level 2d <= bound is cached:
-        # GF(2^10) is, GF(2^12) is not; at odd p every level is scanned
-        assert _scan.covering_levels(p, bound) == list(range(first, bound + 1))
+
+@lru_cache(maxsize=None)
+def _level_alone(p, d):
+    """Level d of GF(p) as one Chunk, with its own tables and dtype."""
+    [chunk] = _scan.level_chunks(build_field(p, d))
+    return chunk
+
+
+@st.composite
+def packed_forms(draw):
+    """(p, coeffs): a GF(p) form, at odd p with some coefficient other than 0 and 1."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    coeffs = st.lists(st.integers(0, p - 1), min_size=10, max_size=10)
+    if p > 2:
+        coeffs = coeffs.filter(lambda cs: max(cs) > 1)
+    return p, draw(coeffs)
+
+
+class TestPackedEvaluation:
+    @settings(max_examples=40, deadline=None)
+    @given(packed_forms())
+    def test_each_level_slice_equals_the_level_with_its_own_tables(self, case):
+        # scaling by GF(p) constants and addition act digit by digit whatever
+        # the modulus, so the top level's tables evaluate every packed level
+        p, coeffs = case
+        packs = _scan._packs(p)
+        assert any(len(pack.levels) > 1 for pack in packs)
+        for pack in packs:
+            got = _scan._eval(pack.t, coeffs, pack.monos)
+            for d, start, end in pack.levels:
+                level = _level_alone(p, d)
+                assert got[start:end].tolist() == _scan._eval(level.t, coeffs, level.monos).tolist(), d
+                assert pack.x[start:end].tolist() == level.x.tolist()
 
 
 def _full_values(ext, forms):
@@ -261,9 +300,10 @@ _CONJUGATE_LINES_PLANE = [
 
 @contextmanager
 def scan_path(path):
-    """Run the scans on the cached arrays, or on small uncached chunks."""
+    """Run the scans on the cached packs, or on small uncached chunks of each level."""
     with pytest.MonkeyPatch.context() as mp:
         if path == "chunked":
+            mp.setattr(_scan, "_monomial_cache", {})
             mp.setattr(_scan, "_CACHE_POINT_LIMIT", 0)
             mp.setattr(_scan, "_CHUNK", 40)
         yield
@@ -272,9 +312,19 @@ def scan_path(path):
 SCAN_PATHS = pytest.mark.parametrize("path", ["cached", "chunked"])
 
 
+def _stream_points(p, bound):
+    """(level, encoded point) of every position of the stream of levels 1..bound, in order."""
+    return [chunk.point(i) for chunk in _scan.iter_chunks(p, bound) for i in range(len(chunk))]
+
+
 def _scanned_points(field):
-    return [pt for x, y, z, _ in _scan._scan_chunks(field)
-            for pt in zip(x.tolist(), y.tolist(), z.tolist())]
+    """The encoded points the stream scans at the level of field, in order."""
+    return [pt for d, pt in _stream_points(field.p, field.k) if d == field.k]
+
+
+def _level_encodings(field, positions):
+    """The encodings at the level of field among the stream positions (chunk, i)."""
+    return [pt for d, pt in (chunk.point(i) for chunk, i in positions) if d == field.k]
 
 
 class TestOrbitScans:
@@ -308,42 +358,67 @@ class TestOrbitScans:
         assert z[:-9] == [1] * (len(z) - 9)
 
     def test_a_cached_level_is_one_chunk_built_once(self, monkeypatch):
-        field = build_field(2, 6)
-        monkeypatch.delitem(_scan._monomial_cache, (2, 6), raising=False)
+        # the cached levels of a p are packed once
+        monkeypatch.setattr(_scan, "_monomial_cache", {})
         calls = []
         monomial_values = _scan.monomial_values
 
-        def counted(*args):
-            calls.append(args)
-            return monomial_values(*args)
+        def counted(t, *xyz):
+            calls.append(t.k)
+            return monomial_values(t, *xyz)
 
         monkeypatch.setattr(_scan, "monomial_values", counted)
-        chunks = _scan._scan_chunks(field)
-        assert _scan._scan_chunks(field) is chunks
-        assert len(chunks) == 1
-        assert len(calls) == 1
+        packs = _scan._packs(2)
+        assert _scan._packs(2) is packs and list(_scan._monomial_cache) == [2]
+        # each level's monomials are built once, in blocks, from its own tables
+        assert calls == sorted(calls) and set(calls) == set(range(1, 10))
+        # GF(2) levels 1-9 are one chunk of 40,896 points, evaluated with GF(2^9)'s tables
+        [pack] = packs
+        assert (pack.key, len(pack), pack.t.k) == ((1, 9, 0), 40896, 9)
+        sizes = [7, 14, 29, 77, 217, 715, 2365, 8267, 29205]
+        starts = np.cumsum([0] + sizes).tolist()
+        assert pack.levels == tuple(zip(range(1, 10), starts, starts[1:]))
+        assert [chunk.key for chunk in _scan.iter_chunks(2, 9)] == [(1, 9, 0)]
+
+    def test_gf3_level_6_is_a_chunk_of_its_own(self):
+        # levels 1-5 fit one pack of at most 2^16 points; level 6 alone exceeds it
+        packs = _scan._packs(3)
+        assert [(c.key, len(c), [d for d, _, _ in c.levels]) for c in packs] == [
+            ((1, 5, 0), 13 + 52 + 261 + 1690 + 11869, [1, 2, 3, 4, 5]), ((6, 6, 0), 88856, [6])]
+        # GF(3^7) is not cached: it is streamed after the packs
+        keys = [chunk.key for chunk in _scan.iter_chunks(3, 7)]
+        assert keys[:2] == [(1, 5, 0), (6, 6, 0)] and all(key[:2] == (7, 7) for key in keys[2:])
+
+    def test_a_smaller_bound_reads_a_prefix_view(self):
+        [pack] = _scan._packs(2)
+        [cut] = _scan.iter_chunks(2, 4)
+        assert cut.key == (1, 4, 0) and cut.levels == pack.levels[:4] and len(cut) == 7 + 14 + 29 + 77
+        assert cut.t is pack.t
+        for part, whole in zip((cut.x, cut.y, cut.z, *cut.monos), (pack.x, pack.y, pack.z, *pack.monos)):
+            assert np.shares_memory(part, whole) and np.array_equal(part, whole[:len(cut)])
 
     def test_the_chunked_path_streams_a_level_already_kept(self):
-        # the cache limit, not the memo, decides whether a level is streamed
+        # with no level cached nothing is packed: each level is streamed in small chunks
         field = build_field(3, 2)
         cached = _scanned_points(field)
-        assert (3, 2) in _scan._monomial_cache
+        assert 3 in _scan._monomial_cache
         with scan_path("chunked"):
-            chunks = _scan._scan_chunks(field)
-            assert not isinstance(chunks, list)
-            chunks = list(chunks)
-        assert len(chunks) > 1
-        assert [pt for x, y, z, _ in chunks for pt in zip(x.tolist(), y.tolist(), z.tolist())] == cached
+            chunks = list(_scan.iter_chunks(3, 2))
+            assert _scan._monomial_cache == {3: []}
+        assert [chunk.key for chunk in chunks] == [(1, 1, 0), (2, 2, 0), (2, 2, 1)]
+        assert [pt for chunk in chunks for d, pt in map(chunk.point, range(len(chunk))) if d == 2] == cached
 
     def test_zero_set_is_the_same_ordered_encodings_cached_and_chunked(self):
         # x^3 vanishes on the line x = 0: the points [0:y:1], then [0:1:0]
         ext = build_field(3, 2)
         x3 = [1] + [0] * 9
         want = [pt for pt in _scanned_points(ext) if pt[0] == 0]
-        cached = _scan.zero_set(x3, ext)
-        with scan_path("chunked"):
-            chunked = _scan.zero_set(x3, ext)
-        assert list(cached) == list(chunked) == want
+        got = {}
+        for path in ("cached", "chunked"):
+            with scan_path(path):
+                got[path] = _level_encodings(ext, [(chunk, i) for chunk in _scan.iter_chunks(3, 2)
+                                                   for i in _scan.zero_set(x3, chunk)])
+        assert got["cached"] == got["chunked"] == want
         assert want[-1] == (0, 1, 0)
 
     @settings(max_examples=60, deadline=None)
@@ -363,14 +438,16 @@ class TestOrbitScans:
         witnesses = _encodings(xyz, on_pencil & ~on_plane)
         with scan_path(path):
             scanned = set(_scanned_points(ext))
-            zero_sets = [_scan.zero_set(f.coeffs, ext) for f in plane]
+            chunks = list(_scan.iter_chunks(p, k))
+            zero_sets = [[(chunk, i) for chunk in chunks for i in _scan.zero_set(f.coeffs, chunk)]
+                         for f in plane]
             for zero_set, form_values in zip(zero_sets, values):
-                assert list(zero_set) == [
+                assert _level_encodings(ext, zero_set) == [
                     pt for pt in _encodings(xyz, form_values == 0) if pt in scanned]
             # a common zero of the pair is off the plane's base locus iff the third form is nonzero there
-            first, second, third = (zero_sets[i] for i in (*pair, 3 - sum(pair)))
+            first, second, third = (_level_encodings(ext, zero_sets[i]) for i in (*pair, 3 - sum(pair)))
             base = [enc for enc in first if enc in second]
             witness = next((enc for enc in base if enc not in third), None)
             assert witness == (witnesses[0] if witnesses else None)
-            assert _scan.common_zero_encodings(pencil, ext) == zeros
-            assert _scan.common_zero_encodings(plane, ext) == plane_zeros
+            assert _scan.common_zero_encodings(pencil, k)[k] == zeros
+            assert _scan.common_zero_encodings(plane, k)[k] == plane_zeros

@@ -268,7 +268,7 @@ class TestWitnessRecheck:
         a, b = self.zero_dimensional_pencil(plane)
         f = combine(a, plane.forms)
         off = next(pt for pt in enumerate_p2(build_field(2)) if not evaluate(f, pt).is_zero())
-        monkeypatch.setattr(SystemPencils, "witness_encoding", lambda *args: off.encode())
+        monkeypatch.setattr(SystemPencils, "witness_encoding", lambda *args: (1, off.encode()))
         with pytest.raises(AssertionError, match="pencil-vanishing"):
             pencil_verdict(plane, a, b)
 
@@ -279,7 +279,7 @@ class TestWitnessRecheck:
         f, g = combine(a, plane.forms), combine(b, plane.forms)
         off = next(pt for pt in enumerate_p2(build_field(2))
                    if evaluate(f, pt).is_zero() and not evaluate(g, pt).is_zero())
-        monkeypatch.setattr(SystemPencils, "witness_encoding", lambda *args: off.encode())
+        monkeypatch.setattr(SystemPencils, "witness_encoding", lambda *args: (1, off.encode()))
         with pytest.raises(AssertionError, match="pencil-vanishing"):
             pencil_verdict(plane, a, b)
 
@@ -301,7 +301,7 @@ class TestWitnessRecheck:
         plane = five_plane()
         a, b = self.zero_dimensional_pencil(plane)
         # [1:0:0] is one of the five points every form of the system passes through
-        monkeypatch.setattr(SystemPencils, "witness_encoding", lambda *args: (1, 0, 0))
+        monkeypatch.setattr(SystemPencils, "witness_encoding", lambda *args: (1, (1, 0, 0)))
         with pytest.raises(AssertionError, match="plane-nonvanishing"):
             pencil_verdict(plane, a, b)
 
@@ -319,8 +319,8 @@ def reference_verdict(plane, a, b, scan_bound, plane_zeros):
     for d in range(1, scan_bound + 1):
         ext = build_field(p, d)
         if d not in plane_zeros:
-            plane_zeros[d] = set(_scan.common_zero_encodings(plane.forms, ext))
-        for enc in _scan.common_zero_encodings(forms, ext):
+            plane_zeros[d] = set(_scan.common_zero_encodings(plane.forms, d)[d])
+        for enc in _scan.common_zero_encodings(forms, d)[d]:
             if enc not in plane_zeros[d]:
                 return NOT_UNRULY, _scan.decode_point(ext, enc).encode()
     return UNRULY, None
@@ -348,23 +348,23 @@ class TestWitnessesAgainstPencilForms:
         assert seen["planes"] == planes
         assert seen[NOT_UNRULY] and seen[POSITIVE_DIMENSIONAL]
 
-    def test_plane_forms_are_evaluated_once_per_level(self, monkeypatch):
-        # a walk evaluates each member's zero set once per level, however many
-        # planes hold it, and the covering scan evaluates a plane's 3 forms once per level
+    def test_forms_are_evaluated_once_per_chunk(self, monkeypatch):
+        # a walk evaluates each member's zero set once per chunk, however many
+        # planes hold it, and the covering scan evaluates a plane's 3 forms once
+        # per chunk; over GF(2) levels 1-9 are one chunk of 40,896 points
         system = reference_system(SIX_POINT, build_field(2))
         pencils = SystemPencils(system)
         planes = [plane for plane in (make_plane(system, *rows, pencils=pencils)
                                       for rows in iter_subspaces(2, system.dim, 3)) if plane]
-        members, levels = Counter(), Counter()
+        members, chunks = Counter(), Counter()
         zero_set, evaluate_values = _scan.zero_set, _scan._eval
 
-        def counted_zero_set(coeffs, ext):
-            members[tuple(coeffs), ext.k] += 1
-            return zero_set(coeffs, ext)
+        def counted_zero_set(coeffs, chunk):
+            members[tuple(coeffs), chunk.key] += 1
+            return zero_set(coeffs, chunk)
 
         def counted(t, coeffs, monos):
-            if len(monos) == 10:
-                levels[t.k] += 1
+            chunks[len(monos[0])] += 1
             return evaluate_values(t, coeffs, monos)
 
         monkeypatch.setattr(_scan, "zero_set", counted_zero_set)
@@ -372,14 +372,13 @@ class TestWitnessesAgainstPencilForms:
         for plane in planes:
             assert label_plane(plane, find_all=True).unruly_pencils
         assert len(planes) == 15 and set(members.values()) == {1}
-        # at most the 15 members of GF(2)^4, each at every level 1..9
-        assert len({coeffs for coeffs, _ in members}) <= 15
-        assert levels == Counter(d for _, d in members) and set(levels) == set(range(1, 10))
-        levels.clear()
-        plane = planes[0]
-        assert forward_oracle(plane)
-        # levels 1-4 are read inside their multiples among levels 5-9
-        assert levels == {d: 3 for d in range(5, 10)}
+        # at most the 15 members of GF(2)^4, each on the one chunk of levels 1..9
+        assert {key for _, key in members} == {(1, 9, 0)}
+        assert len(members) <= 15 and chunks == {40896: len(members)}
+        assert pencils.counters()["scanned_points"] == 40896 * len(members)
+        chunks.clear()
+        assert forward_oracle(planes[0])
+        assert chunks == {40896: 3}
 
     def test_one_walk_memo_gives_the_verdicts_of_a_memo_per_plane(self):
         for case in (FIVE_POINT, SIX_POINT):
@@ -421,6 +420,7 @@ class TestWitnessesAgainstPencilForms:
     def test_uncached_levels_give_the_cached_verdicts(self, make, monkeypatch):
         # with no level cached, every zero set is scanned in chunks and witnesses come from them
         want = [(pair, v.status, v.witness) for pair, v in label_plane(make(), find_all=True).verdicts]
+        monkeypatch.setattr(_scan, "_monomial_cache", {})
         monkeypatch.setattr(_scan, "_CACHE_POINT_LIMIT", 0)
         monkeypatch.setattr(_scan, "_CHUNK", 1000)
         got = [(pair, v.status, v.witness) for pair, v in label_plane(make(), find_all=True).verdicts]
@@ -430,11 +430,12 @@ class TestWitnessesAgainstPencilForms:
     def test_a_member_and_its_multiple_share_one_zero_set(self):
         system = vanishing_cubics(reference_points(FIVE_POINT), build_field(3))
         pencils = SystemPencils(system)
-        ext = build_field(3, 2)
+        [chunk] = _scan.iter_chunks(3, 2)
         member = (1, 2, 0, 1, 0)
-        zeros = pencils.zero_set(member, ext)
-        assert pencils.zero_set((2, 1, 0, 2, 0), ext) is zeros
+        zeros = pencils.zero_set(member, chunk)
+        assert pencils.zero_set((2, 1, 0, 2, 0), chunk) is zeros
         assert pencils.counters()["member_zero_sets"] == 1
+        assert pencils.counters()["scanned_points"] == len(chunk) == 13 + 52
         # a pencil is keyed by the RREF of its span, whatever pair spans it
         vectors = (member, (0, 1, 1, 0, 2), (0, 0, 0, 0, 1))
         key = pencils.key(vectors, (1, 0, 0), (0, 1, 0))
@@ -530,6 +531,11 @@ class TestAllPencilsPositiveDimensional:
         assert forward_oracle(self.plane()) == []
 
 
+def level_covered(forms, field):
+    """The covering scan of one level, on its own chunks and tables."""
+    return set().union(*(_scan.covered_encodings(forms, chunk) for chunk in _scan.level_chunks(field)))
+
+
 def reference_oracle(plane, source_bound, shortcut=None):
     """The oracle with its old annihilator-pencil shortcut, decided here without the memo.
 
@@ -540,7 +546,7 @@ def reference_oracle(plane, source_bound, shortcut=None):
     """
     p = plane.field.p
     remaining = {t.encode(): t for t in enumerate_p2(plane.field)}
-    for enc in _scan.covered_target_encodings(plane.forms, build_field(p, 1)):
+    for enc in level_covered(plane.forms, build_field(p, 1)):
         remaining.pop(enc, None)
     for enc in list(remaining):
         a, b = gf_left_kernel(p, [[c] for c in enc])
@@ -551,7 +557,7 @@ def reference_oracle(plane, source_bound, shortcut=None):
     for d in range(2, source_bound + 1):
         if not remaining:
             break
-        for enc in _scan.covered_target_encodings(plane.forms, build_field(p, d)):
+        for enc in level_covered(plane.forms, build_field(p, d)):
             remaining.pop(enc, None)
     return [remaining[enc] for enc in sorted(remaining)]
 
@@ -562,7 +568,7 @@ def plain_oracle(plane, max_bound):
     remaining = {t.encode(): t for t in enumerate_p2(plane.field)}
     lists = {}
     for d in range(1, max_bound + 1):
-        for enc in _scan.covered_target_encodings(plane.forms, build_field(p, d)):
+        for enc in level_covered(plane.forms, build_field(p, d)):
             remaining.pop(enc, None)
         lists[d] = [remaining[enc] for enc in sorted(remaining)]
     return lists
@@ -661,30 +667,31 @@ class TestForwardOracle:
                 assert forward_oracle(plane, bound) == want, (bound, plane.vectors)
 
     def test_scans_exactly_the_covering_levels(self, monkeypatch):
+        # one chunk at a time, stopping once every target is covered
         scanned = []
-        covered = _scan.covered_target_encodings
+        covered = _scan.covered_encodings
 
-        def counted(forms, ext):
-            scanned.append(ext.k)
-            return covered(forms, ext)
+        def counted(forms, chunk):
+            scanned.append([d for d, _, _ in chunk.levels])
+            return covered(forms, chunk)
 
-        monkeypatch.setattr(_scan, "covered_target_encodings", counted)
-        # every GF(2) level up to 2^10 is cached, so bound B leaves out levels 1..B//2
+        monkeypatch.setattr(_scan, "covered_encodings", counted)
+        # over GF(2) levels 1..B are one chunk, evaluated once, at every bound B
         for bound in range(1, 10):
             scanned.clear()
             assert forward_oracle(six_plane(), bound)
-            assert scanned == _scan.covering_levels(2, bound) == list(range(bound // 2 + 1, bound + 1))
-        # level 4 finishes case 46, so it stops at level 8, the multiple of 4
-        scanned.clear()
-        assert forward_oracle(five_plane()) == []
-        assert scanned == [5, 6, 7, 8]
-        # a GF(3) plane that level 3 finishes: no level is left out at odd p,
-        # so it never reaches level 6, which would read level 3 again
+            assert scanned == [list(range(1, bound + 1))]
+        # a GF(3) plane that levels 1-3 finish never reaches level 6, its own chunk
         system = vanishing_cubics(PointConfig(((1, 0, 0), (0, 1, 0), (0, 0, 1))), build_field(3))
         plane = make_plane(system, (1, 2, 1, 1, 1, 1, 2), (0, 0, 1, 2, 2, 1, 0), (1, 0, 2, 2, 2, 2, 2))
         scanned.clear()
         assert forward_oracle(plane) == []
-        assert scanned == [1, 2, 3]
+        assert scanned == [[1, 2, 3, 4, 5]]
+        # one whose level 6 is read: it is a chunk of its own, after levels 1-5
+        plane = gf3_planes()[0]
+        scanned.clear()
+        assert forward_oracle(plane, 6)
+        assert scanned == [[1, 2, 3, 4, 5], [6]]
 
     def test_never_reads_the_pencil_memo(self):
         for plane in gf2_planes():
@@ -719,6 +726,20 @@ class TestBoundsBelowOne:
 
     def test_bound_one_still_runs(self):
         assert pencil_verdict(six_plane(), (0, 0, 1), (0, 1, 0), scan_bound=1).status == UNRULY
+
+
+class TestBoundsAboveNine:
+    # Bezout: no base point of two coprime cubics, hence no witness and no
+    # preimage that level 9 lacks, lies above level 9
+    @pytest.mark.parametrize("bound", [10, 11, 15])
+    def test_rejected(self, bound):
+        plane = five_plane()
+        for call in (lambda: label_plane(plane, scan_bound=bound),
+                     lambda: pencil_verdict(plane, (1, 0, 0), (0, 0, 1), scan_bound=bound),
+                     lambda: forward_oracle(plane, source_bound=bound),
+                     lambda: base_locus(plane.forms, bound)):
+            with pytest.raises(ValueError, match=f"must be at most 9, got {bound}: by Bezout's bound"):
+                call()
 
 
 class TestSevenPoints:
