@@ -155,7 +155,11 @@ def _require_exhaustive(flag, bound, unproved):
 
 
 def _iter_admissible_planes(cfg, pencils):
-    """Distinct admissible planes of a system, one per coefficient 3-subspace, through the memo pencils."""
+    """Distinct admissible planes of a system, one per coefficient 3-subspace, through the memo pencils.
+
+    The memo first decides every pencil of the system, in stacked eliminations.
+    """
+    pencils.decide(iter_subspaces(cfg.p, cfg.system.dim, 2))
     for rows in iter_subspaces(cfg.p, cfg.system.dim, 3):
         plane = make_plane(cfg.system, *rows, pencils=pencils)
         if plane is not None:

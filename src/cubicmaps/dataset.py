@@ -130,8 +130,13 @@ def _label_subspace(pencils, rows):
 
 
 def _label_block(system, block):
-    """Labels of a block of subspaces through one SystemPencils, and its counters."""
+    """Labels of a block of subspaces through one SystemPencils, and its counters.
+
+    The memo decides every pencil of the system before the first plane,
+    in stacked eliminations.
+    """
     pencils = SystemPencils(system)
+    pencils.decide(iter_subspaces(system.field.p, system.dim, 2))
     return [_label_subspace(pencils, rows) for rows in block], pencils.counters()
 
 

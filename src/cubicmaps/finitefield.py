@@ -10,9 +10,15 @@ independently are interoperable.
 
 The integer encoding sum(c_i * p^i) of a scalar is used throughout the
 package as a compact, order-defining representation.
+
+Row reduction over GF(p) works on lists of int rows, one matrix at a time
+(gf_rank, gf_rref, gf_left_kernel), except gf_ranks, which takes the
+ranks of a numpy stack of matrices in one elimination.
 """
 
 from functools import lru_cache
+
+import numpy as np
 
 MAX_EXTENSION_DEGREE = 16
 
@@ -407,6 +413,44 @@ def _forward(p, rows):
 def gf_rank(p, rows):
     """Rank over GF(p) of integer rows: the number of pivots forward elimination finds."""
     return len(_forward(p, rows)[1])
+
+
+def gf_ranks(p, stack):
+    """Ranks over GF(p) of a (B, R, C) integer stack: B matrices in one numpy elimination.
+
+    The rows are reduced one at a time, in all B matrices at once.  A row,
+    once every row above it has been cleared out of it, is either zero or
+    leads at a column no row above it leads at; every row below is scaled
+    by that leading entry and the row is subtracted the matching number of
+    times, which clears its leading column below it.  That step keeps each
+    row space, and the nonzero reduced rows are independent, so they count
+    the rank.  Every row operation is taken mod p as it is made, which
+    keeps the entries in 0..p-1 and every intermediate within +-(p-1)^2.
+    So p must be below 2^31, and the elimination runs in the narrowest
+    integer type that holds those values: int16 below p = 2^7, int32
+    below 2^15.
+    """
+    if not 2 <= p < 1 << 31:
+        raise ValueError(f"gf_ranks needs a prime p below 2^31, got {p}")
+    dtype = np.int16 if p < 1 << 7 else np.int32 if p < 1 << 15 else np.int64
+    m = (np.asarray(stack, dtype=np.int64) % p).astype(dtype)
+    if m.ndim != 3:
+        raise ValueError(f"expected a (B, R, C) stack, got shape {m.shape}")
+    ranks = np.zeros(len(m), dtype=np.int64)
+    if not m.size:
+        return ranks
+    at = np.arange(len(m))
+    for i in range(m.shape[1]):
+        row = m[:, i]
+        lead = (row != 0).argmax(axis=1)
+        pivot = row[at, lead]
+        ranks += pivot != 0
+        below = m[:, i + 1:]
+        if below.shape[1]:
+            # a zero row subtracts nothing, and scaling by 1 leaves the rows below alone
+            scale = np.where(pivot != 0, pivot, 1)[:, None, None]
+            below[...] = (scale * below - below[at, :, lead][:, :, None] * row[:, None, :]) % p
+    return ranks
 
 
 def gf_rref(p, rows):

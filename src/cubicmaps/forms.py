@@ -19,14 +19,20 @@ the first two is needed only when they share a factor; it is read off a
 one-dimensional kernel of the same kind of matrix and tested against the
 third form with the same rank criterion.
 
-The pencils of a cubic system are decided with the same test, once per
-pencil of the system: linsys.SystemPencils keys a pencil by the RREF of
-its two spanning members and calls has_common_factor on those two forms.
+The pencils of a cubic system are decided with the same criterion, many
+at once: pairs_share_factor scatters the Sylvester rows of a stack of
+pairs and takes all their ranks in one numpy elimination (gf_ranks).
+linsys.SystemPencils keys a pencil by the RREF of its two spanning
+members and decides its keys in such stacks.  has_common_factor stays
+the single-pair test, and the reference the stacked verdicts are tested
+against.
 """
 
 from functools import lru_cache
 
-from .finitefield import ProjPoint, Scalar, gf_left_kernel, gf_rank
+import numpy as np
+
+from .finitefield import ProjPoint, Scalar, gf_left_kernel, gf_rank, gf_ranks
 
 MONOMIALS = (
     (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
@@ -247,6 +253,31 @@ def has_common_factor(f, g):
     """True iff two nonzero cubics over a prime field share a nonconstant factor."""
     p, (f, g) = _prime_coeffs([f, g])
     return _shares_factor(p, f, 3, g, 3)
+
+
+@lru_cache(maxsize=None)
+def _sylvester_columns():
+    """The quintic column of each coefficient in the 12 Sylvester rows: mu*f for the 6 quadrics mu, then mu*g."""
+    return np.array(_shift_table(3, 2) * 2)
+
+
+def pairs_share_factor(p, pairs):
+    """Which of B cubic pairs over GF(p) share a nonconstant factor: a length-B bool array.
+
+    pairs is a (B, 2, 10) integer array of coefficient vectors.  Each pair's
+    12 Sylvester rows mu*f and mu*g, mu over the quadric monomials, are
+    scattered through _shift_table into one (B, 12, 21) stack, and gf_ranks
+    decides every pair in one elimination: the pair shares a factor iff its
+    rank is below 12, as for has_common_factor.  A zero form gives zero
+    rows, so a pair that holds one counts as sharing a factor.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64)
+    if pairs.shape[1:] != (2, 10):
+        raise ValueError(f"expected a (B, 2, 10) array of cubic pairs, got shape {pairs.shape}")
+    rows = np.arange(12)[:, None]
+    stack = np.zeros((len(pairs), 12, 21), dtype=np.int64)
+    stack[:, rows, _sylvester_columns()] = pairs[:, rows // 6, np.arange(10)]
+    return gf_ranks(p, stack) < 12
 
 
 def common_factor_all(forms):

@@ -22,10 +22,13 @@ planes of a walk share their pencils, so a walk decides once per pencil
 of the system, in one SystemPencils memo, whether it shares a factor,
 and scans each member's zero set once per chunk of the scan stream; a
 witness search reads the pencil's base points off its two rows' zero
-sets.  The memo also admits a plane: a factor shared by all three forms
-divides every member of every pencil, so one rational pencil that shares
-no factor proves that the forms share none.  Only when every rational pencil shares a
-factor is the common factor decided by common_factor_all.  The base
+sets.  A full walk decides every pencil of the system before its first
+plane, in stacks of _DECIDE_BLOCK pencils, one numpy elimination each
+(SystemPencils.decide, forms.pairs_share_factor).  The memo also admits
+a plane: a factor shared by all three forms divides every member of
+every pencil, so one rational pencil that shares no factor proves that
+the forms share none.  Only when every rational pencil shares a factor
+is the common factor decided by common_factor_all.  The base
 locus of a set of forms is computed by scanning P^2(GF(p^d)) for
 d = 1..scan_bound, one stream, and keeping the common zeros of minimal
 degree exactly d.
@@ -35,15 +38,22 @@ import itertools
 from functools import lru_cache
 from operator import mul
 
+import numpy as np
+
 from . import _scan
 from .finitefield import ProjPoint, build_field, gf_left_kernel, gf_rank, gf_rref, minimal_degree
-from .forms import MONOMIALS, TernaryForm, combine, common_factor_all, has_common_factor
+from .forms import MONOMIALS, TernaryForm, combine, common_factor_all, pairs_share_factor
 
 FIVE_POINT = "five_point"
 SIX_POINT = "six_point"
 
 # the exhaustive bound: Bezout caps the degree of a base point of two coprime cubics at 9
 DEFAULT_SCAN_BOUND = _scan.MAX_LEVEL
+
+# pencils per pairs_share_factor call in SystemPencils.decide: a block's stack of
+# Sylvester matrices stays near 2 MB, and the 155 and 35 pencils of the GF(2)
+# reference systems each fit one block
+_DECIDE_BLOCK = 1 << 10
 
 _REFERENCE_POINTS = {
     FIVE_POINT: ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 3, 1)),
@@ -283,10 +293,14 @@ class SystemPencils:
     is the subspace of the system spanned by the members a.V and b.V, so
     its key, the gf_rref rows of those two members, is the same for every
     plane and every spanning pair that holds it.  Per key the memo decides
-    once whether the pencil shares a factor (has_common_factor on the two
-    rows' forms).  The scan reads levels 1..bound as one stream of chunks
-    (_scan.iter_chunks): over GF(2) levels 1-9 are a single chunk, and
-    over GF(3) levels 1-5 one and level 6 another.  A member's zero set
+    once whether the pencil shares a factor: decide takes many keys and
+    decides them in stacks (forms.pairs_share_factor), and a full walk
+    hands it every pencil of the system, the rows of
+    iter_subspaces(p, dim, 2), before its first plane; shares_factor
+    decides a key it has not seen on its own.  The scan reads levels
+    1..bound as one stream of chunks (_scan.iter_chunks): over GF(2)
+    levels 1-9 are a single chunk, and over GF(3) levels 1-5 one and
+    level 6 another.  A member's zero set
     (_scan.zero_set) is taken once per chunk with the member scaled to a
     leading 1; the pencil's base points are the points of the first row's
     zero set that lie in the second's, in level-then-scan order.  A
@@ -302,11 +316,12 @@ class SystemPencils:
     member zero-set scans evaluated.
     """
 
-    __slots__ = ("system", "_forms", "_keys", "_shares", "_zeros", "_points",
+    __slots__ = ("system", "_basis", "_forms", "_keys", "_shares", "_zeros", "_points",
                  "pencil_tests", "key_lookups", "scanned_points")
 
     def __init__(self, system):
         self.system = system
+        self._basis = np.array([f.coeffs for f in system.basis], dtype=np.int64)
         self._forms = {}
         self._keys = {}
         self._shares = {}
@@ -333,13 +348,25 @@ class SystemPencils:
             key = self._keys[members] = gf_rref(p, members)[0]
         return key
 
+    def decide(self, keys):
+        """Decide for each undecided key whether the pencil's two spanning forms share a factor.
+
+        The keys' forms are stacked, _DECIDE_BLOCK pencils at a time, and
+        each block is decided by one pairs_share_factor call; a zero form
+        counts as a shared factor.  Keys already decided are skipped.
+        """
+        p = self.system.field.p
+        todo = [key for key in keys if key not in self._shares]
+        for start in range(0, len(todo), _DECIDE_BLOCK):
+            block = todo[start:start + _DECIDE_BLOCK]
+            pairs = np.array(block, dtype=np.int64) @ self._basis % p
+            self._shares.update(zip(block, pairs_share_factor(p, pairs).tolist()))
+
     def shares_factor(self, key):
-        """Whether the pencil's two spanning forms share a factor; a zero form counts as one."""
-        shares = self._shares.get(key)
-        if shares is None:
-            f, g = map(self.form, key)
-            shares = self._shares[key] = f.is_zero() or g.is_zero() or has_common_factor(f, g)
-        return shares
+        """Whether the pencil's two spanning forms share a factor; an undecided key is decided alone."""
+        if key not in self._shares:
+            self.decide([key])
+        return self._shares[key]
 
     def zero_set(self, member, chunk):
         """_scan.zero_set of a member, scaled to a leading 1, on a _scan.Chunk."""

@@ -26,7 +26,7 @@ from cubicmaps.dataset import (
     write_output,
 )
 from cubicmaps.finitefield import build_field
-from cubicmaps.forms import TernaryForm, combine, has_common_factor
+from cubicmaps.forms import TernaryForm, combine, has_common_factor, pairs_share_factor
 from cubicmaps.linsys import (
     FIVE_POINT,
     SIX_POINT,
@@ -235,9 +235,9 @@ def test_07_base_locus_bounds_and_gcd_oracle(five_records, tmp_path):
     print(f"[criterion 7]   pencil sweep: {pencils} pencils, {zero_dim} zero-dimensional, "
           f"max base points {worst}")
 
-    # (b) shared-factor detection agrees with an independent point count
-    # over a large extension, 500 pairs per base field; every fifth pair
-    # is built to share the factor x
+    # (b) shared-factor detection, pair by pair and stacked, agrees with an
+    # independent point count over a large extension, 500 pairs per base
+    # field; every fifth pair is built to share the factor x
     mismatches = escalations = 0
     x_divisible = (1, 1, 1, 1, 1, 1, 0, 0, 0, 0)
     rng = np.random.Generator(np.random.PCG64(7))
@@ -253,19 +253,22 @@ def test_07_base_locus_bounds_and_gcd_oracle(five_records, tmp_path):
 
     for p, level in ((2, 6), (3, 4)):
         field = build_field(p)
+        pairs = []
         for i in range(500):
             mask = x_divisible if i % 5 == 4 else None
-            f, g = random_form(field, mask), random_form(field, mask)
+            pairs.append((random_form(field, mask), random_form(field, mask)))
+        # one stack per field
+        stacked = pairs_share_factor(p, [[f.coeffs, g.coeffs] for f, g in pairs]).tolist()
+        for (f, g), stacked_shared in zip(pairs, stacked):
             shared = has_common_factor(f, g)
             count = len(common_zero_encodings((f, g), level)[level])
-            if shared and count <= 9 and level < 6:
+            if (shared or stacked_shared) and count <= 9 and level < 6:
                 # a shared factor that is a triple of conjugate lines has
                 # its points at levels divisible by 3; recount at level 6
                 count = len(common_zero_encodings((f, g), 6)[6])
                 escalations += 1
-            if shared != (count > 9):
-                mismatches += 1
-    print(f"[criterion 7]   gcd oracle: 1000 pairs, {mismatches} mismatches, "
+            mismatches += (shared != (count > 9)) + (stacked_shared != (count > 9))
+    print(f"[criterion 7]   gcd oracle: 1000 pairs, pairwise and stacked, {mismatches} mismatches, "
           f"{escalations} escalations")
 
     # (c) the integer generators reduced mod 2 span the pinned fixture

@@ -91,20 +91,20 @@ class TestDataset:
         assert entry["wall_time_s"] >= 0
         assert set(entry["stages"]) == {"dataset_s", "write_s"}
         assert all(seconds >= 0 for seconds in entry["stages"].values())
-        # 14 subspaces labeled through one memo: 25 pencil tests, 42 pencil keys
-        # looked up for 15 system pencils decided, 12 members of GF(2)^4 scanned
-        # once each on the one chunk of the 40,896 points of levels 1..9, and 6
-        # witness points decoded and evaluated exactly
+        # 14 subspaces labeled through one memo: all 35 system pencils decided up
+        # front, 25 pencil tests, 42 pencil keys looked up, 12 members of GF(2)^4
+        # scanned once each on the one chunk of the 40,896 points of levels 1..9,
+        # and 6 witness points decoded and evaluated exactly
         assert entry["counters"] == {"records": 336, "positives": 0, "subspaces": 14,
-                                     "system_pencils": 15, "member_zero_sets": 12,
+                                     "system_pencils": 35, "member_zero_sets": 12,
                                      "scanned_points": 12 * 40896,
                                      "pencil_tests": 25, "key_lookups": 42, "witness_points": 6}
 
     def test_manifest_counts_five_point_key_lookups(self):
-        # the memo answers every key lookup but the first of each system pencil
+        # the memo decides all 155 system pencils before the walk looks up a key
         main(["dataset", "--case", "five", "--out", "five.txt"])
         counters = manifest_entries()[-1]["counters"]
-        assert (counters["key_lookups"], counters["system_pencils"]) == (582, 136)
+        assert (counters["key_lookups"], counters["system_pencils"]) == (582, 155)
 
     def test_manifest_accumulates(self):
         main(["dataset", "--case", "six", "--out", "six.txt"])
@@ -411,14 +411,14 @@ class TestOracle:
         assert all(seconds >= 0 for seconds in entry["stages"].values())
         # all 15 six-point planes are labeled 0; together they miss 30 targets
         assert entry["counters"] == {"planes": 15, "disagreements": 0, "uncovered_targets": 30,
-                                     "system_pencils": 18, "member_zero_sets": 12,
+                                     "system_pencils": 35, "member_zero_sets": 12,
                                      "scanned_points": 12 * 40896,
                                      "pencil_tests": 30, "key_lookups": 48, "witness_points": 7}
 
     def test_full_sweep_five_counts_key_lookups(self):
         assert main(["oracle", "--case", "five", "--all"]) == 0
         counters = manifest_entries()[-1]["counters"]
-        assert (counters["key_lookups"], counters["system_pencils"]) == (647, 137)
+        assert (counters["key_lookups"], counters["system_pencils"]) == (647, 155)
 
     @pytest.mark.parametrize("case, planes, disagreements", [("five", 150, 144), ("six", 15, 15)])
     def test_full_sweep_catches_a_memo_that_always_shares_a_factor(self, capsys, monkeypatch,

@@ -1,5 +1,6 @@
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubicmaps.finitefield import (
@@ -11,6 +12,7 @@ from cubicmaps.finitefield import (
     enumerate_p2,
     gf_left_kernel,
     gf_rank,
+    gf_ranks,
     gf_rref,
     minimal_degree,
 )
@@ -338,3 +340,57 @@ class TestRowReduction:
         assert gf_rank(2, [[1, 1], [1, 1]]) == 1
         assert gf_rank(3, [[1, 2, 0], [2, 1, 0], [0, 0, 3]]) == 1
         assert gf_rank(5, [[1, 0], [0, 1], [1, 1]]) == 2
+
+
+@st.composite
+def stacks(draw):
+    """(p, stack): 0..4 dense R x C matrices over GF(p), each a product R x k by k x C.
+
+    With k below R the product plants R - k rows that depend on the others;
+    k = 0 gives a zero matrix.  Rows run up to 20, so an elimination whose
+    entries grow unreduced overflows even int64 at the larger primes.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7, 13, 251]))
+    b, r, c = draw(st.integers(0, 4)), draw(st.integers(1, 20)), draw(st.integers(1, 12))
+    entries = st.integers(0, p - 1)
+    stack = []
+    for _ in range(b):
+        k = draw(st.integers(0, min(r, c)))
+        left = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=r, max_size=r))
+        right = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=k, max_size=k))
+        stack.append([[sum(x * y for x, y in zip(row, column)) % p for column in zip(*right)]
+                      if k else [0] * c for row in left])
+    return p, np.array(stack, dtype=np.int64).reshape(b, r, c)
+
+
+class TestStackedRanks:
+    # gf_ranks decides a stack in one elimination; gf_rank, one matrix at a
+    # time, is the reference
+
+    @settings(max_examples=400, deadline=None)
+    @given(stacks())
+    @example((5, np.zeros((0, 3, 4), dtype=np.int64)))
+    @example((7, np.zeros((2, 6, 3), dtype=np.int64)))
+    def test_matches_gf_rank_matrix_by_matrix(self, pstack):
+        p, stack = pstack
+        ranks = gf_ranks(p, stack)
+        assert ranks.shape == (len(stack),)
+        assert ranks.tolist() == [gf_rank(p, m.tolist()) for m in stack]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 251])
+    def test_edge_stacks(self, p):
+        stack = [
+            [[0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]],                 # a zero matrix
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],                 # more rows than columns
+            [[0, 0, 1], [0, 1, 0], [1, 0, 0], [0, 0, 0]],                 # leads in reverse order
+            [[-1, p, 2 * p + 1], [p - 1, -p - 1, 0], [2, p, 1], [0, 0, p]],   # entries outside 0..p-1
+        ]
+        assert gf_ranks(p, stack).tolist() == [gf_rank(p, m) for m in stack]
+        assert gf_ranks(p, np.zeros((0, 12, 21), dtype=np.int64)).tolist() == []
+        assert gf_ranks(p, np.zeros((3, 0, 4), dtype=np.int64)).tolist() == [0, 0, 0]
+
+    def test_rejects_what_it_cannot_reduce_exactly(self):
+        with pytest.raises(ValueError, match="below 2"):
+            gf_ranks((1 << 31) + 11, [[[1]]])
+        with pytest.raises(ValueError, match="stack"):
+            gf_ranks(5, [[1, 2], [3, 4]])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cubicmaps import linsys
 from cubicmaps.finitefield import ProjPoint, build_field, enumerate_p2, gf_left_kernel, gf_rref
 from cubicmaps.forms import (
     MONOMIAL_NAMES,
@@ -13,6 +14,7 @@ from cubicmaps.forms import (
     common_factor_all,
     evaluate,
     has_common_factor,
+    pairs_share_factor,
     parse_form,
     render_form,
 )
@@ -341,18 +343,24 @@ class TestSystemPencilDecisions:
     # every pencil of the GF(2) fixtures and of the GF(3) vanishing systems
     # against the rank criterion, with the number that share a factor pinned
 
-    @pytest.mark.parametrize("p, case, pencils, sharing", [
+    SYSTEMS = pytest.mark.parametrize("p, case, pencils, sharing", [
         (2, FIVE_POINT, 155, 36),
         (2, SIX_POINT, 35, 6),
         (3, FIVE_POINT, 1210, 202),
         (3, SIX_POINT, 130, 39),
     ])
-    def test_has_common_factor_agrees_with_the_rank_criterion(self, p, case, pencils, sharing):
+
+    @staticmethod
+    def system(p, case):
+        """The GF(2) fixture, or the GF(3) system of cubics through the reference points."""
         field = build_field(p)
         if p == 2:
-            basis = reference_system(case, field).basis
-        else:
-            basis = vanishing_cubics(reference_points(case), field).basis
+            return reference_system(case, field)
+        return vanishing_cubics(reference_points(case), field)
+
+    @SYSTEMS
+    def test_has_common_factor_agrees_with_the_rank_criterion(self, p, case, pencils, sharing):
+        basis = self.system(p, case).basis
         verdicts = []
         for rows in iter_subspaces(p, len(basis), 2):
             f, g = (combine(row, basis) for row in rows)
@@ -360,6 +368,33 @@ class TestSystemPencilDecisions:
             assert verdict == reference_shares_factor(f, g), rows
             verdicts.append(verdict)
         assert (len(verdicts), sum(verdicts)) == (pencils, sharing)
+
+    @SYSTEMS
+    def test_stacked_decisions_agree_with_has_common_factor(self, monkeypatch, p, case,
+                                                            pencils, sharing):
+        system = self.system(p, case)
+        keys = list(iter_subspaces(p, system.dim, 2))
+        expected = [has_common_factor(*(combine(row, system.basis) for row in rows)) for rows in keys]
+        pairs = [[combine(row, system.basis).coeffs for row in rows] for rows in keys]
+        assert pairs_share_factor(p, pairs).tolist() == expected
+        memo = SystemPencils(system)
+        memo.decide(keys)
+        assert [memo.shares_factor(key) for key in keys] == expected
+        assert (len(expected), sum(expected), memo.counters()["system_pencils"]) == (
+            pencils, sharing, pencils)
+        # blocks of 7 pencils, the last one short, give the verdicts of one block
+        blocks = []
+
+        def counted(p, pairs):
+            blocks.append(len(pairs))
+            return pairs_share_factor(p, pairs)
+
+        monkeypatch.setattr(linsys, "_DECIDE_BLOCK", 7)
+        monkeypatch.setattr(linsys, "pairs_share_factor", counted)
+        blocked = SystemPencils(system)
+        blocked.decide(iter_subspaces(p, system.dim, 2))
+        assert [blocked.shares_factor(key) for key in keys] == expected
+        assert (len(blocks), sum(blocks), max(blocks)) == ((pencils + 6) // 7, pencils, 7)
 
 
 def pairwise_verdict(net, a, b):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cubicmaps import _scan
+from cubicmaps import _scan, linsys
 from cubicmaps.finitefield import ProjPoint, Scalar, build_field, enumerate_p2, gf_left_kernel
 from cubicmaps.forms import (
     TernaryForm,
@@ -398,6 +398,40 @@ class TestWitnessesAgainstPencilForms:
                         (pair, v.status, v.witness) for pair, v in want], rows
             assert planes == {FIVE_POINT: 150, SIX_POINT: 15}[case]
             assert pencils.counters()["system_pencils"] < pencils.counters()["pencil_tests"]
+
+    @pytest.mark.parametrize("case, pencils, planes", [(FIVE_POINT, 155, 150), (SIX_POINT, 35, 15)])
+    def test_a_memo_decided_up_front_gives_the_results_of_a_lazy_one(self, monkeypatch, case,
+                                                                      pencils, planes):
+        system = reference_system(case, build_field(2))
+
+        def walk(memo):
+            """Per subspace: None, or the plane's vectors and forms, its pencils' verdicts and label."""
+            results = []
+            for rows in iter_subspaces(2, system.dim, 3):
+                plane = make_plane(system, *rows, pencils=memo)
+                if plane is not None:
+                    shares = [memo.shares_factor(memo.key(plane.vectors, a, b))
+                              for a, b in pencil_subspaces(2)]
+                    label = label_plane(plane, find_all=True)
+                    plane = (plane.vectors, plane.forms, shares, label.value,
+                             [(pair, v.status, v.witness) for pair, v in label.verdicts])
+                results.append(plane)
+            return results
+
+        want = walk(SystemPencils(system))
+        eager = SystemPencils(system)
+        eager.decide(iter_subspaces(2, system.dim, 2))
+        assert eager.counters()["system_pencils"] == pencils
+
+        # from here on the memo makes no decision, not even for keys it is given again
+        def no_decision(p, pairs):
+            raise AssertionError("a memo that decided every pencil decided one again")
+
+        monkeypatch.setattr(linsys, "pairs_share_factor", no_decision)
+        eager.decide(iter_subspaces(2, system.dim, 2))
+        assert walk(eager) == want
+        assert sum(result is not None for result in want) == planes
+        assert eager.counters()["system_pencils"] == pencils
 
     def test_gf3_plane_through_the_first_uncached_level(self):
         # GF(3^7) is the first level whose points are not cached: its zero
