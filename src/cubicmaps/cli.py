@@ -43,6 +43,7 @@ from .linsys import (
     iter_subspaces,
     make_plane,
     vanishing_cubics,
+    walk_planes,
 )
 from .network import (
     TrainConfig,
@@ -155,15 +156,9 @@ def _require_exhaustive(flag, bound, unproved):
 
 
 def _iter_admissible_planes(cfg, pencils):
-    """Distinct admissible planes of a system, one per coefficient 3-subspace, through the memo pencils.
-
-    The memo first decides every pencil of the system, in stacked eliminations.
-    """
-    pencils.decide(iter_subspaces(cfg.p, cfg.system.dim, 2))
-    for rows in iter_subspaces(cfg.p, cfg.system.dim, 3):
-        plane = make_plane(cfg.system, *rows, pencils=pencils)
-        if plane is not None:
-            yield plane
+    """Distinct admissible planes of a system, one per coefficient 3-subspace, through the memo pencils."""
+    planes = walk_planes(cfg.system, iter_subspaces(cfg.p, cfg.system.dim, 3), pencils)
+    return (plane for plane in planes if plane is not None)
 
 
 def cmd_dataset(args):

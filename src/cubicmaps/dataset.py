@@ -9,9 +9,10 @@ process pool.  Per subspace the walk computes the span vectors c·rows and
 their filter tests once, and reads the independence of three coordinate
 vectors c off a per-p table of determinant bitmasks.  The planes share
 their pencils, so the subspaces are labeled in contiguous blocks, one per
-worker, each through one SystemPencils memo.  The records are sorted by
-(v, u, t), so the output is byte-identical for any worker count.  The
-writer formats each distinct vector once and streams its lines.
+worker, each walked by linsys.walk_planes through one SystemPencils memo.
+The records are sorted by (v, u, t), so the output is byte-identical for
+any worker count.  The writer formats each distinct vector once and
+streams its lines.
 
 File format, one record per line, newline-terminated:
 
@@ -31,8 +32,8 @@ from .linsys import (
     SystemPencils,
     iter_subspaces,
     iter_vectors,
-    make_plane,
     reference_system,
+    walk_planes,
 )
 from .surjectivity import label_plane
 
@@ -123,21 +124,15 @@ def passes_filter(mode, v, u, t, p):
     return True
 
 
-def _label_subspace(pencils, rows):
-    """Label of the plane spanned by canonical rows, through the walk's memo; None when rejected."""
-    plane = make_plane(pencils.system, *rows, pencils=pencils)
-    return None if plane is None else label_plane(plane).value
-
-
 def _label_block(system, block):
-    """Labels of a block of subspaces through one SystemPencils, and its counters.
+    """Labels of a block of subspaces, None where make_plane rejects one, and the walk's counters.
 
-    The memo decides every pencil of the system before the first plane,
-    in stacked eliminations.
+    The block is one walk_planes walk through one SystemPencils.
     """
     pencils = SystemPencils(system)
-    pencils.decide(iter_subspaces(system.field.p, system.dim, 2))
-    return [_label_subspace(pencils, rows) for rows in block], pencils.counters()
+    labels = [None if plane is None else label_plane(plane).value
+              for plane in walk_planes(system, block, pencils)]
+    return labels, pencils.counters()
 
 
 def _det3(a, b, c):

@@ -17,14 +17,17 @@ when p = 7; mod 2 they span the fixture.
 
 A plane is a 3-dimensional subsystem spanned by three combinations of the
 basis whose coefficient vectors have rank 3 and whose forms share no
-common factor; a pencil is a 2-dimensional subsystem of a plane.  The
-planes of a walk share their pencils, so a walk decides once per pencil
-of the system, in one SystemPencils memo, whether it shares a factor,
-and scans each member's zero set once per chunk of the scan stream; a
-witness search reads the pencil's base points off its two rows' zero
-sets.  A full walk decides every pencil of the system before its first
-plane, in stacks of _DECIDE_BLOCK pencils, one numpy elimination each
-(SystemPencils.decide, forms.pairs_share_factor).  The memo also admits
+common factor; a pencil is a 2-dimensional subsystem of a plane, keyed
+by the gf_rref rows of its two spanning members.  The planes of a walk
+share their pencils, so a walk decides once per pencil of the system, in
+one SystemPencils memo, whether it shares a factor, and scans each
+member's zero set once per chunk of the scan stream; a witness search
+reads the pencil's base points off its two rows' zero sets.  A full walk
+(walk_planes) decides every pencil of the system before its first plane,
+in stacks of _DECIDE_BLOCK pencils, one numpy elimination each
+(SystemPencils.decide, forms.pairs_share_factor), and keys every pencil
+of _PLANE_BLOCK planes at a time with one product against the planes'
+gf_rref rows, no elimination.  The memo also admits
 a plane: a factor shared by all three forms divides every member of
 every pencil, so one rational pencil that shares no factor proves that
 the forms share none.  Only when every rational pencil shares a factor
@@ -54,6 +57,11 @@ DEFAULT_SCAN_BOUND = _scan.MAX_LEVEL
 # Sylvester matrices stays near 2 MB, and the 155 and 35 pencils of the GF(2)
 # reference systems each fit one block
 _DECIDE_BLOCK = 1 << 10
+
+# planes per key product in walk_planes: a block's keys live only while its
+# planes are yielded, and the 155 and 15 planes of the GF(2) reference
+# walks each fit one block
+_PLANE_BLOCK = 1 << 8
 
 _REFERENCE_POINTS = {
     FIVE_POINT: ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 3, 1)),
@@ -292,7 +300,8 @@ class SystemPencils:
     The pencil of a plane with coefficient vectors V spanned by a.F and b.F
     is the subspace of the system spanned by the members a.V and b.V, so
     its key, the gf_rref rows of those two members, is the same for every
-    plane and every spanning pair that holds it.  Per key the memo decides
+    plane and every spanning pair that holds it; the plane holds its keys
+    (Plane.keys).  Per key the memo decides
     once whether the pencil shares a factor: decide takes many keys and
     decides them in stacks (forms.pairs_share_factor), and a full walk
     hands it every pencil of the system, the rows of
@@ -312,18 +321,18 @@ class SystemPencils:
     Build one per walk, never per system: every walk pays for its own
     decisions, and the memo lives as long as the planes that share it.
     pencil_tests counts the pencils test_pencil decides through it,
-    key_lookups the calls to key, and scanned_points the points that the
-    member zero-set scans evaluated.
+    key_lookups the keys read to admit or to test a plane (the
+    shares_factor calls), and scanned_points the points that the member
+    zero-set scans evaluated.
     """
 
-    __slots__ = ("system", "_basis", "_forms", "_keys", "_shares", "_zeros", "_points",
+    __slots__ = ("system", "_basis", "_forms", "_shares", "_zeros", "_points",
                  "pencil_tests", "key_lookups", "scanned_points")
 
     def __init__(self, system):
         self.system = system
         self._basis = np.array([f.coeffs for f in system.basis], dtype=np.int64)
         self._forms = {}
-        self._keys = {}
         self._shares = {}
         self._zeros = {}
         self._points = {}
@@ -337,16 +346,6 @@ class SystemPencils:
         if form is None:
             form = self._forms[member] = combine(member, self.system.basis)
         return form
-
-    def key(self, vectors, a, b):
-        """The gf_rref rows of the members a.V and b.V of a plane with coefficient vectors V."""
-        p = self.system.field.p
-        self.key_lookups += 1
-        members = (combination(a, vectors, p), combination(b, vectors, p))
-        key = self._keys.get(members)
-        if key is None:
-            key = self._keys[members] = gf_rref(p, members)[0]
-        return key
 
     def decide(self, keys):
         """Decide for each undecided key whether the pencil's two spanning forms share a factor.
@@ -364,6 +363,7 @@ class SystemPencils:
 
     def shares_factor(self, key):
         """Whether the pencil's two spanning forms share a factor; an undecided key is decided alone."""
+        self.key_lookups += 1
         if key not in self._shares:
             self.decide([key])
         return self._shares[key]
@@ -413,37 +413,86 @@ class SystemPencils:
                 "key_lookups": self.key_lookups, "witness_points": len(self._points)}
 
 
+def _key_block(p, pair_rows, rows):
+    """The pencil keys of a block of planes: per plane, {(a, b): key} in pencil_subspaces order.
+
+    rows is the (B, 3, dim) stack of the planes' gf_rref rows R, and
+    pair_rows the (P, 2, 3) gf_rref rows M of the planes' pencil_subspaces
+    pairs, in R's coordinates.  M.R is then the key: it spans the pencil,
+    and it is in RREF, because R is the identity at its pivot columns, so
+    M.R reads M there and is zero left of each row's pivot.  One product
+    and one tolist key the block; no elimination is needed.
+    """
+    pairs = pencil_subspaces(p)
+    members = pair_rows @ rows[:, None] % p
+    members = map(tuple, members.reshape(-1, members.shape[-1]).tolist())
+    # consecutive members pair up into keys, and len(pairs) consecutive keys make a plane's
+    keys = list(zip(members, members))
+    return [dict(zip(pairs, keys[i:i + len(pairs)])) for i in range(0, len(keys), len(pairs))]
+
+
+def _plane_keys(p, vectors):
+    """The pencil keys of a lone plane with rank-3 coefficient vectors V: a block of one.
+
+    V is reduced once to its gf_rref rows R, and V = T.R with T the columns
+    of V at R's pivots, so the members a.V and b.V are (a.T).R and (b.T).R,
+    and the pair (a, b) is keyed by the gf_rref rows of (a.T, b.T) over R.
+    """
+    rows, pivots = gf_rref(p, vectors)
+    transform = [[w[c] for c in pivots] for w in vectors]
+    pair_rows = [gf_rref(p, (combination(a, transform, p), combination(b, transform, p)))[0]
+                 for a, b in pencil_subspaces(p)]
+    return _key_block(p, np.array(pair_rows, dtype=np.int64), np.array([rows], dtype=np.int64))[0]
+
+
 class Plane:
     """A rank-3 subsystem of a cubic system with coprime spanning forms.
 
-    pencils is the walk's SystemPencils, which decides the plane's pencils.
+    pencils is the walk's SystemPencils, which decides the plane's pencils,
+    and keys maps each pencil_subspaces pair (a, b) to its pencil's key, the
+    gf_rref rows of the members a.V and b.V.
     """
 
-    __slots__ = ("system", "vectors", "forms", "pencils")
+    __slots__ = ("system", "vectors", "forms", "pencils", "keys")
 
-    def __init__(self, system, vectors, forms, pencils):
+    def __init__(self, system, vectors, forms, pencils, keys):
         self.system = system
         self.vectors = vectors
         self.forms = forms
         self.pencils = pencils
+        self.keys = keys
 
     @property
     def field(self):
         return self.system.field
 
+    def key(self, a, b):
+        """The key of the pencil spanned by independent a, b with entries in 0..p-1.
+
+        Any other pair spanning the pencil reads the key of its first
+        spanning pair, the one pencil_subspaces lists.
+        """
+        key = self.keys.get((a, b))
+        if key is None:
+            r0, r1 = gf_rref(self.field.p, (a, b))[0]
+            key = self.keys[r1, r0]
+        return key
+
     def __repr__(self):
         return f"Plane{self.vectors}"
 
 
-def make_plane(system, v, u, t, pencils=None):
+def make_plane(system, v, u, t, pencils=None, keys=None):
     """Build a plane from three coefficient vectors, or None if rejected.
 
     Rejection reasons: the stacked vectors have rank < 3 over the system
     field, or the three combined forms share a nonconstant factor.  pencils
-    is the walk's SystemPencils; a lone plane gets a memo of its own.  A
-    pencil that shares no factor proves the forms share none; the
-    rational pencils are tried in walk order (pencil_subspaces), and only
-    when all of them share a factor does common_factor_all decide.
+    is the walk's SystemPencils, and keys the plane's pencil keys from its
+    walk's block (walk_planes); a lone plane gets a memo of its own, and
+    keys its pencils as a block of one.  A pencil that shares no factor
+    proves the forms share none; the rational pencils are tried in walk
+    order (pencil_subspaces), and only when all of them share a factor
+    does common_factor_all decide.
     """
     if pencils is None:
         pencils = SystemPencils(system)
@@ -462,10 +511,29 @@ def make_plane(system, v, u, t, pencils=None):
     if any(f.is_zero() for f in forms):
         return None
     vecs = tuple(vecs)
-    keys = (pencils.key(vecs, a, b) for a, b in pencil_subspaces(field.p))
-    if all(map(pencils.shares_factor, keys)) and common_factor_all(forms):
+    if keys is None:
+        keys = _plane_keys(field.p, vecs)
+    if all(map(pencils.shares_factor, keys.values())) and common_factor_all(forms):
         return None
-    return Plane(system, vecs, tuple(forms), pencils)
+    return Plane(system, vecs, tuple(forms), pencils, keys)
+
+
+def walk_planes(system, subspaces, pencils):
+    """make_plane of each subspace, given by its gf_rref rows, in order: a Plane or None.
+
+    The walk's memo pencils first decides every pencil of the system.  The
+    subspaces are then keyed _PLANE_BLOCK at a time: their rows are their
+    own gf_rref rows, so every pencil_subspaces pair (a, b) of every plane
+    in the block is keyed by one product with the pairs' rows (b, a).
+    """
+    p = system.field.p
+    pencils.decide(iter_subspaces(p, system.dim, 2))
+    pair_rows = np.array([(b, a) for a, b in pencil_subspaces(p)], dtype=np.int64)
+    subspaces = iter(subspaces)
+    while block := list(itertools.islice(subspaces, _PLANE_BLOCK)):
+        keys = _key_block(p, pair_rows, np.array(block, dtype=np.int64))
+        for rows, plane_keys in zip(block, keys):
+            yield make_plane(system, *rows, pencils=pencils, keys=plane_keys)
 
 
 class BaseLocus:

@@ -10,7 +10,9 @@ below it such a label is inconclusive.
 
 The planes of one walk share their pencils, so a pencil's shared factor
 is decided, and each member's zero set scanned per chunk of the scan
-stream, once per walk by the SystemPencils memo the planes hold (linsys).
+stream, once per walk by the SystemPencils memo the planes hold (linsys),
+under the pencil's key, which each plane holds for every rational pencil
+(Plane.keys).
 The stream reads levels 1..scan_bound in level-then-scan order, and packs
 the small levels into one chunk: over GF(2) levels 1-9 are a single
 chunk.  A pencil's base points are the common zeros of its two spanning
@@ -103,7 +105,8 @@ def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
 
     Dependent vectors or a shared factor of the two combined forms give
     positive_dimensional; the factor is decided once per system pencil by
-    the plane's SystemPencils.  Otherwise the pencil's base points are
+    the plane's SystemPencils, under the key the plane holds for the
+    pencil (Plane.key).  Otherwise the pencil's base points are
     read in one pass over the scan stream of levels 1..scan_bound, in
     level-then-scan order, off the memo's member zero sets, and the first
     one where plane form i is nonzero is returned as a not_unruly witness,
@@ -129,7 +132,7 @@ def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
         return UnrulyVerdict(POSITIVE_DIMENSIONAL)
     pencils = plane.pencils
     pencils.pencil_tests += 1
-    key = pencils.key(plane.vectors, a, b)
+    key = plane.key(a, b)
     if pencils.shares_factor(key):
         return UnrulyVerdict(POSITIVE_DIMENSIONAL)
     third = plane.vectors[next(i for i, c in enumerate(normal) if c)]

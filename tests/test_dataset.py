@@ -225,13 +225,14 @@ class TestLabeledSubspaces:
     def test_only_subspaces_holding_a_triple_are_labeled(self, case, count, monkeypatch,
                                                           five_records, six_records):
         labeled = []
-        label = dataset._label_subspace
+        walk = dataset.walk_planes
 
-        def counting_label(pencils, rows):
-            labeled.append(rows)
-            return label(pencils, rows)
+        def counting_walk(system, subspaces, pencils):
+            for rows, plane in zip(subspaces, walk(system, subspaces, pencils)):
+                labeled.append(rows)
+                yield plane
 
-        monkeypatch.setattr(dataset, "_label_subspace", counting_label)
+        monkeypatch.setattr(dataset, "walk_planes", counting_walk)
         records = generate_dataset(EnumConfig(case))
         assert records == (five_records if case == FIVE_POINT else six_records)
         assert len(labeled) == len(set(labeled)) == count

@@ -23,6 +23,7 @@ from cubicmaps.linsys import (
     SIX_POINT,
     CubicSystem,
     SystemPencils,
+    _plane_keys,
     iter_subspaces,
     make_plane,
     pencil_subspaces,
@@ -406,20 +407,20 @@ def pairwise_verdict(net, a, b):
 IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def assert_memo_verdicts_match(pencils, vectors, net):
-    """The memo's shared-factor verdict against the pairwise test on every pencil of a net; the verdicts."""
+def assert_memo_verdicts_match(pencils, keys, net):
+    """The memo's verdict on each pencil's key against the pairwise test on every pencil of a net; the verdicts."""
     p = net[0].field.p
     verdicts = []
     for a, b in pencil_subspaces(p):
         expected = pairwise_verdict(net, a, b)
-        assert pencils.shares_factor(pencils.key(vectors, a, b)) == expected, (a, b)
+        assert pencils.shares_factor(keys[a, b]) == expected, (a, b)
         verdicts.append(expected)
     return verdicts
 
 
 def net_pencils(net):
-    """A SystemPencils of the system whose basis is the net, and the net's coefficient vectors."""
-    return SystemPencils(CubicSystem(net[0].field, net, "custom")), IDENTITY
+    """A SystemPencils of the system whose basis is the net, and the pencil keys of its identity vectors."""
+    return SystemPencils(CubicSystem(net[0].field, net, "custom")), _plane_keys(net[0].field.p, IDENTITY)
 
 
 @st.composite
@@ -466,13 +467,13 @@ class TestQuadricSyzygies:
                 if plane is None:
                     continue
                 planes += 1
-                found = assert_memo_verdicts_match(pencils, plane.vectors, plane.forms)
+                found = assert_memo_verdicts_match(pencils, plane.keys, plane.forms)
                 pencils_seen += len(found)
                 verdicts.update(found)
                 # the annihilator pencil of a target t has normal t
                 for target in enumerate_p2(f2):
                     a, b = gf_left_kernel(2, [[c] for c in target.encode()])
-                    key = pencils.key(plane.vectors, a, b)
+                    key = plane.key(a, b)
                     assert pencils.shares_factor(key) == pairwise_verdict(plane.forms, a, b)
         assert (planes, pencils_seen) == (165, 1155)
         assert verdicts == {False, True}
@@ -492,11 +493,13 @@ class TestQuadricSyzygies:
         field = build_field(5)
         g = [parse_form(t, field) for t in ("x*y^2", "x*z^2", "y^3 + z^3 + x^2*y")]
         mixed = [combine(row, g) for row in ((1, 0, 1), (0, 1, 2), (0, 0, 1))]
-        pencils, vectors = net_pencils(mixed)
-        verdicts = assert_memo_verdicts_match(pencils, vectors, mixed)
+        pencils, keys = net_pencils(mixed)
+        verdicts = assert_memo_verdicts_match(pencils, keys, mixed)
         assert verdicts.count(True) == 1
-        assert pencils.shares_factor(pencils.key(vectors, (1, 0, 4), (0, 1, 3)))
-        assert not pencils.shares_factor(pencils.key(vectors, (1, 0, 0), (0, 1, 0)))
+        plane = make_plane(pencils.system, *IDENTITY, pencils=pencils)
+        assert plane.keys == keys
+        assert pencils.shares_factor(plane.key((1, 0, 4), (0, 1, 3)))
+        assert not pencils.shares_factor(plane.key((1, 0, 0), (0, 1, 0)))
 
 
 class TestRationalPoly:

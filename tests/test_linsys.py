@@ -3,6 +3,7 @@ from collections import Counter
 from functools import reduce
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,9 @@ from cubicmaps.linsys import (
     CubicSystem,
     PointConfig,
     SystemPencils,
+    _key_block,
     _monomial_coords,
+    _plane_keys,
     base_locus,
     combination,
     gf_rref,
@@ -190,8 +193,7 @@ class TestPlanes:
         system = CubicSystem(f3, tuple(parse_form(t, f3) for t in texts), "custom")
         pencils = SystemPencils(system)
         identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        assert all(pencils.shares_factor(pencils.key(identity, a, b))
-                   for a, b in pencil_subspaces(3))
+        assert all(map(pencils.shares_factor, _plane_keys(3, identity).values()))
         assert make_plane(system, *identity, pencils=pencils) is None
 
     @pytest.mark.parametrize("case, p, subspaces, rejected", [
@@ -407,22 +409,40 @@ def residues(p, length):
 
 
 class TestPencilKeys:
+    # a pencil of a plane with vectors V, spanned by a.V and b.V, is keyed by
+    # gf_rref((a.V, b.V)): the plane finds it as rref((a, b).T).R, and a walk's
+    # block, whose V is its own RREF R, as the pair's RREF rows times R
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from([3, 5]), st.data())
-    def test_key_of_a_plane_whose_vectors_are_not_in_rref(self, p, data):
+    @given(st.sampled_from([2, 3, 5, 7]), st.booleans(), st.data())
+    def test_key_of_a_plane_whose_vectors_are_not_in_rref(self, p, in_rref, data):
         system = vanishing_cubics(reference_points(FIVE_POINT), build_field(p))
         n = system.dim
         vectors = data.draw(st.tuples(*[residues(p, n)] * 3)
                             .filter(lambda rows: len(reference_rref(p, rows)[0]) == 3))
-        assume(reference_rref(p, vectors)[0] != vectors)
+        rows = reference_rref(p, vectors)[0]
+        if in_rref:
+            vectors = rows
+
+        def members_rref(a, b):
+            members = [[sum(w[i] * vectors[i][j] for i in range(3)) % p for j in range(n)]
+                       for w in (a, b)]
+            return reference_rref(p, members)[0]
+
+        keys = _plane_keys(p, vectors)
+        assert list(keys) == list(pencil_subspaces(p))
+        for (a, b), key in keys.items():
+            assert key == members_rref(a, b), (a, b)
+        if vectors == rows:
+            # a walk's block: the first pairs' gf_rref rows (b, a) times R
+            pair_rows = np.array([(b, a) for a, b in pencil_subspaces(p)])
+            assert _key_block(p, pair_rows, np.array([rows])) == [keys]
+        # any pair spanning a pencil reads its first pair's key
         a, b = data.draw(st.tuples(residues(p, 3), residues(p, 3))
                          .filter(lambda pair: len(reference_rref(p, pair)[0]) == 2))
-        members = [[sum(w[i] * vectors[i][j] for i in range(3)) % p for j in range(n)] for w in (a, b)]
-        pencils = SystemPencils(system)
-        key = pencils.key(vectors, a, b)
-        assert key == reference_rref(p, members)[0]
-        assert pencils.key(vectors, a, b) == key
-        assert pencils.counters()["key_lookups"] == 2
+        plane = make_plane(system, *vectors)
+        assume(plane is not None)
+        assert plane.keys == keys
+        assert plane.key(a, b) == members_rref(a, b)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 10), st.integers(1, 10), st.data())

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -33,6 +34,7 @@ from cubicmaps.linsys import (
     reference_points,
     reference_system,
     vanishing_cubics,
+    walk_planes,
 )
 from cubicmaps.surjectivity import (
     NOT_UNRULY,
@@ -410,8 +412,7 @@ class TestWitnessesAgainstPencilForms:
             for rows in iter_subspaces(2, system.dim, 3):
                 plane = make_plane(system, *rows, pencils=memo)
                 if plane is not None:
-                    shares = [memo.shares_factor(memo.key(plane.vectors, a, b))
-                              for a, b in pencil_subspaces(2)]
+                    shares = [memo.shares_factor(plane.keys[pair]) for pair in pencil_subspaces(2)]
                     label = label_plane(plane, find_all=True)
                     plane = (plane.vectors, plane.forms, shares, label.value,
                              [(pair, v.status, v.witness) for pair, v in label.verdicts])
@@ -472,9 +473,62 @@ class TestWitnessesAgainstPencilForms:
         assert pencils.counters()["scanned_points"] == len(chunk) == 13 + 52
         # a pencil is keyed by the RREF of its span, whatever pair spans it
         vectors = (member, (0, 1, 1, 0, 2), (0, 0, 0, 0, 1))
-        key = pencils.key(vectors, (1, 0, 0), (0, 1, 0))
+        plane = make_plane(system, *vectors, pencils=pencils)
+        key = plane.key((1, 0, 0), (0, 1, 0))
         assert key == gf_rref(3, vectors[:2])[0]
-        assert pencils.key(vectors, (2, 1, 0), (1, 1, 0)) == key
+        assert plane.key((2, 1, 0), (1, 1, 0)) == key
+
+
+def verdict_list(plane, scan_bound=9):
+    """(pair, status, witness) of every pencil of a plane, in walk order."""
+    return [(pair, v.status, v.witness)
+            for pair, v in label_plane(plane, scan_bound, find_all=True).verdicts]
+
+
+class TestBlockKeyedWalk:
+    # walk_planes keys the pencils of a block of planes with one product; a
+    # lone plane, with a memo of its own, keys its pencils as a block of one
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_gf2_walks_give_the_verdicts_and_witnesses_of_lone_planes(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(linsys, "_PLANE_BLOCK", block)
+        planes = 0
+        for case in (FIVE_POINT, SIX_POINT):
+            system = reference_system(case, build_field(2))
+            subspaces = list(iter_subspaces(2, system.dim, 3))
+            for rows, plane in zip(subspaces, walk_planes(system, subspaces, SystemPencils(system))):
+                lone = make_plane(system, *rows)
+                assert (plane is None) == (lone is None), rows
+                if plane is None:
+                    continue
+                planes += 1
+                assert plane.vectors == lone.vectors == rows
+                assert plane.keys == lone.keys
+                assert verdict_list(plane) == verdict_list(lone), rows
+        assert planes == 165
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_gf3_five_point_walk_admits_and_labels_as_lone_planes(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(linsys, "_PLANE_BLOCK", block)
+        system = vanishing_cubics(reference_points(FIVE_POINT), build_field(3))
+        subspaces = list(iter_subspaces(3, system.dim, 3))
+        sample = set(random.Random(3).sample(range(len(subspaces)), 40))
+        planes = labeled = 0
+        walk = walk_planes(system, subspaces, SystemPencils(system))
+        for i, (rows, plane) in enumerate(zip(subspaces, walk)):
+            lone = make_plane(system, *rows)
+            assert (plane is None) == (lone is None), rows
+            if plane is None:
+                continue
+            planes += 1
+            assert plane.keys == lone.keys
+            if i in sample:
+                labeled += 1
+                assert verdict_list(plane, 2) == verdict_list(lone, 2), rows
+        assert (len(subspaces), planes) == (1210, 1164)
+        assert labeled > 30
 
 
 class TestWitnessPoints:
