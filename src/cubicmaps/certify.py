@@ -11,12 +11,18 @@ preimages of the two coordinate points on the line y = 0, a parametric
 family covering the rest of that line, the reduction of the generic
 preimage problem for a target [a:1:b] to one quartic equation in one
 variable, and the case analysis showing the quartic always has an
-admissible root.  Floating point enters only in numeric_preimage, which
+admissible root.  The arithmetic is RationalPoly's: a coefficient is a
+Python int when it is integral and a Fraction only when it is not, and
+point checks evaluate the maps at int coordinates, so the mostly integral
+derivations run on ints.  The maps' component terms are built once, and
+every certificate re-derives its quartics, substitutions and gcds from
+copies of them.  Floating point enters only in numeric_preimage, which
 constructs a preimage of an arbitrary complex target from the quartic's
 roots and verifies it projectively to a tolerance.  It evaluates the
 certified preimage quartic and map from complex terms compiled from them
 once per process, in RationalPoly.evaluate's order, so its results are
-those of evaluating the exact polynomials.
+those of evaluating the exact polynomials.  The roots are the eigenvalues
+of the companion matrix np.roots would build, so they are np.roots' bits.
 
 For the six_point case two clearings of the second target condition are
 tracked.  The component relation g2 = b*g1 yields the quartic whose roots
@@ -34,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .linsys import FIVE_POINT, SIX_POINT
-from .ratpoly import RationalPoly, univariate_gcd
+from .ratpoly import RationalPoly, exact, univariate_gcd
 
 _X = RationalPoly.var("x")
 _Y = RationalPoly.var("y")
@@ -58,22 +64,25 @@ class ExplicitMap:
         return f"ExplicitMap({self.case})"
 
 
+# the component terms of both maps, built once; explicit_map hands out copies
+_COMPONENTS = {
+    FIVE_POINT: (
+        _X**2 * _Y + _Y**2 * _Z,
+        _X * _Y * _Z,
+        _X**2 * _Y + _X * _Y**2 + 2 * _Y**2 * _Z + _X * _Z**2 + _Y * _Z**2,
+    ),
+    SIX_POINT: (
+        _X**2 * _Y + _Y**2 * _Z + _X * _Z**2 + _Y * _Z**2,
+        _X * _Y**2 - _Y**2 * _Z,
+        _X * _Y * _Z + _X * _Z**2 + _Y * _Z**2,
+    ),
+}
+
+
 def explicit_map(case):
-    if case == FIVE_POINT:
-        comps = (
-            _X**2 * _Y + _Y**2 * _Z,
-            _X * _Y * _Z,
-            _X**2 * _Y + _X * _Y**2 + 2 * _Y**2 * _Z + _X * _Z**2 + _Y * _Z**2,
-        )
-    elif case == SIX_POINT:
-        comps = (
-            _X**2 * _Y + _Y**2 * _Z + _X * _Z**2 + _Y * _Z**2,
-            _X * _Y**2 - _Y**2 * _Z,
-            _X * _Y * _Z + _X * _Z**2 + _Y * _Z**2,
-        )
-    else:
+    if case not in _COMPONENTS:
         raise ValueError(f"unknown case {case!r}; expected {FIVE_POINT!r} or {SIX_POINT!r}")
-    return ExplicitMap(case, comps)
+    return ExplicitMap(case, (c.copy() for c in _COMPONENTS[case]))
 
 
 class CheckResult:
@@ -137,12 +146,17 @@ def _cross(u, v):
     )
 
 
+def _exact_coords(coords):
+    """Coordinates as exact numbers: ints where integral, Fractions elsewhere."""
+    return [c if type(c) is int else exact(Fraction(c)) for c in coords]
+
+
 def check_point_image(emap, source, target):
     """Exact projective equality f(source) = target; source must be outside I_f."""
-    img = evaluate_map(emap, [Fraction(c) for c in source])
+    img = evaluate_map(emap, _exact_coords(source))
     if all(v == 0 for v in img):
         raise ValueError(f"source {tuple(source)} lies in the indeterminacy locus")
-    tgt = [Fraction(c) for c in target]
+    tgt = _exact_coords(target)
     if all(v == 0 for v in tgt):
         raise ValueError("(0:0:0) is not a projective point")
     return all(v == 0 for v in _cross(img, tgt))
@@ -150,13 +164,13 @@ def check_point_image(emap, source, target):
 
 def find_rational_preimage(emap, target, height_bound=3):
     """First integer source triple (by height, then lex) mapping onto target."""
-    tgt = [Fraction(c) for c in target]
+    tgt = _exact_coords(target)
     for height in range(1, height_bound + 1):
         span = range(-height, height + 1)
         for triple in itertools.product(span, repeat=3):
             if max(abs(c) for c in triple) != height:
                 continue
-            img = evaluate_map(emap, [Fraction(c) for c in triple])
+            img = evaluate_map(emap, triple)
             if all(v == 0 for v in img):
                 continue
             if all(v == 0 for v in _cross(img, tgt)):
@@ -441,9 +455,12 @@ def _poly_val(coeffs_desc, z):
 def solve_roots(coeffs):
     """All complex roots of sum(coeffs[i] * x^i), as companion-matrix eigenvalues.
 
-    Zero top-degree coefficients are dropped first.  Every root must satisfy
-    |p(root)| <= 1e-8 * (1 + sum|coeffs|); otherwise RootSolveError carries
-    all of them.
+    Zero top-degree coefficients are dropped first.  The roots are those
+    np.roots returns, built the same way: each zero low-order coefficient
+    is a root 0, listed last, and the rest are the eigenvalues of the
+    companion matrix of the remaining coefficients.  Every root must
+    satisfy |p(root)| <= 1e-8 * (1 + sum|coeffs|); otherwise
+    RootSolveError carries all of them.
     """
     c = [complex(v) for v in coeffs]
     while c and c[-1] == 0:
@@ -451,7 +468,14 @@ def solve_roots(coeffs):
     if len(c) < 2:
         raise ValueError("the polynomial must have degree at least 1")
     desc = c[::-1]
-    roots = [complex(z) for z in np.roots(desc)]
+    zeros = next(i for i, v in enumerate(c) if v)
+    roots = []
+    if zeros < len(c) - 1:
+        p = np.array(desc[:len(c) - zeros])
+        companion = np.eye(len(p) - 1, k=-1, dtype=p.dtype)
+        companion[0] = -p[1:] / p[0]
+        roots = np.linalg.eigvals(companion).tolist()
+    roots += [0j] * zeros
     bound = 1e-8 * (1.0 + sum(abs(v) for v in c))
     bad = [z for z in roots if abs(_poly_val(desc, z)) > bound]
     if bad:

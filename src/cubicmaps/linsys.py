@@ -431,18 +431,28 @@ def _key_block(p, pair_rows, rows):
     return [dict(zip(pairs, keys[i:i + len(pairs)])) for i in range(0, len(keys), len(pairs))]
 
 
+def _identity_pair_rows(p):
+    """The (P, 2, 3) gf_rref rows (b, a) of the pencil_subspaces pairs (a, b)."""
+    return np.array([(b, a) for a, b in pencil_subspaces(p)], dtype=np.int64)
+
+
 def _plane_keys(p, vectors):
     """The pencil keys of a lone plane with rank-3 coefficient vectors V: a block of one.
 
     V is reduced once to its gf_rref rows R, and V = T.R with T the columns
     of V at R's pivots, so the members a.V and b.V are (a.T).R and (b.T).R,
     and the pair (a, b) is keyed by the gf_rref rows of (a.T, b.T) over R.
+    When V is its own RREF, T is the identity and those rows are the
+    pair's own (b, a), as in a walk's block.
     """
     rows, pivots = gf_rref(p, vectors)
-    transform = [[w[c] for c in pivots] for w in vectors]
-    pair_rows = [gf_rref(p, (combination(a, transform, p), combination(b, transform, p)))[0]
-                 for a, b in pencil_subspaces(p)]
-    return _key_block(p, np.array(pair_rows, dtype=np.int64), np.array([rows], dtype=np.int64))[0]
+    if rows == tuple(map(tuple, vectors)):
+        pair_rows = _identity_pair_rows(p)
+    else:
+        transform = [[w[c] for c in pivots] for w in vectors]
+        pair_rows = np.array([gf_rref(p, (combination(a, transform, p), combination(b, transform, p)))[0]
+                              for a, b in pencil_subspaces(p)], dtype=np.int64)
+    return _key_block(p, pair_rows, np.array([rows], dtype=np.int64))[0]
 
 
 class Plane:
@@ -528,7 +538,7 @@ def walk_planes(system, subspaces, pencils):
     """
     p = system.field.p
     pencils.decide(iter_subspaces(p, system.dim, 2))
-    pair_rows = np.array([(b, a) for a, b in pencil_subspaces(p)], dtype=np.int64)
+    pair_rows = _identity_pair_rows(p)
     subspaces = iter(subspaces)
     while block := list(itertools.islice(subspaces, _PLANE_BLOCK)):
         keys = _key_block(p, pair_rows, np.array(block, dtype=np.int64))

@@ -2,10 +2,16 @@
 
 The variable universe is fixed to (x, y, z, a, b): x, y, z are the plane
 coordinates and a, b parametrize target points in the symbolic derivations.
-A polynomial is a dict mapping exponent 5-tuples to nonzero Fractions, so
-equality is structural and every operation is exact.  Division helpers only
-perform exact divisions and raise otherwise; callers clear denominators
-themselves before substituting (substitution never introduces fractions).
+A polynomial is a dict mapping exponent 5-tuples to nonzero exact
+coefficients, so equality is structural and every operation is exact.  A
+coefficient is stored as an int whenever it is integral and as a Fraction
+only when it is not; every operation that stores one keeps this, so the
+mostly integral certificate derivations run on int arithmetic.  Internal
+operations build their results through _poly, which takes terms as they
+are; only the public constructor checks exponents and coefficients.
+Division helpers only perform exact divisions and raise otherwise; callers
+clear denominators themselves before substituting (substitution never
+introduces fractions).
 """
 
 from fractions import Fraction
@@ -15,16 +21,29 @@ _INDEX = {v: i for i, v in enumerate(VARS)}
 _ZERO_EXP = (0, 0, 0, 0, 0)
 
 
-def _as_fraction(c):
-    if isinstance(c, Fraction):
-        return c
+def exact(c):
+    """An int or Fraction in its stored form: an int when it is integral."""
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise TypeError(f"coefficients must be exact (int or Fraction), got {type(c).__name__}")
 
 
+def _settle(terms):
+    """Store every integral Fraction among the coefficients as its int, in place and in order."""
+    for exp, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[exp] = c.numerator
+    return terms
+
+
+def _term_rank(exp):
+    return (sum(exp), exp)
+
+
 class RationalPoly:
-    """A polynomial in x, y, z, a, b with Fraction coefficients."""
+    """A polynomial in x, y, z, a, b with int or Fraction coefficients."""
 
     __slots__ = ("terms",)
 
@@ -32,19 +51,22 @@ class RationalPoly:
         clean = {}
         if terms:
             for exp, c in terms.items():
-                c = _as_fraction(c)
+                if not (type(exp) is tuple and len(exp) == 5
+                        and all(type(e) is int and e >= 0 for e in exp)):
+                    raise ValueError(f"exponent {exp!r} is not five nonnegative ints")
+                c = exact(c)
                 if c:
-                    clean[tuple(exp)] = c
+                    clean[exp] = c
         self.terms = clean
 
     @classmethod
     def zero(cls):
-        return cls()
+        return _poly({})
 
     @classmethod
     def const(cls, c):
-        c = _as_fraction(c)
-        return cls({_ZERO_EXP: c}) if c else cls()
+        c = exact(c)
+        return _poly({_ZERO_EXP: c} if c else {})
 
     @classmethod
     def var(cls, name):
@@ -52,7 +74,10 @@ class RationalPoly:
             raise ValueError(f"unknown variable {name!r}, expected one of {VARS}")
         exp = [0] * 5
         exp[_INDEX[name]] = 1
-        return cls({tuple(exp): Fraction(1)})
+        return _poly({tuple(exp): 1})
+
+    def copy(self):
+        return _poly(dict(self.terms))
 
     # -- ring operations --
 
@@ -64,22 +89,19 @@ class RationalPoly:
     def __add__(self, other):
         other = self._coerce(other)
         terms = dict(self.terms)
+        get = terms.get
         for exp, c in other.terms.items():
-            s = terms.get(exp, Fraction(0)) + c
+            s = get(exp, 0) + c
             if s:
                 terms[exp] = s
             else:
-                terms.pop(exp, None)
-        out = RationalPoly.__new__(RationalPoly)
-        out.terms = terms
-        return out
+                del terms[exp]
+        return _poly(_settle(terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RationalPoly.__new__(RationalPoly)
-        out.terms = {exp: -c for exp, c in self.terms.items()}
-        return out
+        return _poly({exp: -c for exp, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -90,17 +112,17 @@ class RationalPoly:
     def __mul__(self, other):
         other = self._coerce(other)
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3], e1[4] + e2[4])
-                s = terms.get(exp, Fraction(0)) + c1 * c2
+        get = terms.get
+        right = other.terms.items()
+        for (a0, a1, a2, a3, a4), c1 in self.terms.items():
+            for (b0, b1, b2, b3, b4), c2 in right:
+                exp = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4)
+                s = get(exp, 0) + c1 * c2
                 if s:
                     terms[exp] = s
                 else:
-                    terms.pop(exp, None)
-        out = RationalPoly.__new__(RationalPoly)
-        out.terms = terms
-        return out
+                    del terms[exp]
+        return _poly(_settle(terms))
 
     __rmul__ = __mul__
 
@@ -142,22 +164,33 @@ class RationalPoly:
     # -- substitution and evaluation --
 
     def substitute(self, name, poly):
-        """Replace a variable by a polynomial and expand.  Exact."""
+        """Replace a variable by a polynomial and expand.  Exact.
+
+        Term by term, in order, the term with the variable removed times
+        poly**e (built once per e as 1 * poly * ... * poly) is added into
+        one dict, so the terms come in the order summing those products gives.
+        """
         i = _INDEX[name]
         poly = self._coerce(poly)
-        powers = {0: RationalPoly.const(1)}
-        out = RationalPoly.zero()
+        powers = [RationalPoly.const(1)]
+        terms = {}
+        get = terms.get
         for exp, c in self.terms.items():
             e = exp[i]
-            if e not in powers:
-                powers[e] = poly**e
-            rest = list(exp)
-            rest[i] = 0
-            out = out + RationalPoly({tuple(rest): c}) * powers[e]
-        return out
+            while len(powers) <= e:
+                powers.append(powers[-1] * poly)
+            r0, r1, r2, r3, r4 = exp[:i] + (0,) + exp[i + 1:]
+            for (b0, b1, b2, b3, b4), c2 in powers[e].terms.items():
+                key = (r0 + b0, r1 + b1, r2 + b2, r3 + b3, r4 + b4)
+                s = get(key, 0) + c * c2
+                if s:
+                    terms[key] = s
+                else:
+                    del terms[key]
+        return _poly(_settle(terms))
 
     def evaluate(self, values):
-        """Evaluate at a dict name -> value (Fraction/int exact, complex/float numeric)."""
+        """Evaluate at a dict name -> value (int/Fraction exact, complex/float numeric)."""
         for name in self.variables():
             if name not in values:
                 raise ValueError(f"no value supplied for variable {name!r}")
@@ -168,7 +201,7 @@ class RationalPoly:
                 if e:
                     term = term * values[VARS[i]] ** e
             acc = term if acc is None else acc + term
-        return Fraction(0) if acc is None else acc
+        return 0 if acc is None else acc
 
     # -- division helpers --
 
@@ -177,31 +210,34 @@ class RationalPoly:
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        lead = max(divisor.terms, key=lambda e: (sum(e), e))
+        right = divisor.terms.items()
+        lead = max(divisor.terms, key=_term_rank)
         lead_c = divisor.terms[lead]
-        rem = RationalPoly(dict(self.terms))
-        quo = RationalPoly.zero()
-        while not rem.is_zero():
-            e = max(rem.terms, key=lambda t: (sum(t), t))
-            diff = tuple(a - b for a, b in zip(e, lead))
-            if any(d < 0 for d in diff):
+        rem = dict(self.terms)
+        get = rem.get
+        quo = {}
+        while rem:
+            e = max(rem, key=_term_rank)
+            d0, d1, d2, d3, d4 = diff = tuple(a - b for a, b in zip(e, lead))
+            if min(diff) < 0:
                 raise ValueError("division is not exact")
-            t = RationalPoly({diff: rem.terms[e] / lead_c})
-            quo = quo + t
-            rem = rem - t * divisor
-        return quo
+            q = quo[diff] = exact(Fraction(rem[e], lead_c))
+            for (b0, b1, b2, b3, b4), c2 in right:
+                key = (d0 + b0, d1 + b1, d2 + b2, d3 + b3, d4 + b4)
+                s = get(key, 0) - q * c2
+                if s:
+                    rem[key] = s
+                else:
+                    del rem[key]
+        return _poly(quo)
 
     def univariate_coeffs(self, name):
         """Coefficients of powers of one variable, as a dict degree -> RationalPoly."""
         i = _INDEX[name]
         out = {}
         for exp, c in self.terms.items():
-            rest = list(exp)
-            d = rest[i]
-            rest[i] = 0
-            cur = out.setdefault(d, RationalPoly.zero())
-            out[d] = cur + RationalPoly({tuple(rest): c})
-        return {d: p for d, p in out.items() if not p.is_zero()}
+            out.setdefault(exp[i], {})[exp[:i] + (0,) + exp[i + 1:]] = c
+        return {d: _poly(terms) for d, terms in out.items()}
 
     def __repr__(self):
         if not self.terms:
@@ -227,6 +263,13 @@ class RationalPoly:
         return text.replace("+ -", "- ")
 
 
+def _poly(terms):
+    """A polynomial holding terms as they are: nonzero coefficients, each in stored form."""
+    out = RationalPoly.__new__(RationalPoly)
+    out.terms = terms
+    return out
+
+
 def univariate_gcd(f, g, name):
     """Monic gcd of two polynomials univariate in one variable over Q."""
     for p in (f, g):
@@ -237,7 +280,7 @@ def univariate_gcd(f, g, name):
     def coeff_list(p):
         cs = p.univariate_coeffs(name)
         deg = max(cs, default=0)
-        return [cs.get(d, RationalPoly.zero()).terms.get(_ZERO_EXP, Fraction(0)) for d in range(deg + 1)]
+        return [cs[d].terms[_ZERO_EXP] if d in cs else 0 for d in range(deg + 1)]
 
     a, b = coeff_list(f), coeff_list(g)
 
@@ -248,7 +291,7 @@ def univariate_gcd(f, g, name):
 
     a, b = trim(a), trim(b)
     while b:
-        inv = 1 / b[-1]
+        inv = Fraction(1, b[-1])
         b = [c * inv for c in b]
         while len(a) >= len(b):
             if a[-1]:
@@ -259,9 +302,7 @@ def univariate_gcd(f, g, name):
         a, b = b, trim(a)
     if not a:
         return RationalPoly.zero()
-    inv = 1 / a[-1]
-    x = RationalPoly.var(name)
-    out = RationalPoly.zero()
-    for d, c in enumerate(a):
-        out = out + RationalPoly.const(c * inv) * x**d
-    return out
+    inv = Fraction(1, a[-1])
+    i = _INDEX[name]
+    return _poly({_ZERO_EXP[:i] + (d,) + _ZERO_EXP[i + 1:]: exact(c * inv)
+                             for d, c in enumerate(a) if c})

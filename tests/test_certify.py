@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -191,13 +192,40 @@ class TestSolveRoots:
 
     def test_failure_carries_partial_roots(self, monkeypatch):
         exact = np.roots([1, 1, 1, 1, 1])
-        monkeypatch.setattr(np, "roots", lambda desc: exact + 1e-3)
+        monkeypatch.setattr(np.linalg, "eigvals", lambda companion: exact + 1e-3)
         with pytest.raises(RootSolveError) as info:
             solve_roots([1, 1, 1, 1, 1])
         assert info.value.partial == [complex(z) for z in exact + 1e-3]
 
     def test_deterministic(self):
         assert solve_roots([1, 2, 3, 4]) == solve_roots([1, 2, 3, 4])
+
+    # solve_roots builds np.roots' companion matrix itself; its roots must be np.roots' bits
+    @staticmethod
+    def np_roots(coeffs):
+        return [complex(z) for z in np.roots([complex(c) for c in coeffs][::-1])]
+
+    def test_bitwise_np_roots_on_seeded_quartics(self):
+        rng = np.random.Generator(np.random.PCG64(31))
+        for re, im in rng.uniform(-9, 9, size=(2, 500, 5)).transpose(1, 0, 2):
+            coeffs = [complex(r, i) for r, i in zip(re, im)]
+            assert solve_roots(coeffs) == self.np_roots(coeffs)
+
+    @pytest.mark.parametrize("zeros", [1, 2])
+    def test_bitwise_np_roots_with_zero_low_order_coefficients(self, zeros):
+        rng = np.random.Generator(np.random.PCG64(32 + zeros))
+        for re, im in rng.uniform(-9, 9, size=(2, 200, 5 - zeros)).transpose(1, 0, 2):
+            coeffs = [0j] * zeros + [complex(r, i) for r, i in zip(re, im)]
+            roots = solve_roots(coeffs)
+            assert roots == self.np_roots(coeffs)
+            assert roots[-zeros:] == [0j] * zeros
+
+    def test_bitwise_np_roots_on_the_six_point_quartic_at_the_target_0_1_0(self):
+        # the target (0, 1, 0) gives a = b = 0, where the quartic's constant
+        # and linear coefficients vanish (the constant as -0.0)
+        coeffs = certify._quartic_coeffs_at(SIX_POINT, 0.0, 0.0)
+        assert coeffs[:2] == [0, 0] and all(coeffs[2:])
+        assert solve_roots(coeffs) == self.np_roots(coeffs)
 
 
 class TestNumericPreimage:
@@ -316,6 +344,46 @@ class TestCompiledNumericForm:
             for target in targets:
                 numeric_preimage(case, target)
             assert calls == [5] * len(targets)
+
+
+class TestGoldenCertificates:
+    """The certificate texts and numeric preimages, pinned as sha256 digests of their bytes.
+
+    The preimage digests hold for one numpy/LAPACK build: an upgrade that
+    moves an eigenvalue bit must re-pin them and say why.
+    """
+
+    REPORTS = {
+        FIVE_POINT: ("88563fe5a6f51bb97db603c6a20b7aa995ff7f1c63e27527cf1805ed72250ec8", 15),
+        SIX_POINT: ("7f828ccd1de97b36c856c3ed2a7ba0f0c818b3f760b5ff024d8c7964e3fd08d3", 18),
+    }
+    PREIMAGES = {
+        FIVE_POINT: "b5150db39cafada6ddd03b9654628ddbbd3e4a2627aae9d7caf5cfd3fcb97880",
+        SIX_POINT: "1e5b4401951dd6361c96a79733f7c182619a11dd12795e312e6f37e33b2cf563",
+    }
+    NUMERIC_FORMS = {
+        FIVE_POINT: "e0023a4931d6c6eb1957626eb6f0223b2e8f936f79eb3bbf4942e92b0ab2ea9a",
+        SIX_POINT: "b481efc269c37ee2988094748d4cdcf7a2b11fa3d0a23f88b6995b384d8c09cb",
+    }
+
+    @staticmethod
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_report_bytes(self, case):
+        cert = verify_case(case)
+        assert (self.digest(cert.report()), len(cert.checks)) == self.REPORTS[case]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_numeric_preimage_bytes(self, case):
+        targets = seeded_targets(40, 300) + list(LINE_TARGETS[case]) + list(SPECIAL_TARGETS)
+        got = [numeric_preimage(case, t) for t in targets]
+        assert self.digest(repr(got)) == self.PREIMAGES[case]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_numeric_form_bytes(self, case):
+        assert self.digest(repr(certify._numeric_form(case))) == self.NUMERIC_FORMS[case]
 
 
 class TestProjectiveResidual:

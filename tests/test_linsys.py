@@ -2,12 +2,14 @@ import itertools
 from collections import Counter
 from functools import reduce
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cubicmaps import linsys
 from cubicmaps.finitefield import ProjPoint, build_field, enumerate_p2
 from cubicmaps.forms import (
     MONOMIALS,
@@ -443,6 +445,23 @@ class TestPencilKeys:
         assume(plane is not None)
         assert plane.keys == keys
         assert plane.key(a, b) == members_rref(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(3, 8), st.booleans(), st.data())
+    def test_lone_plane_keys_equal_the_per_pair_elimination(self, p, n, in_rref, data):
+        # T = I (V its own RREF) keys by the pairs' rows (b, a) after one
+        # gf_rref of V; T != I eliminates each pair's (a.T, b.T) as well
+        vectors = data.draw(st.tuples(*[residues(p, n)] * 3)
+                            .filter(lambda rows: len(gf_rref(p, rows)[0]) == 3))
+        if in_rref:
+            vectors = gf_rref(p, vectors)[0]
+        is_identity = vectors == gf_rref(p, vectors)[0]
+        want = {(a, b): gf_rref(p, (combination(a, vectors, p), combination(b, vectors, p)))[0]
+                for a, b in pencil_subspaces(p)}
+        with mock.patch.object(linsys, "gf_rref", wraps=gf_rref) as counted:
+            keys = _plane_keys(p, vectors)
+        assert list(keys.items()) == list(want.items())
+        assert counted.call_count == (1 if is_identity else 1 + len(want))
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 10), st.integers(1, 10), st.data())
