@@ -166,7 +166,7 @@ def cmd_dataset(args):
     cfg = _resolve_config(args)
     t0 = time.perf_counter()
     walk_counters = {}
-    records = generate_dataset(cfg, jobs=args.jobs, counters=walk_counters)
+    records = generate_dataset(cfg, counters=walk_counters)
     t1 = time.perf_counter()
     write_output(records, args.out)
     t2 = time.perf_counter()
@@ -180,7 +180,7 @@ def cmd_dataset(args):
         print("all labels are 0")
     _write_manifest(
         args,
-        {"case": args.case, "p": args.p, "filter": _FILTERS[args.filter], "jobs": args.jobs},
+        {"case": args.case, "p": args.p, "filter": _FILTERS[args.filter]},
         {"out": os.path.abspath(args.out)},
         args.out,
         started,
@@ -455,9 +455,6 @@ def build_parser():
     _add_case_args(sub)
     sub.add_argument("--filter", choices=sorted(_FILTERS), default="norm")
     sub.add_argument("--out", default="output.txt")
-    sub.add_argument("--jobs", type=_positive_int, default=1,
-                     help="processes that label subspaces (default 1); the output is the same "
-                          "for any count")
     sub.set_defaults(func=cmd_dataset)
 
     sub = subs.add_parser("check", help="label the plane spanned by one coefficient triple")

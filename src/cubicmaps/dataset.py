@@ -4,15 +4,13 @@ A dataset run fixes a cubic system (a built-in case or a custom one) and
 walks the 3-subspaces of GF(p)^dim once, by iter_subspaces.  It lists each
 subspace's spanning triples (v, u, t) that pass the vector filter, and
 labels a subspace that holds one once, by its plane at the exhaustive
-scan bound 9 (no records when make_plane rejects it), serially or in a
-process pool.  Per subspace the walk computes the span vectors c·rows and
-their filter tests once, and reads the independence of three coordinate
-vectors c off a per-p table of determinant bitmasks.  The planes share
-their pencils, so the subspaces are labeled in contiguous blocks, one per
-worker, each walked by linsys.walk_planes through one SystemPencils memo.
-The records are sorted by (v, u, t), so the output is byte-identical for
-any worker count.  The writer formats each distinct vector once and
-streams its lines.
+scan bound 9 (no records when make_plane rejects it).  Per subspace the
+walk computes the span vectors c·rows and their filter tests once, and
+reads the independence of three coordinate vectors c off a per-p table
+of determinant bitmasks.  The planes share their pencils, so the
+subspaces are labeled in one process, by one linsys.walk_planes walk
+through one SystemPencils memo.  The records are sorted by (v, u, t).
+The writer formats each distinct vector once and streams its lines.
 
 File format, one record per line, newline-terminated:
 
@@ -20,7 +18,6 @@ File format, one record per line, newline-terminated:
 """
 
 import functools
-import multiprocessing
 import re
 
 from .finitefield import build_field
@@ -124,17 +121,6 @@ def passes_filter(mode, v, u, t, p):
     return True
 
 
-def _label_block(system, block):
-    """Labels of a block of subspaces, None where make_plane rejects one, and the walk's counters.
-
-    The block is one walk_planes walk through one SystemPencils.
-    """
-    pencils = SystemPencils(system)
-    labels = [None if plane is None else label_plane(plane).value
-              for plane in walk_planes(system, block, pencils)]
-    return labels, pencils.counters()
-
-
 def _det3(a, b, c):
     return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
             + a[2] * (b[0] * c[1] - b[1] * c[0]))
@@ -187,36 +173,27 @@ def _filtered_subspaces(cfg):
 
 
 def generate_dataset(cfg, jobs=1, counters=None):
-    """The full record list, sorted by (v, u, t); jobs > 1 labels subspaces in a process pool.
+    """The full record list, sorted by (v, u, t), labeled in one process.
 
-    The pool starts at most one worker per subspace to label, and hands
-    each worker one contiguous block of subspaces.  When counters is a
-    dict, the number of subspaces handed to the labeler (subspaces) and
-    the SystemPencils counters of the blocks are added to it.  Every
-    plane is labeled by label_plane at the exhaustive bound, so each label
-    is proved.
+    The subspaces that hold a triple are labeled by one walk_planes walk
+    through one SystemPencils memo.  When counters is a dict, the number
+    of subspaces handed to the labeler (subspaces) and the memo's counters
+    are written into it.  Every plane is labeled by label_plane at the
+    exhaustive bound, so each label is proved.  jobs accepts only 1:
+    perfbench's label-gf2 workload still passes it, until ROADMAP item 8
+    removes it along with perfbench's dataset_jobs and pool_path env keys.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
+    if jobs != 1:
+        raise ValueError(f"subspaces are labeled in one process; jobs must be 1, got {jobs!r}")
     subspaces = list(_filtered_subspaces(cfg))
-    rows = [r for r, _ in subspaces]
-    label = functools.partial(_label_block, cfg.system)
-    workers = min(jobs, len(rows))
-    if workers <= 1:
-        blocks = [label(rows)]
-    else:
-        cuts = [len(rows) * i // workers for i in range(workers + 1)]
-        with multiprocessing.Pool(workers) as pool:
-            blocks = pool.map(label, [rows[i:j] for i, j in zip(cuts, cuts[1:])], chunksize=1)
-    labels = [lab for block, _ in blocks for lab in block]
+    pencils = SystemPencils(cfg.system)
+    planes = walk_planes(cfg.system, [rows for rows, _ in subspaces], pencils)
+    labeled = [(triples, label_plane(plane).value)
+               for (_, triples), plane in zip(subspaces, planes) if plane is not None]
     if counters is not None:
-        counters["subspaces"] = counters.get("subspaces", 0) + len(rows)
-        for _, block_counters in blocks:
-            for name, count in block_counters.items():
-                counters[name] = counters.get(name, 0) + count
+        counters.update(subspaces=len(subspaces), **pencils.counters())
     return [DatasetRecord(*rec) for rec in sorted(
-        (v, u, t, lab) for (_, triples), lab in zip(subspaces, labels) if lab is not None
-        for v, u, t in triples)]
+        (v, u, t, label) for triples, label in labeled for v, u, t in triples)]
 
 
 class _VectorText(dict):

@@ -27,7 +27,8 @@ reads the pencil's base points off its two rows' zero sets.  A full walk
 in stacks of _DECIDE_BLOCK pencils, one numpy elimination each
 (SystemPencils.decide, forms.pairs_share_factor), and keys every pencil
 of _PLANE_BLOCK planes at a time with one product against the planes'
-gf_rref rows, no elimination.  The memo also admits
+gf_rref rows, no elimination.  A lone plane keys its p^2+p+1 pencils by
+their definition and decides them in one stack.  The memo also admits
 a plane: a factor shared by all three forms divides every member of
 every pencil, so one rational pencil that shares no factor proves that
 the forms share none.  Only when every rational pencil shares a factor
@@ -303,10 +304,11 @@ class SystemPencils:
     plane and every spanning pair that holds it; the plane holds its keys
     (Plane.keys).  Per key the memo decides
     once whether the pencil shares a factor: decide takes many keys and
-    decides them in stacks (forms.pairs_share_factor), and a full walk
+    decides them in stacks (forms.pairs_share_factor).  A full walk
     hands it every pencil of the system, the rows of
-    iter_subspaces(p, dim, 2), before its first plane; shares_factor
-    decides a key it has not seen on its own.  The scan reads levels
+    iter_subspaces(p, dim, 2), before its first plane, and a lone plane
+    all p^2+p+1 of its keys at once (make_plane); shares_factor only
+    reads a decided key.  The scan reads levels
     1..bound as one stream of chunks (_scan.iter_chunks): over GF(2)
     levels 1-9 are a single chunk, and over GF(3) levels 1-5 one and
     level 6 another.  A member's zero set
@@ -352,7 +354,9 @@ class SystemPencils:
 
         The keys' forms are stacked, _DECIDE_BLOCK pencils at a time, and
         each block is decided by one pairs_share_factor call; a zero form
-        counts as a shared factor.  Keys already decided are skipped.
+        counts as a shared factor.  Keys already decided are skipped.  A
+        walk hands it every pencil of the system, and make_plane a lone
+        plane's p^2+p+1 keys, so shares_factor never decides.
         """
         p = self.system.field.p
         todo = [key for key in keys if key not in self._shares]
@@ -362,10 +366,8 @@ class SystemPencils:
             self._shares.update(zip(block, pairs_share_factor(p, pairs).tolist()))
 
     def shares_factor(self, key):
-        """Whether the pencil's two spanning forms share a factor; an undecided key is decided alone."""
+        """Whether the pencil's two spanning forms share a factor, read off a decided key."""
         self.key_lookups += 1
-        if key not in self._shares:
-            self.decide([key])
         return self._shares[key]
 
     def zero_set(self, member, chunk):
@@ -431,28 +433,14 @@ def _key_block(p, pair_rows, rows):
     return [dict(zip(pairs, keys[i:i + len(pairs)])) for i in range(0, len(keys), len(pairs))]
 
 
-def _identity_pair_rows(p):
-    """The (P, 2, 3) gf_rref rows (b, a) of the pencil_subspaces pairs (a, b)."""
-    return np.array([(b, a) for a, b in pencil_subspaces(p)], dtype=np.int64)
-
-
 def _plane_keys(p, vectors):
-    """The pencil keys of a lone plane with rank-3 coefficient vectors V: a block of one.
+    """The pencil keys of a lone plane with coefficient vectors V, in pencil_subspaces order.
 
-    V is reduced once to its gf_rref rows R, and V = T.R with T the columns
-    of V at R's pivots, so the members a.V and b.V are (a.T).R and (b.T).R,
-    and the pair (a, b) is keyed by the gf_rref rows of (a.T, b.T) over R.
-    When V is its own RREF, T is the identity and those rows are the
-    pair's own (b, a), as in a walk's block.
+    Each pair (a, b) is keyed by its definition, the gf_rref rows of the
+    members a.V and b.V.
     """
-    rows, pivots = gf_rref(p, vectors)
-    if rows == tuple(map(tuple, vectors)):
-        pair_rows = _identity_pair_rows(p)
-    else:
-        transform = [[w[c] for c in pivots] for w in vectors]
-        pair_rows = np.array([gf_rref(p, (combination(a, transform, p), combination(b, transform, p)))[0]
-                              for a, b in pencil_subspaces(p)], dtype=np.int64)
-    return _key_block(p, pair_rows, np.array([rows], dtype=np.int64))[0]
+    return {(a, b): gf_rref(p, (combination(a, vectors, p), combination(b, vectors, p)))[0]
+            for a, b in pencil_subspaces(p)}
 
 
 class Plane:
@@ -498,8 +486,10 @@ def make_plane(system, v, u, t, pencils=None, keys=None):
     Rejection reasons: the stacked vectors have rank < 3 over the system
     field, or the three combined forms share a nonconstant factor.  pencils
     is the walk's SystemPencils, and keys the plane's pencil keys from its
-    walk's block (walk_planes); a lone plane gets a memo of its own, and
-    keys its pencils as a block of one.  A pencil that shares no factor
+    walk's block (walk_planes), decided before the walk's first plane; a
+    lone plane gets a memo of its own unless one is given, keys each of
+    its p^2+p+1 pencils by its definition (_plane_keys), and hands all of
+    them to pencils.decide in one call.  A pencil that shares no factor
     proves the forms share none; the rational pencils are tried in walk
     order (pencil_subspaces), and only when all of them share a factor
     does common_factor_all decide.
@@ -523,6 +513,7 @@ def make_plane(system, v, u, t, pencils=None, keys=None):
     vecs = tuple(vecs)
     if keys is None:
         keys = _plane_keys(field.p, vecs)
+        pencils.decide(keys.values())
     if all(map(pencils.shares_factor, keys.values())) and common_factor_all(forms):
         return None
     return Plane(system, vecs, tuple(forms), pencils, keys)
@@ -538,7 +529,7 @@ def walk_planes(system, subspaces, pencils):
     """
     p = system.field.p
     pencils.decide(iter_subspaces(p, system.dim, 2))
-    pair_rows = _identity_pair_rows(p)
+    pair_rows = np.array([(b, a) for a, b in pencil_subspaces(p)], dtype=np.int64)
     subspaces = iter(subspaces)
     while block := list(itertools.islice(subspaces, _PLANE_BLOCK)):
         keys = _key_block(p, pair_rows, np.array(block, dtype=np.int64))

@@ -12,7 +12,9 @@ The planes of one walk share their pencils, so a pencil's shared factor
 is decided, and each member's zero set scanned per chunk of the scan
 stream, once per walk by the SystemPencils memo the planes hold (linsys),
 under the pencil's key, which each plane holds for every rational pencil
-(Plane.keys).
+(Plane.keys).  The shared factors are decided in stacks before a pencil
+is tested: a walk's for every pencil of the system, a lone plane's for
+its p^2+p+1 pencils when make_plane builds it.
 The stream reads levels 1..scan_bound in level-then-scan order, and packs
 the small levels into one chunk: over GF(2) levels 1-9 are a single
 chunk.  A pencil's base points are the common zeros of its two spanning
@@ -104,15 +106,15 @@ def test_pencil(plane, a, b, scan_bound=DEFAULT_SCAN_BOUND):
     """Verdict for the pencil of a plane spanned by coefficient vectors a, b.
 
     Dependent vectors or a shared factor of the two combined forms give
-    positive_dimensional; the factor is decided once per system pencil by
-    the plane's SystemPencils, under the key the plane holds for the
-    pencil (Plane.key).  Otherwise the pencil's base points are
-    read in one pass over the scan stream of levels 1..scan_bound, in
-    level-then-scan order, off the memo's member zero sets, and the first
-    one where plane form i is nonzero is returned as a not_unruly witness,
-    for any i with (a x b)_i != 0: then a, b and e_i span GF(p)^3, so f_i
-    is nonzero exactly off the plane's base locus among the pencil's base
-    points.  So the witness lies at the lowest level that has one.
+    positive_dimensional; the factor was decided, with the plane's other
+    pencils, in one of its SystemPencils' stacks, and is read under the
+    key the plane holds for the pencil (Plane.key).  Otherwise the
+    pencil's base points are read in one pass over the scan stream of
+    levels 1..scan_bound, in level-then-scan order, off the memo's member
+    zero sets, and the first one where plane form i is nonzero is
+    returned as a not_unruly witness, for any i with (a x b)_i != 0: then
+    a, b and e_i span GF(p)^3, so f_i is nonzero exactly off the plane's
+    base locus among the pencil's base points.  So the witness lies at the lowest level that has one.
     Exhausting the stream gives unruly.
     The witness is rechecked exactly: the plane forms' values V there, in
     Scalar arithmetic, must have a.V = b.V = 0 and V nonzero; the point's
@@ -210,7 +212,8 @@ def find_unruly_seven_points(cfg, field):
 
     The system of cubics vanishing on the configuration must be
     3-dimensional (general position); it is then itself treated as the
-    plane and all rational pencils are scanned up to GF(q^2), which is
+    plane, whose p^2+p+1 shared factors make_plane decides in one stack,
+    and all rational pencils are scanned up to GF(q^2), which is
     exhaustive here: a 0-dimensional pencil of cubics has at most 9
     geometric base points, at least 7 of which are the rational
     configuration points, so any witness lies in an orbit of size at most

@@ -7,12 +7,12 @@ from cubicmaps.network import TrainConfig, train
 
 @pytest.fixture(scope="session")
 def five_records():
-    return generate_dataset(EnumConfig(FIVE_POINT), jobs=1)
+    return generate_dataset(EnumConfig(FIVE_POINT))
 
 
 @pytest.fixture(scope="session")
 def six_records():
-    return generate_dataset(EnumConfig(SIX_POINT), jobs=1)
+    return generate_dataset(EnumConfig(SIX_POINT))
 
 
 @pytest.fixture(scope="session")

@@ -84,9 +84,7 @@ class TestDataset:
         assert len(entries) == 1
         entry = entries[0]
         assert entry["subcommand"] == "dataset"
-        assert entry["config"]["case"] == "six"
-        assert entry["config"]["p"] == 2
-        assert entry["config"]["jobs"] == 1
+        assert entry["config"] == {"case": "six", "p": 2, "filter": "norm_only"}
         assert len(entry["dataset_sha256"]) == 64
         assert entry["wall_time_s"] >= 0
         assert set(entry["stages"]) == {"dataset_s", "write_s"}
@@ -126,6 +124,12 @@ class TestDataset:
         assert main(argv) == 2
         assert "invalid choice" in capsys.readouterr().err
         assert not os.path.exists("x.txt") and not os.path.exists("cubicmaps-runs.jsonl")
+
+    def test_jobs_is_not_an_option(self, capsys):
+        # subspaces are labeled in one process, so there is no worker count to ask for
+        assert main(["dataset", "--case", "six", "--out", "six.txt", "--jobs", "2"]) == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not os.path.exists("six.txt") and not os.path.exists("cubicmaps-runs.jsonl")
 
     @pytest.mark.parametrize("flag, mode, count", [
         ("strict", STRICT_ORTHONORMAL, 48), ("none", NO_FILTER, 2520)])
@@ -310,7 +314,6 @@ class TestBoundsBelowOne:
         assert "--source-bound: must be at least 1" in captured.err
 
     @pytest.mark.parametrize("argv", [
-        ["dataset", "--case", "six", "--out", "six.txt", "--jobs", "0"],
         ["oracle", "--all", "--case", "six", "--scan-bound", "-1"],
         ["train", "--data", "six.txt", "--epochs", "-3"],
         ["check", "--triple", CASE46, "--scan-bound", "nine"],

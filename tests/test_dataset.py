@@ -32,12 +32,14 @@ from cubicmaps.linsys import (
     gf_rref,
     iter_subspaces,
     iter_vectors,
+    make_plane,
     reduced_generator_system,
     reference_system,
     vanishing_cubics,
 )
 from cubicmaps.finitefield import build_field
 from cubicmaps.forms import TernaryForm
+from cubicmaps.surjectivity import label_plane
 
 CASE46 = ((1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (1, 1, 0, 0, 1))
 
@@ -136,35 +138,33 @@ class TestGeneration:
         assert len(set(keys)) == len(keys)
 
     def test_strict_filter_counts(self):
-        records = generate_dataset(EnumConfig(FIVE_POINT, filter_mode=STRICT_ORTHONORMAL), jobs=1)
+        records = generate_dataset(EnumConfig(FIVE_POINT, filter_mode=STRICT_ORTHONORMAL))
         summary = stats(records)
         assert summary["count"] == 456
         assert summary["positives"] == 24
         assert all(r.key != CASE46 for r in records)
 
     def test_strict_is_a_subset_of_norm_only(self, five_records):
-        strict = generate_dataset(EnumConfig(FIVE_POINT, filter_mode=STRICT_ORTHONORMAL), jobs=1)
+        strict = generate_dataset(EnumConfig(FIVE_POINT, filter_mode=STRICT_ORTHONORMAL))
         norm = {r.key: r.label for r in five_records}
         for r in strict:
             assert norm[r.key] == r.label
 
     def test_unfiltered_counts(self):
-        records = generate_dataset(EnumConfig(SIX_POINT, filter_mode=NO_FILTER), jobs=1)
+        records = generate_dataset(EnumConfig(SIX_POINT, filter_mode=NO_FILTER))
         assert stats(records) == {
             "count": 2520, "positives": 0, "negatives": 2520, "positive_rate": 0.0,
         }
 
-    def test_parallel_generation_matches_sequential_for_a_custom_system(self):
-        # the pool receives the system pickled with the labeling function
+    def test_custom_six_point_system_counts(self):
         pts = PointConfig(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 3, 1), (3, 2, 1)))
-        cfg = EnumConfig(vanishing_cubics(pts, build_field(2)))
-        serial = generate_dataset(cfg, jobs=1)
-        assert stats(serial)["count"] == 240 and stats(serial)["positives"] == 24
-        assert generate_dataset(cfg, jobs=2) == serial
+        records = generate_dataset(EnumConfig(vanishing_cubics(pts, build_field(2))))
+        assert (stats(records)["count"], stats(records)["positives"]) == (240, 24)
 
-    def test_parallel_generation_matches_sequential(self, six_records):
-        parallel = generate_dataset(EnumConfig(SIX_POINT), jobs=2)
-        assert parallel == six_records
+    @pytest.mark.parametrize("jobs", [0, 2])
+    def test_jobs_other_than_one_raise(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            generate_dataset(EnumConfig(SIX_POINT), jobs=jobs)
 
     def test_labels_depend_only_on_the_plane(self, five_records):
         # records spanning the same coefficient subspace carry equal labels
@@ -198,28 +198,6 @@ class TestOutputBytes:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == DATASET_SHA256[case, mode]
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Sizes of the pools generate_dataset asks for; the stand-in pool maps serially."""
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return list(map(fn, items))
-
-    monkeypatch.setattr(dataset.multiprocessing, "Pool", SerialPool)
-    return sizes
-
-
 class TestLabeledSubspaces:
     @pytest.mark.parametrize("case, count", [(FIVE_POINT, 140), (SIX_POINT, 14)])
     def test_only_subspaces_holding_a_triple_are_labeled(self, case, count, monkeypatch,
@@ -237,55 +215,35 @@ class TestLabeledSubspaces:
         assert records == (five_records if case == FIVE_POINT else six_records)
         assert len(labeled) == len(set(labeled)) == count
 
-    @pytest.mark.parametrize("jobs, workers", [(64, 14), (3, 3)])
-    def test_pool_has_at_most_one_worker_per_subspace(self, jobs, workers, pool_sizes,
-                                                      six_records):
-        assert generate_dataset(EnumConfig(SIX_POINT), jobs=jobs) == six_records
-        assert pool_sizes == [workers]
+    def test_one_call_labels_through_one_walk_and_one_memo(self, monkeypatch, five_records):
+        memos, walks = [], []
+        memo, walk = dataset.SystemPencils, dataset.walk_planes
 
-    def test_each_worker_labels_one_contiguous_block_through_one_memo(self, monkeypatch):
-        blocks, memos = [], []
-
-        class BlockPool:
-            def __init__(self, processes):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                blocks.extend(items)
-                return list(map(fn, items))
-
-        memo = dataset.SystemPencils
-
-        def recorded(system):
+        def recorded_memo(system):
             memos.append(memo(system))
             return memos[-1]
 
-        monkeypatch.setattr(dataset.multiprocessing, "Pool", BlockPool)
-        monkeypatch.setattr(dataset, "SystemPencils", recorded)
-        cfg = EnumConfig(FIVE_POINT)
-        serial, pooled = {}, {}
-        assert generate_dataset(cfg, jobs=3, counters=pooled) == generate_dataset(cfg, counters=serial)
-        rows = [r for r, _ in _filtered_subspaces(cfg)]
-        assert [len(block) for block in blocks] == [46, 47, 47]
-        assert [r for block in blocks for r in block] == rows
-        # three block memos, then the serial run's one
-        assert len(memos) == 4
-        assert pooled["subspaces"] == serial["subspaces"] == len(rows) == 140
-        assert pooled["pencil_tests"] == serial["pencil_tests"]
-        assert pooled["system_pencils"] > serial["system_pencils"]
+        def recorded_walk(system, subspaces, pencils):
+            walks.append(list(subspaces))
+            return walk(system, walks[-1], pencils)
 
-    def test_one_subspace_is_labeled_without_a_pool(self, pool_sizes):
+        monkeypatch.setattr(dataset, "SystemPencils", recorded_memo)
+        monkeypatch.setattr(dataset, "walk_planes", recorded_walk)
+        cfg = EnumConfig(FIVE_POINT)
+        counters = {}
+        assert generate_dataset(cfg, counters=counters) == five_records
+        assert len(memos) == 1
+        assert walks == [[rows for rows, _ in _filtered_subspaces(cfg)]]
+        assert counters == {"subspaces": 140, **memos[0].counters()}
+        assert counters["system_pencils"] == 155
+
+    def test_one_subspace_is_labeled_without_a_pool(self):
         f2 = build_field(2)
         cfg = EnumConfig(CubicSystem(f2, reference_system(SIX_POINT, f2).basis[:3], "custom"))
-        assert len(list(_filtered_subspaces(cfg))) == 1
-        assert generate_dataset(cfg, jobs=4) == generate_dataset(cfg, jobs=1)
-        assert pool_sizes == []
+        [(rows, triples)] = _filtered_subspaces(cfg)
+        label = label_plane(make_plane(cfg.system, *rows)).value
+        assert generate_dataset(cfg) == [DatasetRecord(*triple, label) for triple in triples]
+        assert (len(triples), label) == (24, 0)
 
 
 def brute_force_triples(cfg):
@@ -463,14 +421,6 @@ class TestRoundTrip:
         path = tmp_path / "one.txt"
         write_output([DatasetRecord(*CASE46, 1)], path)
         assert path.read_text() == "((1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (1, 1, 0, 0, 1)): 1\n"
-
-    def test_parallel_write_is_byte_identical(self, tmp_path):
-        seq = generate_dataset(EnumConfig(SIX_POINT), jobs=1)
-        par = generate_dataset(EnumConfig(SIX_POINT), jobs=2)
-        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-        write_output(seq, p1)
-        write_output(par, p2)
-        assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("case", [FIVE_POINT, SIX_POINT])
     def test_read_equals_literal_eval(self, case, five_records, six_records, tmp_path):

@@ -419,8 +419,11 @@ def assert_memo_verdicts_match(pencils, keys, net):
 
 
 def net_pencils(net):
-    """A SystemPencils of the system whose basis is the net, and the pencil keys of its identity vectors."""
-    return SystemPencils(CubicSystem(net[0].field, net, "custom")), _plane_keys(net[0].field.p, IDENTITY)
+    """A SystemPencils of the system whose basis is the net, and the decided pencil keys of its identity vectors."""
+    pencils = SystemPencils(CubicSystem(net[0].field, net, "custom"))
+    keys = _plane_keys(net[0].field.p, IDENTITY)
+    pencils.decide(keys.values())
+    return pencils, keys
 
 
 @st.composite

@@ -487,7 +487,7 @@ def verdict_list(plane, scan_bound=9):
 
 class TestBlockKeyedWalk:
     # walk_planes keys the pencils of a block of planes with one product; a
-    # lone plane, with a memo of its own, keys its pencils as a block of one
+    # lone plane, with a memo of its own, keys each pencil by its definition
 
     @pytest.mark.parametrize("block", [None, 7])
     def test_gf2_walks_give_the_verdicts_and_witnesses_of_lone_planes(self, monkeypatch, block):
@@ -529,6 +529,66 @@ class TestBlockKeyedWalk:
                 assert verdict_list(plane, 2) == verdict_list(lone, 2), rows
         assert (len(subspaces), planes) == (1210, 1164)
         assert labeled > 30
+
+
+# (pair, status, (level, witness encoding) or None) of every pencil of two lone
+# planes: case 46 at bound 9, and a GF(3) custom plane at bound 2, recorded
+# when each pencil was decided alone, on its first lookup
+CASE46_VERDICTS = [
+    (((0, 0, 1), (0, 1, 0)), NOT_UNRULY, (1, (1, 1, 0))),
+    (((0, 0, 1), (1, 0, 0)), NOT_UNRULY, (1, (1, 1, 1))),
+    (((0, 0, 1), (1, 1, 0)), NOT_UNRULY, (3, (3, 6, 1))),
+    (((0, 1, 0), (1, 0, 0)), POSITIVE_DIMENSIONAL, None),
+    (((0, 1, 0), (1, 0, 1)), NOT_UNRULY, (1, (0, 1, 1))),
+    (((0, 1, 1), (1, 0, 0)), NOT_UNRULY, (4, (8, 12, 1))),
+    (((0, 1, 1), (1, 0, 1)), NOT_UNRULY, (2, (2, 1, 1))),
+]
+GF3_POINTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 0), (2, 1, 1))
+GF3_PLANE = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+GF3_VERDICTS = [
+    (((0, 0, 1), (0, 1, 0)), POSITIVE_DIMENSIONAL, None),
+    (((0, 0, 1), (1, 0, 0)), UNRULY, None),
+    (((0, 0, 1), (1, 1, 0)), UNRULY, None),
+    (((0, 0, 1), (1, 2, 0)), POSITIVE_DIMENSIONAL, None),
+    (((0, 1, 0), (1, 0, 0)), UNRULY, None),
+    (((0, 1, 0), (1, 0, 1)), NOT_UNRULY, (2, (4, 6, 1))),
+    (((0, 1, 0), (1, 0, 2)), UNRULY, None),
+    (((0, 1, 1), (1, 0, 0)), POSITIVE_DIMENSIONAL, None),
+    (((0, 1, 1), (1, 0, 1)), UNRULY, None),
+    (((0, 1, 1), (1, 0, 2)), NOT_UNRULY, (1, (1, 0, 1))),
+    (((0, 1, 2), (1, 0, 0)), NOT_UNRULY, (1, (2, 2, 1))),
+    (((0, 1, 2), (1, 0, 1)), UNRULY, None),
+    (((0, 1, 2), (1, 0, 2)), NOT_UNRULY, (1, (2, 0, 1))),
+]
+
+
+class TestLonePlaneDecisions:
+    # a lone plane decides all p^2+p+1 of its pencils in one stack when it is
+    # made, and labeling it decides nothing more
+
+    @pytest.mark.parametrize("make_system, rows, bound, want", [
+        (lambda: reference_system(FIVE_POINT, build_field(2)), CASE46, 9, CASE46_VERDICTS),
+        (lambda: vanishing_cubics(PointConfig(GF3_POINTS), build_field(3)), GF3_PLANE, 2,
+         GF3_VERDICTS),
+    ])
+    def test_one_stacked_decision_per_lone_plane(self, monkeypatch, make_system, rows, bound,
+                                                 want):
+        system = make_system()
+        stacks = []
+        decide = linsys.pairs_share_factor
+
+        def counted(p, pairs):
+            stacks.append(len(pairs))
+            return decide(p, pairs)
+
+        monkeypatch.setattr(linsys, "pairs_share_factor", counted)
+        plane = make_plane(system, *rows)
+        label = label_plane(plane, bound, find_all=True)
+        p = system.field.p
+        assert stacks == [p * p + p + 1]
+        assert plane.pencils.counters()["system_pencils"] == p * p + p + 1
+        assert [(pair, v.status, None if v.witness is None else (v.witness.field.k, v.witness.encode()))
+                for pair, v in label.verdicts] == want
 
 
 class TestWitnessPoints:
